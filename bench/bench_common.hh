@@ -61,8 +61,8 @@ namespace specslice::bench
  *       emits per-trace replay documents/BENCH_replay.json stamped
  *       with this version
  *
- * The constant itself lives in sim/result_json.hh so the sweep
- * service stamps the same version.
+ * The constant itself lives in sim/result_json.hh so specslice_run
+ * --json stamps the same version.
  */
 constexpr std::uint64_t benchSchemaVersion = sim::resultSchemaVersion;
 
@@ -206,8 +206,8 @@ jobsOption(int argc, char **argv)
  * Parse a `--cache DIR` / `--cache=DIR` option (any position), falling
  * back to the SS_CACHE_DIR environment variable. Returns the opened
  * content-addressed result store, or nullptr when neither source names
- * a directory. Point it at the sweep service's store (.sscache by
- * convention) and a bench rerun serves every unchanged cell from disk.
+ * a directory. A rerun pointed at the same directory serves every
+ * unchanged cell from disk.
  */
 inline std::unique_ptr<sim::ResultCache>
 openCacheOption(int argc, char **argv)
@@ -289,10 +289,9 @@ limitOpts(const sim::Workload &wl)
 // Machine-readable output (BENCH_<name>.json, specslice_run --json)
 // ---------------------------------------------------------------
 //
-// The JSON builders and the per-workload record moved to
-// common/jsonio.hh and sim/result_json.hh so the sweep service and the
-// result cache emit byte-identical documents; re-exported here so the
-// bench binaries compile unchanged.
+// The JSON builders and the per-workload record live in
+// common/jsonio.hh and sim/result_json.hh (specslice_run --json shares
+// them); re-exported here so the bench binaries compile unchanged.
 
 using json::JsonObject;
 using json::jsonArray;
@@ -320,18 +319,22 @@ writeBenchJson(const std::string &bench_name,
     std::vector<std::string> elems;
     std::uint64_t total_insts = 0;
     double total_wall = 0.0;
+    double total_measure = 0.0;
     for (const WorkloadPerf &p : rows) {
         elems.push_back(perfRecord(p).str());
         total_insts += p.result.mainRetired;
         total_wall += p.wallSeconds;
+        total_measure += p.result.wallMeasureSeconds;
     }
 
+    // Rates divide measured instructions by measured-region time,
+    // like WorkloadPerf::instsPerSec.
     JsonObject aggregate;
     aggregate.field("main_retired", total_insts)
         .field("wall_seconds", total_wall)
         .field("sim_insts_per_sec",
-               total_wall > 0.0
-                   ? static_cast<double>(total_insts) / total_wall
+               total_measure > 0.0
+                   ? static_cast<double>(total_insts) / total_measure
                    : 0.0);
     if (sweep_wall_seconds > 0.0) {
         aggregate.field("sweep_wall_seconds", sweep_wall_seconds)

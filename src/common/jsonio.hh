@@ -4,17 +4,16 @@
  *
  * Output: the tiny ordered JsonObject / jsonArray builders that every
  * machine-readable artifact (BENCH_*.json, specslice_run --json, the
- * sweep-service protocol) is rendered with. They used to live in
- * bench/bench_common.hh; they moved here so src/sim code (the serve
- * job runner, the result cache) can emit the same byte-exact documents
- * as the bench drivers. bench_common.hh re-exports them unchanged.
+ * result-cache payload) is rendered with. They live here so src/sim
+ * code (the result documents, the result cache) can emit the same
+ * byte-exact documents as the bench drivers. bench_common.hh
+ * re-exports them unchanged.
  *
  * Input: a small recursive-descent parser producing a Value tree. The
- * sweep service parses request lines with it, clients parse response
- * lines, and the bench --cache path parses cached result documents.
- * It accepts exactly the JSON the builders emit plus ordinary
- * hand-written requests (nesting depth is bounded; numbers are kept
- * as both double and, when exact, int64/uint64).
+ * --cache path parses cached result documents with it. It accepts
+ * exactly the JSON the builders emit plus ordinary hand-written
+ * documents (nesting depth is bounded; numbers are kept as both
+ * double and, when exact, int64/uint64).
  */
 
 #ifndef SPECSLICE_COMMON_JSONIO_HH

@@ -276,11 +276,11 @@ struct RunResult
     /** Timing regions aggregated into this result (0 = unsampled). */
     unsigned sampledRegions = 0;
 
-    // Observability-only wall-clock phase breakdown and trace
-    // bookkeeping. NEVER serialized into result documents (served
-    // docs must stay byte-identical to `specslice_run --json
-    // --no-wall` and deterministic); the sweep service feeds them
-    // into its latency histograms.
+    // Wall-clock phase breakdown and trace bookkeeping. Never
+    // serialized into result documents: they are nondeterministic,
+    // so a result-cache hit restores them as 0. They feed
+    // WorkloadPerf::instsPerSec and the repository benchmark's
+    // per-phase host times (perfbench/).
     /** Wall seconds spent fast-forwarding (sampled runs only). */
     double wallFastForwardSeconds = 0.0;
     /** Wall seconds from run start to the warm-up stats reset. */

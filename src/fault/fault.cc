@@ -36,18 +36,10 @@ constexpr SiteInfo site_table[] = {
      true},
     {Site::CheckStore, "check.store",
      "corrupt the Nth checked store value (requires @nN)", 0, true},
-    {Site::ServeWedge, "serve.wedge",
-     "wedge a service worker for ARG ms before a job "
-     "(default 60000)",
-     60000, false},
-    {Site::ServeCrash, "serve.crash",
-     "kill the service worker process mid-job", 0, false},
     {Site::CacheEnospc, "cache.enospc",
      "fail a result-cache store as if the disk were full", 0, false},
     {Site::CacheFlip, "cache.flip",
      "flip one payload bit on a result-cache read", 0, false},
-    {Site::SockDrop, "sock.drop",
-     "close a client connection mid-response", 0, false},
 };
 
 static_assert(sizeof(site_table) / sizeof(site_table[0]) == numSites,
@@ -211,25 +203,7 @@ siteName(Site site)
 bool
 isServiceSite(Site site)
 {
-    return site >= Site::ServeWedge && site < Site::NumSites;
-}
-
-bool
-FaultPlan::hasSimSites() const
-{
-    for (const FaultSpec &spec : specs)
-        if (!isServiceSite(spec.site))
-            return true;
-    return false;
-}
-
-bool
-FaultPlan::hasServiceSites() const
-{
-    for (const FaultSpec &spec : specs)
-        if (isServiceSite(spec.site))
-            return true;
-    return false;
+    return site >= Site::CacheEnospc && site < Site::NumSites;
 }
 
 std::string
@@ -280,6 +254,23 @@ FaultPlan::parse(const std::string &text, FaultPlan &plan,
         }
         seen[idx] = true;
         plan.specs.push_back(spec);
+    }
+    return true;
+}
+
+bool
+FaultPlan::parseSimPlan(const std::string &text, FaultPlan &plan,
+                        std::string &err)
+{
+    if (!parse(text, plan, err))
+        return false;
+    for (const FaultSpec &spec : plan.specs) {
+        if (isServiceSite(spec.site)) {
+            err = std::string("site '") + siteName(spec.site) +
+                  "' taps the result cache, not a simulation run; "
+                  "--inject takes simulator sites only";
+            return false;
+        }
     }
     return true;
 }
@@ -367,22 +358,10 @@ setServiceInjector(Injector *inj)
     g_service_injector = inj;
 }
 
-Injector *
-serviceInjector()
-{
-    return g_service_injector;
-}
-
 bool
 serviceFire(Site site)
 {
     return g_service_injector && g_service_injector->fire(site);
-}
-
-std::uint64_t
-serviceArg(Site site)
-{
-    return g_service_injector ? g_service_injector->arg(site) : 0;
 }
 
 } // namespace specslice::fault

@@ -32,17 +32,14 @@
  *                   (requires @nN; exercises the checker itself)
  *     check.store   corrupt the Nth checked store value (requires @nN)
  *
- * Service-level sites (fired by the sweep service's daemon/worker
- * processes, not by the simulator — see isServiceSite()):
+ * Service-level sites (fired by the result cache through the
+ * process-wide service injector, not by the simulator — see
+ * isServiceSite()):
  *
- *     serve.wedge   wedge a worker for `arg` ms before running a job
- *                   (default 60000; a request deadline ends it)
- *     serve.crash   kill the worker process mid-job (SIGKILL)
  *     cache.enospc  fail a result-cache store as if the disk were
  *                   full (the cache degrades to pass-through)
  *     cache.flip    flip one payload bit on a cache read (the entry
  *                   is checksum-rejected and quarantined)
- *     sock.drop     close a client connection mid-response
  *
  * Example: `mem.latency:+200@p0.01,slice.kill@n5`.
  *
@@ -80,11 +77,8 @@ enum class Site
     CorrDrop,
     CheckReg,
     CheckStore,
-    ServeWedge,
-    ServeCrash,
     CacheEnospc,
     CacheFlip,
-    SockDrop,
     NumSites,
 };
 
@@ -94,11 +88,9 @@ constexpr std::size_t numSites =
 /** Spec-string name of a site ("mem.latency", ...). */
 const char *siteName(Site site);
 
-/** True for the serve/cache/sock sites that tap the sweep
- *  service's request path rather than the simulator core. They are
- *  inert inside a simulation (`specslice_run --inject` rejects them)
- *  and only fire when the daemon/worker processes consult the
- *  process-wide service injector below. */
+/** True for the cache.* sites, which tap the result cache rather than
+ *  the simulator core. They are inert inside a simulation and fire
+ *  only through the process-wide service injector below. */
 bool isServiceSite(Site site);
 
 /** One parsed fault from the spec string. */
@@ -122,12 +114,6 @@ struct FaultPlan
 
     bool empty() const { return specs.empty(); }
 
-    /** Does the plan name any simulator-core site? */
-    bool hasSimSites() const;
-
-    /** Does the plan name any service-level site? */
-    bool hasServiceSites() const;
-
     /** Canonical one-line rendering of the plan ("" when empty). */
     std::string describe() const;
 
@@ -139,6 +125,15 @@ struct FaultPlan
      */
     static bool parse(const std::string &text, FaultPlan &plan,
                      std::string &err);
+
+    /**
+     * parse() for a plan armed on simulation runs (`--inject`,
+     * SS_INJECT): additionally rejects service-level sites, which no
+     * simulation fires, so a plan cannot be accepted and then
+     * silently never fire.
+     */
+    static bool parseSimPlan(const std::string &text, FaultPlan &plan,
+                             std::string &err);
 
     /** The grammar/site help text used in parse errors and --help. */
     static std::string grammarHelp();
@@ -215,23 +210,15 @@ class Injector
 
 /**
  * Install (or clear, with nullptr) the process-wide injector for
- * service-level sites. The sweep service's daemon installs one built
- * from its --inject/SS_INJECT plan; each forked worker installs its
- * own with a per-lane seed so firing patterns are deterministic per
- * process. Not thread-safe by design: install once at startup,
- * before the request loop (or worker job loop) begins.
+ * service-level sites; tests install one to drive the result cache's
+ * failure paths. Not thread-safe by design: install it before any
+ * cache I/O begins.
  */
 void setServiceInjector(Injector *inj);
-
-/** The installed service injector, or nullptr. */
-Injector *serviceInjector();
 
 /** Convenience: fire `site` on the service injector if one is
  *  installed and armed there; false otherwise. */
 bool serviceFire(Site site);
-
-/** The site argument from the service injector (0 if none). */
-std::uint64_t serviceArg(Site site);
 
 } // namespace specslice::fault
 

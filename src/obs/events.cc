@@ -46,38 +46,24 @@ EventBuffer::clear()
 void
 EventBuffer::writeChromeTrace(std::ostream &os) const
 {
-    writeChromeTrace(os, ChromeTraceMeta{});
-}
-
-void
-EventBuffer::writeChromeTrace(std::ostream &os,
-                              const ChromeTraceMeta &meta) const
-{
     os << "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n";
 
     // Name the process and one track (Chrome "thread") per event
     // kind, so fetch/retire/squash and the correlator lifecycle land
     // on separate, labeled rows in the viewer.
-    os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-       << meta.pid << ", \"tid\": 0, \"args\": {\"name\": \""
-       << meta.processName << "\"}}";
+    os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
+          "\"tid\": 0, \"args\": {\"name\": \"specslice\"}}";
     for (unsigned k = 0; k < static_cast<unsigned>(EventKind::NumKinds);
          ++k) {
         os << ",\n{\"name\": \"thread_name\", \"ph\": \"M\", "
-              "\"pid\": "
-           << meta.pid << ", \"tid\": " << k + 1
-           << ", \"args\": {\"name\": \"" << kindNames[k] << "\"}}";
+              "\"pid\": 0, \"tid\": "
+           << k + 1 << ", \"args\": {\"name\": \"" << kindNames[k]
+           << "\"}}";
         // Pin viewer row order to enum order.
         os << ",\n{\"name\": \"thread_sort_index\", \"ph\": \"M\", "
-              "\"pid\": "
-           << meta.pid << ", \"tid\": " << k + 1
-           << ", \"args\": {\"sort_index\": " << k + 1 << "}}";
+              "\"pid\": 0, \"tid\": "
+           << k + 1 << ", \"args\": {\"sort_index\": " << k + 1 << "}}";
     }
-
-    // Per-event request-id arg ("req") for cross-process merging.
-    std::string req_arg;
-    if (!meta.requestId.empty())
-        req_arg = ", \"req\": \"" + meta.requestId + "\"";
 
     forEach([&](const TraceEvent &e) {
         unsigned k = static_cast<unsigned>(e.kind);
@@ -94,11 +80,11 @@ EventBuffer::writeChromeTrace(std::ostream &os,
         std::snprintf(
             buf, sizeof(buf),
             ",\n{\"name\": \"%s\", \"ph\": \"X\", \"ts\": %" PRIu64
-            ", \"dur\": %" PRIu64 ", \"pid\": %u, \"tid\": %u, "
+            ", \"dur\": %" PRIu64 ", \"pid\": 0, \"tid\": %u, "
             "\"args\": {\"pc\": \"0x%" PRIx64 "\", \"seq\": %" PRIu64
-            ", \"thread\": %u, \"arg\": %" PRIu64 "%s}}",
-            name, e.cycle, e.dur, meta.pid, k + 1, e.pc, e.seq,
-            static_cast<unsigned>(e.thread), e.arg, req_arg.c_str());
+            ", \"thread\": %u, \"arg\": %" PRIu64 "}}",
+            name, e.cycle, e.dur, k + 1, e.pc, e.seq,
+            static_cast<unsigned>(e.thread), e.arg);
         os << buf;
     });
 

@@ -30,7 +30,7 @@ struct ExperimentConfig
     std::uint64_t seed = 1;
     /**
      * Optional content-addressed result store (bench --cache DIR,
-     * shared with the sweep service's .sscache). When set, every
+     * specslice_verify --cache DIR). When set, every
      * experiment-library simulation goes through cachedRun: a hit
      * restores the full RunResult without simulating, a miss runs and
      * commits. Not owned.
@@ -53,9 +53,6 @@ struct ExperimentConfig
         return o;
     }
 };
-
-/** Percent speedup of `other` over `base` (by cycle count). */
-double speedupPct(const RunResult &base, const RunResult &other);
 
 /**
  * Run `wl` on `simr` (built from `machine`) — or serve the result from

@@ -9,7 +9,6 @@
 #include <sstream>
 #include <vector>
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
@@ -119,11 +118,11 @@ diskFailureErrno(int err)
 /**
  * Validate one entry file end to end: magic, key echo, payload
  * length, FNV-1a checksum, no trailing bytes. On success fills
- * `payload`. Used by lookup() and scrub().
+ * `payload`.
  */
 bool
 readEntry(const std::string &path, const std::string &key,
-          std::string &payload, bool flip_tap = false)
+          std::string &payload)
 {
     std::ifstream is(path, std::ios::binary);
     if (!is)
@@ -151,10 +150,9 @@ readEntry(const std::string &path, const std::string &key,
     if (is.get(extra))
         return false;
 
-    // Deterministic bit-rot for the chaos harness: flip one payload
-    // bit after the read so the checksum below catches it.
-    if (flip_tap && !payload.empty() &&
-        fault::serviceFire(fault::Site::CacheFlip))
+    // Injected bit-rot (cache.flip): flip one payload bit after the
+    // read so the checksum below catches it.
+    if (!payload.empty() && fault::serviceFire(fault::Site::CacheFlip))
         payload[payload.size() / 2] ^= 1;
 
     return hex64(fnv1a64(payload)) == sum_text;
@@ -237,26 +235,6 @@ ResultCache::ResultCache(std::string dir, std::uint64_t max_bytes)
     : dir_(std::move(dir)), maxBytes_(max_bytes)
 {
     makeDirs(dir_);
-    if (obs::MetricsRegistry *reg = obs::ambientMetrics()) {
-        mHits_ = reg->counter("ss_cache_hits_total",
-                              "Result-cache lookups served from disk");
-        mMisses_ = reg->counter("ss_cache_misses_total",
-                                "Result-cache lookups that missed");
-        mStores_ = reg->counter("ss_cache_stores_total",
-                                "Result-cache entries committed");
-        mEvictions_ =
-            reg->counter("ss_cache_evictions_total",
-                         "Result-cache entries evicted by LRU");
-        mRejected_ = reg->counter(
-            "ss_cache_rejected_total",
-            "Corrupt/truncated cache entries rejected on lookup");
-        mQuarantined_ = reg->counter(
-            "ss_cache_quarantined_total",
-            "Corrupt cache entries moved to <dir>/quarantine/");
-        mPassthrough_ = reg->counter(
-            "ss_cache_passthrough_total",
-            "Cache stores skipped in degraded pass-through mode");
-    }
 }
 
 std::string
@@ -283,7 +261,6 @@ ResultCache::quarantineEntry(const std::string &path,
     if (!moved)
         ::unlink(path.c_str());
     ++stats_.quarantined;
-    mQuarantined_.inc();
 }
 
 bool
@@ -312,22 +289,18 @@ ResultCache::lookup(const std::string &key)
     const std::string path = entryPath(key);
     if (::access(path.c_str(), F_OK) != 0) {
         ++stats_.misses;
-        mMisses_.inc();
         return std::nullopt;
     }
 
     std::string payload;
-    if (!readEntry(path, key, payload, /*flip_tap=*/true)) {
+    if (!readEntry(path, key, payload)) {
         ++stats_.rejected;
         ++stats_.misses;
-        mRejected_.inc();
-        mMisses_.inc();
         quarantineEntry(path, key);
         return std::nullopt;
     }
 
     ++stats_.hits;
-    mHits_.inc();
     std::string err;
     withIndex([&](CacheIndex &idx) { idx.touch(key); }, err);
     return payload;
@@ -340,14 +313,12 @@ ResultCache::store(const std::string &key, const std::string &payload,
     std::lock_guard<std::mutex> guard(mu_);
     if (degraded_) {
         ++stats_.passthrough;
-        mPassthrough_.inc();
         return true;
     }
     if (fault::serviceFire(fault::Site::CacheEnospc)) {
         // Injected disk-full: degrade exactly as a real ENOSPC would.
         degraded_ = true;
         ++stats_.passthrough;
-        mPassthrough_.inc();
         return true;
     }
 
@@ -357,7 +328,6 @@ ResultCache::store(const std::string &key, const std::string &payload,
         if (diskFailureErrno(errno)) {
             degraded_ = true;
             ++stats_.passthrough;
-            mPassthrough_.inc();
             return true;
         }
         error = "cannot create cache directory '" + parent + "'";
@@ -406,7 +376,6 @@ ResultCache::store(const std::string &key, const std::string &payload,
         if (diskFailureErrno(staging_errno)) {
             degraded_ = true;
             ++stats_.passthrough;
-            mPassthrough_.inc();
             return true;
         }
         error = "cannot stage cache entry '" + tmp +
@@ -419,7 +388,6 @@ ResultCache::store(const std::string &key, const std::string &payload,
         if (diskFailureErrno(err)) {
             degraded_ = true;
             ++stats_.passthrough;
-            mPassthrough_.inc();
             return true;
         }
         error = std::string("cannot commit cache entry: ") +
@@ -427,7 +395,6 @@ ResultCache::store(const std::string &key, const std::string &payload,
         return false;
     }
     ++stats_.stores;
-    mStores_.inc();
 
     const std::uint64_t entry_bytes = payload.size();
     std::vector<std::string> evicted;
@@ -461,109 +428,7 @@ ResultCache::store(const std::string &key, const std::string &payload,
     for (const std::string &k : evicted) {
         ::unlink(entryPath(k).c_str());
         ++stats_.evictions;
-        mEvictions_.inc();
     }
-    return true;
-}
-
-bool
-ResultCache::scrub(ScrubReport &report, std::string &error,
-                   bool delete_corrupt)
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    report = ScrubReport{};
-
-    DIR *top = ::opendir(dir_.c_str());
-    if (!top) {
-        error = "cannot open cache directory '" + dir_ +
-                "': " + std::strerror(errno);
-        return false;
-    }
-
-    // key -> verified payload bytes, for the index rebuild below.
-    std::map<std::string, std::uint64_t> verified;
-
-    struct dirent *de;
-    while ((de = ::readdir(top)) != nullptr) {
-        const std::string bucket = de->d_name;
-        if (bucket == "." || bucket == ".." ||
-            bucket == "quarantine")
-            continue;
-        const std::string bucket_path = dir_ + "/" + bucket;
-        struct stat st;
-        if (::stat(bucket_path.c_str(), &st) != 0)
-            continue;
-        if (!S_ISDIR(st.st_mode)) {
-            // Top-level files: the index, its lock, stale index
-            // staging files. Only the last are garbage.
-            if (bucket.rfind("index.tmp.", 0) == 0) {
-                ::unlink(bucket_path.c_str());
-                ++report.tmpRemoved;
-            }
-            continue;
-        }
-
-        DIR *sub = ::opendir(bucket_path.c_str());
-        if (!sub)
-            continue;
-        struct dirent *fe;
-        while ((fe = ::readdir(sub)) != nullptr) {
-            const std::string name = fe->d_name;
-            if (name == "." || name == "..")
-                continue;
-            const std::string path = bucket_path + "/" + name;
-            if (name.find(".tmp.") != std::string::npos) {
-                // Crashed writer's staging file: never committed,
-                // safe to drop.
-                ::unlink(path.c_str());
-                ++report.tmpRemoved;
-                continue;
-            }
-            const std::string key =
-                bucket == "short" ? name : bucket + name;
-            ++report.scanned;
-            std::string payload;
-            if (readEntry(path, key, payload)) {
-                ++report.ok;
-                report.bytes += payload.size();
-                verified[key] = payload.size();
-            } else if (delete_corrupt) {
-                ::unlink(path.c_str());
-                ++report.deleted;
-            } else {
-                quarantineEntry(path, key);
-                ++report.quarantined;
-            }
-        }
-        ::closedir(sub);
-    }
-    ::closedir(top);
-
-    // Rebuild the index from the survivors: drop lines whose entry is
-    // gone (or failed verification), adopt files the index missed,
-    // correct stale byte counts. Existing recency survives.
-    if (!withIndex(
-            [&](CacheIndex &idx) {
-                for (auto it = idx.entries.begin();
-                     it != idx.entries.end();) {
-                    auto v = verified.find(it->first);
-                    if (v == verified.end()) {
-                        it = idx.entries.erase(it);
-                        ++report.indexDropped;
-                    } else {
-                        it->second.bytes = v->second;
-                        ++it;
-                    }
-                }
-                for (const auto &[key, bytes] : verified) {
-                    if (!idx.entries.count(key)) {
-                        idx.insert(key, bytes);
-                        ++report.indexAdded;
-                    }
-                }
-            },
-            error))
-        return false;
     return true;
 }
 

@@ -31,10 +31,6 @@
  *    hit whatever is already on disk, and the caller never sees a
  *    failure. A full disk degrades a sweep to cold-run speed instead
  *    of killing it.
- *  - scrub() (surfaced as `specslice_serve --fsck`) walks the fanout,
- *    re-verifies every entry end to end, quarantines or deletes the
- *    corrupt ones, clears staged temp files, and rebuilds the LRU
- *    index from the survivors.
  *
  * Eviction is LRU by commit/touch sequence number, triggered on
  * store() when the total payload bytes exceed the configured cap.
@@ -48,8 +44,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-
-#include "obs/metrics.hh"
 
 namespace specslice::sim
 {
@@ -74,20 +68,6 @@ class ResultCache
         std::uint64_t quarantined = 0;
         /** Stores skipped while degraded to pass-through mode. */
         std::uint64_t passthrough = 0;
-    };
-
-    /** What scrub() saw and did; every entry file lands in exactly
-     *  one of ok/quarantined/deleted. */
-    struct ScrubReport
-    {
-        std::uint64_t scanned = 0;     ///< entry files examined
-        std::uint64_t ok = 0;          ///< verified end to end
-        std::uint64_t quarantined = 0; ///< corrupt, moved aside
-        std::uint64_t deleted = 0;     ///< corrupt, unlinked
-        std::uint64_t tmpRemoved = 0;  ///< stale .tmp.* staging files
-        std::uint64_t indexDropped = 0; ///< index lines w/o a file
-        std::uint64_t indexAdded = 0;   ///< files the index missed
-        std::uint64_t bytes = 0;        ///< payload bytes verified ok
     };
 
     /** Default size cap: plenty for full-suite sweeps at many
@@ -121,18 +101,6 @@ class ResultCache
     bool store(const std::string &key, const std::string &payload,
                std::string &error);
 
-    /**
-     * Walk every entry on disk, verify headers + checksums, move
-     * corrupt entries to `<dir>/quarantine/` (or unlink them when
-     * `delete_corrupt`), remove stale staging files, and rebuild the
-     * flock'd LRU index from the verified survivors (existing
-     * recency order is preserved where the index already knew the
-     * entry). @return false and set error only if the walk or index
-     * rewrite itself fails.
-     */
-    bool scrub(ScrubReport &report, std::string &error,
-               bool delete_corrupt = false);
-
     /** Entries currently listed in the index (locks the index). */
     std::uint64_t entryCount();
 
@@ -157,16 +125,6 @@ class ResultCache
     mutable std::mutex mu_;  ///< guards stats_ + in-process I/O
     Stats stats_;
     bool degraded_ = false;  ///< sticky pass-through mode
-    // Ambient-registry mirrors of stats_; no-ops when no registry is
-    // installed. Registered at construction so forked workers inherit
-    // the same shared-memory slots.
-    obs::Counter mHits_;
-    obs::Counter mMisses_;
-    obs::Counter mStores_;
-    obs::Counter mEvictions_;
-    obs::Counter mRejected_;
-    obs::Counter mQuarantined_;
-    obs::Counter mPassthrough_;
 };
 
 } // namespace specslice::sim

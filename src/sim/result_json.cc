@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "common/logging.hh"
 #include "obs/interval.hh"
+#include "sim/simulator.hh"
 
 namespace specslice::sim
 {
@@ -47,18 +49,16 @@ digestSection(const std::string &config, const RunResult &r)
 }
 
 json::JsonObject
-perfRecord(const WorkloadPerf &p, bool include_wall)
+perfRecord(const WorkloadPerf &p)
 {
     JsonObject o;
     o.field("name", p.name)
         .field("cycles", p.result.cycles)
         .field("main_retired", p.result.mainRetired)
-        .field("ipc", p.result.ipc());
-    if (include_wall) {
-        o.field("wall_seconds", p.wallSeconds)
-            .field("sim_insts_per_sec", p.instsPerSec());
-    }
-    o.field("cond_branches", p.result.condBranches)
+        .field("ipc", p.result.ipc())
+        .field("wall_seconds", p.wallSeconds)
+        .field("sim_insts_per_sec", p.instsPerSec())
+        .field("cond_branches", p.result.condBranches)
         .field("mispredictions", p.result.mispredictions)
         .field("loads", p.result.loads)
         .field("l1d_misses_main", p.result.l1dMissesMain)
@@ -78,6 +78,85 @@ perfRecord(const WorkloadPerf &p, bool include_wall)
     if (!p.result.intervals.empty())
         o.raw("intervals", obs::intervalsToJson(p.result.intervals));
     return o;
+}
+
+int
+outcomeSeverity(SimOutcome oc)
+{
+    switch (oc) {
+      case SimOutcome::Completed:
+        return 0;
+      case SimOutcome::CycleLimit:
+        return 1;
+      case SimOutcome::Watchdog:
+        return 2;
+      case SimOutcome::CheckerDivergence:
+        return 3;
+      case SimOutcome::Fault:
+        return 4;
+    }
+    return 4;
+}
+
+SimOutcome
+worstOutcome(const std::vector<WorkloadPerf> &runs)
+{
+    SimOutcome worst = SimOutcome::Completed;
+    for (const WorkloadPerf &p : runs)
+        if (outcomeSeverity(p.result.outcome) > outcomeSeverity(worst))
+            worst = p.result.outcome;
+    return worst;
+}
+
+std::string
+perfDocument(const DocMeta &meta, const std::vector<WorkloadPerf> &runs)
+{
+    SS_ASSERT(!runs.empty(), "perfDocument needs at least one run");
+    std::uint64_t checked = 0;
+    for (const WorkloadPerf &p : runs)
+        checked += p.result.checkedRetired;
+    SimOutcome worst = worstOutcome(runs);
+    const RunResult &result = runs.back().result;
+
+    std::vector<std::string> elems;
+    for (const WorkloadPerf &p : runs)
+        elems.push_back(perfRecord(p).str());
+
+    JsonObject doc;
+    doc.field("schema_version", resultSchemaVersion)
+        .field("workload", meta.workload)
+        .field("width", std::uint64_t{meta.width})
+        .field("insts", meta.insts)
+        .field("warmup", meta.warmup)
+        .field("seed", meta.seed)
+        .field("outcome", std::string(outcomeName(worst)))
+        .raw("runs", jsonArray(elems));
+    if (!meta.injectDescription.empty())
+        doc.field("inject", meta.injectDescription);
+    if (result.sampledRegions)
+        doc.field("fast_forwarded", result.fastForwarded)
+            .field("sampled_regions",
+                   std::uint64_t{result.sampledRegions});
+    if (meta.compare && runs.size() >= 2)
+        doc.field("speedup_pct",
+                  speedupPct(runs[0].result, runs[1].result));
+    if (checked)
+        doc.field("checked_retired", checked);
+    return doc.str();
+}
+
+std::string
+errorDocument(const std::string &workload, std::uint64_t seed,
+              const std::string &kind, const std::string &message)
+{
+    JsonObject err;
+    err.field("kind", kind).field("message", message);
+    JsonObject doc;
+    doc.field("schema_version", resultSchemaVersion)
+        .field("workload", workload)
+        .field("seed", seed)
+        .raw("error", err.str());
+    return doc.str();
 }
 
 namespace

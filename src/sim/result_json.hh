@@ -4,25 +4,24 @@
  *
  * Two kinds of documents share this file:
  *
- *  - The per-workload *record* (perfRecord): the stable, human-facing
- *    row emitted by specslice_run --json and BENCH_*.json. Moved here
- *    from bench/bench_common.hh so the sweep service renders the exact
- *    same bytes. Wall-clock fields are omittable (includeWall=false /
- *    --no-wall) because they are nondeterministic and would break the
- *    byte-identity contract between served and direct runs.
+ *  - The per-workload *record* (perfRecord) and the specslice_run
+ *    --json document built from it (perfDocument): the stable,
+ *    human-facing rows emitted by specslice_run --json and
+ *    BENCH_*.json.
  *
  *  - The *full* result document (resultToJson/resultFromJson): a
- *    lossless round-trip of RunResult used as the result-cache payload
- *    and the service's worker->parent wire format. It carries every
- *    named counter, the detail StatGroup, intervals, the per-PC
- *    profile, and checker/sampling provenance, so a cache hit is
- *    indistinguishable from a fresh simulation to every consumer.
+ *    lossless round-trip of RunResult used as the result-cache
+ *    payload. It carries every named counter, the detail StatGroup,
+ *    intervals, the per-PC profile, and checker/sampling provenance,
+ *    so a cache hit is indistinguishable from a fresh simulation to
+ *    every consumer.
  */
 
 #ifndef SPECSLICE_SIM_RESULT_JSON_HH
 #define SPECSLICE_SIM_RESULT_JSON_HH
 
 #include <string>
+#include <vector>
 
 #include "check/digest.hh"
 #include "common/jsonio.hh"
@@ -39,8 +38,8 @@ using core::outcomeName;
 
 /**
  * Version of the machine-readable result documents (BENCH_*.json,
- * specslice_run --json, sweep-service responses). History lives in
- * bench/bench_common.hh next to the benchSchemaVersion alias.
+ * specslice_run --json). History lives in bench/bench_common.hh next
+ * to the benchSchemaVersion alias.
  */
 constexpr std::uint64_t resultSchemaVersion = 6;
 
@@ -49,26 +48,54 @@ struct WorkloadPerf
 {
     std::string name;
     RunResult result;
+    /** Wall time around the whole run: warm-up and fast-forward
+     *  included. */
     double wallSeconds = 0.0;
 
+    /** Measured instructions per wall second of the measured region
+     *  (result.mainRetired counts no warm-up instructions, so the
+     *  warm-up and fast-forward time stay out of the denominator). */
     double
     instsPerSec() const
     {
-        return wallSeconds > 0.0
+        return result.wallMeasureSeconds > 0.0
                    ? static_cast<double>(result.mainRetired) /
-                         wallSeconds
+                         result.wallMeasureSeconds
                    : 0.0;
     }
 };
 
-/**
- * The per-workload record shared by --json and BENCH_*.json.
- * @param include_wall emit the wall_seconds / sim_insts_per_sec
- *        fields; pass false for deterministic (cacheable, diffable)
- *        documents.
- */
-json::JsonObject perfRecord(const WorkloadPerf &p,
-                            bool include_wall = true);
+/** The per-workload record shared by --json and BENCH_*.json. */
+json::JsonObject perfRecord(const WorkloadPerf &p);
+
+/** Top-level metadata of a specslice_run --json document. */
+struct DocMeta
+{
+    std::string workload;
+    unsigned width = 4;
+    std::uint64_t insts = 0;
+    std::uint64_t warmup = 0;
+    std::uint64_t seed = 1;
+    /** FaultPlan::describe() of the armed plan ("" = no inject). */
+    std::string injectDescription;
+    bool compare = false;  ///< adds speedup_pct from runs[0] vs [1]
+};
+
+/** Rank outcomes by severity so a multi-run document (and its exit
+ *  code) reports the worst one. */
+int outcomeSeverity(SimOutcome oc);
+
+/** The worst outcome across a batch of runs. */
+SimOutcome worstOutcome(const std::vector<WorkloadPerf> &runs);
+
+/** The specslice_run --json document for a finished batch of runs. */
+std::string perfDocument(const DocMeta &meta,
+                         const std::vector<WorkloadPerf> &runs);
+
+/** The {"error": {...}} document a failed run still emits. */
+std::string errorDocument(const std::string &workload,
+                          std::uint64_t seed, const std::string &kind,
+                          const std::string &message);
 
 /**
  * One golden-digest section for a finished run: the exact counter set

@@ -7,8 +7,7 @@
  * bytes), every MachineConfig knob, every result-affecting RunOptions
  * field, whether slices run, the result-document schema, and the
  * simulator binary itself — and must NOT change across process
- * restarts or between the server and a client built from the same
- * binary. The implementation therefore renders an explicit, ordered
+ * restarts or between processes built from the same binary. The implementation therefore renders an explicit, ordered
  * "field = value" text block (canonicalKeyText, kept human-readable
  * for debugging cache misses) and hashes it with SHA-256 together
  * with the running binary's fingerprint.

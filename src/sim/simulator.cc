@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -329,6 +330,18 @@ Simulator::runSampled(const Workload &wl, const RunOptions &opts,
     agg.fastForwarded = ff_base;
     agg.sampledRegions = ran;
     return agg;
+}
+
+double
+speedupPct(const RunResult &base, const RunResult &other)
+{
+    // No cycles means no data, not zero speedup: return NaN and let
+    // Table::fmt print "n/a" (the StatGroup::ratio convention).
+    if (other.cycles == 0)
+        return std::numeric_limits<double>::quiet_NaN();
+    return 100.0 * (static_cast<double>(base.cycles) /
+                        static_cast<double>(other.cycles) -
+                    1.0);
 }
 
 } // namespace specslice::sim

@@ -81,6 +81,9 @@ class Simulator
     MachineConfig cfg_;
 };
 
+/** Percent speedup of `other` over `base` (by cycle count). */
+double speedupPct(const RunResult &base, const RunResult &other);
+
 } // namespace specslice::sim
 
 #endif // SPECSLICE_SIM_SIMULATOR_HH

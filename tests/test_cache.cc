@@ -5,8 +5,8 @@
  * the on-disk store round-trips payloads, rejects (and removes)
  * corrupted entries instead of serving them, evicts LRU-first under a
  * size cap, and converges when many threads store the same key at
- * once — the exactly-once property the sweep service's in-flight
- * dedup and worker-side commits rest on.
+ * once — the exactly-once property concurrent sweeps sharing one
+ * cache directory rest on.
  */
 
 #include <unistd.h>
@@ -24,7 +24,6 @@
 #include "fault/fault.hh"
 #include "sim/result_cache.hh"
 #include "sim/run_key.hh"
-#include "sim/serve_job.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
@@ -213,31 +212,6 @@ TEST(RunKeyTest, TraceFileKeyedByContentNotPath)
     EXPECT_NE(km, ka);
 }
 
-TEST(RunKeyTest, JobSpecKeyIsStableAndValidates)
-{
-    sim::JobSpec spec;
-    spec.workload = "vpr";
-    spec.insts = 10'000;
-    spec.warmup = 2'000;
-
-    std::string e1, e2;
-    const std::string k1 = sim::jobCacheKey(spec, e1);
-    const std::string k2 = sim::jobCacheKey(spec, e2);
-    EXPECT_EQ(k1, k2);
-    EXPECT_EQ(k1.size(), 64u);
-
-    sim::JobSpec other = spec;
-    other.seed = 7;
-    std::string e3;
-    EXPECT_NE(sim::jobCacheKey(other, e3), k1);
-
-    sim::JobSpec bad = spec;
-    bad.workload = "nosuch";
-    std::string err;
-    EXPECT_EQ(sim::jobCacheKey(bad, err), "");
-    EXPECT_NE(err.find("nosuch"), std::string::npos);
-}
-
 TEST(RunKeyTest, CheckpointKeyCoversIdentityAndDepth)
 {
     sim::Workload wl = smallWorkload();
@@ -391,8 +365,9 @@ TEST(ResultCacheTest, ConcurrentSameKeyStoresConvergeOnOneEntry)
     const std::string key(64, '9');
     const std::string payload(4'096, 'p');
 
-    // Many threads, each with its own cache instance (the server's
-    // worker processes in miniature), all storing the same key.
+    // Many threads, each with its own cache instance (separate
+    // processes sharing a directory, in miniature), all storing the
+    // same key.
     std::vector<std::thread> threads;
     std::vector<int> failures(8, 0);
     for (int t = 0; t < 8; ++t) {
@@ -451,7 +426,7 @@ TEST(ResultCacheTest, ConcurrentMixedKeysAllLand)
 }
 
 // ---------------------------------------------------------------
-// Corruption, degradation, scrub
+// Corruption and degradation
 // ---------------------------------------------------------------
 
 namespace
@@ -558,50 +533,4 @@ TEST(ResultCacheTest, InjectedReadFlipRejectsEntry)
     fault::setServiceInjector(nullptr);
     EXPECT_EQ(cache.stats().rejected, 1u);
     EXPECT_EQ(cache.stats().quarantined, 1u);
-}
-
-TEST(ResultCacheTest, ScrubQuarantinesCorruptAndRepairsIndex)
-{
-    TempCacheDir dir;
-    sim::ResultCache cache(dir.path());
-    std::string err;
-    const std::string k1(64, '1'), k2(64, '2'), k3(64, '3');
-    ASSERT_TRUE(cache.store(k1, "payload one", err));
-    ASSERT_TRUE(cache.store(k2, "payload two", err));
-    ASSERT_TRUE(cache.store(k3, "payload three", err));
-
-    // Corrupt k2 in place, delete k3 behind the cache's back, drop a
-    // crashed writer's staging file next to k1.
-    flipLastByte(entryFile(dir.path(), k2));
-    std::filesystem::remove(entryFile(dir.path(), k3));
-    std::ofstream(entryFile(dir.path(), k1) + ".tmp.9999") << "junk";
-
-    sim::ResultCache::ScrubReport rep;
-    ASSERT_TRUE(cache.scrub(rep, err)) << err;
-    EXPECT_EQ(rep.scanned, 2u); // k3's file is already gone
-    EXPECT_EQ(rep.ok, 1u);
-    EXPECT_EQ(rep.quarantined, 1u);
-    EXPECT_EQ(rep.deleted, 0u);
-    EXPECT_EQ(rep.tmpRemoved, 1u);
-    EXPECT_EQ(rep.indexDropped, 2u); // k2 corrupt + k3 missing
-    EXPECT_EQ(rep.indexAdded, 0u);
-    EXPECT_EQ(rep.bytes, std::string("payload one").size());
-
-    EXPECT_EQ(cache.entryCount(), 1u);
-    EXPECT_TRUE(cache.lookup(k1).has_value());
-    EXPECT_TRUE(std::filesystem::exists(dir.path() + "/quarantine/" +
-                                        k2));
-
-    // --fsck-delete mode: corrupt entries are unlinked, not kept.
-    ASSERT_TRUE(cache.store(k3, "fresh three", err));
-    flipLastByte(entryFile(dir.path(), k3));
-    ASSERT_TRUE(cache.scrub(rep, err, /*delete_corrupt=*/true)) << err;
-    EXPECT_EQ(rep.deleted, 1u);
-    EXPECT_FALSE(std::filesystem::exists(entryFile(dir.path(), k3)));
-
-    // A lost index is rebuilt from the verified survivors.
-    std::filesystem::remove(dir.path() + "/index");
-    ASSERT_TRUE(cache.scrub(rep, err)) << err;
-    EXPECT_EQ(rep.indexAdded, 1u);
-    EXPECT_EQ(cache.entryCount(), 1u);
 }

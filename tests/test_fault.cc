@@ -112,8 +112,7 @@ TEST(FaultPlanParse, EverySiteRoundTrips)
     for (const char *spec :
          {"mem.latency@p0.5", "mem.wbstall@p1", "slice.kill:1@n2",
           "pred.flip@p0.001", "corr.drop@n3", "check.reg@n5",
-          "check.store@n7", "serve.wedge:500@n2", "serve.crash@n9",
-          "cache.enospc@p0.5", "cache.flip@n4", "sock.drop@n6"}) {
+          "check.store@n7", "cache.enospc@p0.5", "cache.flip@n4"}) {
         fault::FaultPlan plan = mustParse(spec);
         ASSERT_EQ(plan.specs.size(), 1u) << spec;
     }
@@ -121,51 +120,58 @@ TEST(FaultPlanParse, EverySiteRoundTrips)
 
 TEST(FaultPlanParse, ServiceSitesAreClassified)
 {
-    // The daemon owns serve.*/cache.*/sock.* sites; the simulator
-    // owns the rest. The two halves of one plan are told apart so
-    // each tool can reject the sites it cannot honor.
-    fault::FaultPlan service = mustParse("serve.crash@n5,sock.drop@n3");
-    EXPECT_TRUE(service.hasServiceSites());
-    EXPECT_FALSE(service.hasSimSites());
-
-    fault::FaultPlan sim_only = mustParse("mem.latency@p0.1");
-    EXPECT_FALSE(sim_only.hasServiceSites());
-    EXPECT_TRUE(sim_only.hasSimSites());
-
-    fault::FaultPlan mixed =
-        mustParse("mem.latency@p0.1,cache.flip@n2");
-    EXPECT_TRUE(mixed.hasServiceSites());
-    EXPECT_TRUE(mixed.hasSimSites());
-
+    // The result cache owns the cache.* sites; the simulator owns the
+    // rest. A plan armed on simulation runs is parsed with
+    // parseSimPlan, which rejects cache sites instead of accepting a
+    // fault that would never fire.
     EXPECT_FALSE(fault::isServiceSite(fault::Site::MemLatency));
-    EXPECT_TRUE(fault::isServiceSite(fault::Site::ServeWedge));
-    EXPECT_TRUE(fault::isServiceSite(fault::Site::SockDrop));
+    EXPECT_FALSE(fault::isServiceSite(fault::Site::CheckStore));
+    EXPECT_TRUE(fault::isServiceSite(fault::Site::CacheEnospc));
+    EXPECT_TRUE(fault::isServiceSite(fault::Site::CacheFlip));
+
+    fault::FaultPlan plan;
+    std::string err;
+    EXPECT_TRUE(fault::FaultPlan::parseSimPlan("mem.latency@p0.1",
+                                               plan, err))
+        << err;
+    EXPECT_EQ(plan.specs.size(), 1u);
+
+    for (const char *spec :
+         {"cache.enospc@n1", "mem.latency@p0.1,cache.flip@n2"}) {
+        err.clear();
+        EXPECT_FALSE(fault::FaultPlan::parseSimPlan(spec, plan, err))
+            << spec;
+        EXPECT_NE(err.find("cache."), std::string::npos) << err;
+        EXPECT_NE(err.find("simulator sites only"), std::string::npos)
+            << err;
+    }
+
+    // Grammar errors still come from parse().
+    EXPECT_FALSE(fault::FaultPlan::parseSimPlan("nosite@p0.5", plan,
+                                                err));
+    EXPECT_NE(err.find("unknown fault site"), std::string::npos);
 }
 
 TEST(FaultInjection, ServiceInjectorSingletonFiresDeterministically)
 {
     // No injector installed: every service tap is a cheap no-op.
     fault::setServiceInjector(nullptr);
-    EXPECT_FALSE(fault::serviceFire(fault::Site::ServeCrash));
-    EXPECT_EQ(fault::serviceArg(fault::Site::ServeWedge), 0u);
+    EXPECT_FALSE(fault::serviceFire(fault::Site::CacheFlip));
 
-    fault::FaultPlan plan = mustParse("serve.wedge:250@n3", 11);
+    fault::FaultPlan plan = mustParse("cache.flip@n3", 11);
     fault::Injector inj(plan);
     fault::setServiceInjector(&inj);
     std::vector<bool> fired;
     for (int i = 0; i < 9; ++i)
-        fired.push_back(fault::serviceFire(fault::Site::ServeWedge));
+        fired.push_back(fault::serviceFire(fault::Site::CacheFlip));
+    // A site the plan does not arm never fires.
+    EXPECT_FALSE(fault::serviceFire(fault::Site::CacheEnospc));
     fault::setServiceInjector(nullptr);
 
-    // @n3 fires on every 3rd event, with the site argument visible
-    // at the tap.
+    // @n3 fires on every 3rd event.
     std::vector<bool> expect = {false, false, true, false, false,
                                 true,  false, false, true};
     EXPECT_EQ(fired, expect);
-    fault::Injector inj2(plan);
-    fault::setServiceInjector(&inj2);
-    EXPECT_EQ(fault::serviceArg(fault::Site::ServeWedge), 250u);
-    fault::setServiceInjector(nullptr);
 }
 
 TEST(FaultPlanParse, EmptySpecIsNoInjection)

@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -22,7 +20,6 @@
 #include "obs/events.hh"
 #include "obs/interval.hh"
 #include "obs/trace.hh"
-#include "obs/trace_merge.hh"
 #include "sim/job_pool.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -329,6 +326,7 @@ TEST(EventBuffer, ChromeTraceIsWellFormed)
     events.push(obs::EventKind::CorrPredCreate, 1, 0x8000, 3, 42);
     events.setNow(20);
     events.push(obs::EventKind::CorrPredUsed, 0, 0x1040, 9, 42);
+    events.pushSpan(obs::EventKind::Region, 0, 900, 0, 0x1000, 0, 0);
 
     std::ostringstream os;
     events.writeChromeTrace(os);
@@ -347,6 +345,9 @@ TEST(EventBuffer, ChromeTraceIsWellFormed)
     EXPECT_NE(json.find("\"slice.fork\""), std::string::npos);
     EXPECT_NE(json.find("\"corr.used\""), std::string::npos);
     EXPECT_NE(json.find("\"ts\": 12"), std::string::npos);
+    // A sampled region renders as a named span with its duration.
+    EXPECT_NE(json.find("\"region 0\""), std::string::npos);
+    EXPECT_NE(json.find("\"dur\": 900"), std::string::npos);
     EXPECT_EQ(json.find("droppedEvents"), std::string::npos);
 }
 
@@ -416,39 +417,6 @@ TEST(EventBuffer, WraparoundKeepsNewestAndTimeBaseOffsets)
     EXPECT_TRUE(saw_span);
 }
 
-TEST(EventBuffer, ChromeTraceMetaStampsLaneAndRequestId)
-{
-    obs::EventBuffer events(64);
-    events.setNow(4);
-    events.push(obs::EventKind::Fetch, 0, 0x1000, 1);
-    events.pushSpan(obs::EventKind::Region, 0, 900, 0, 0x1000, 0, 0);
-
-    obs::ChromeTraceMeta meta;
-    meta.pid = 7;
-    meta.processName = "worker 7";
-    meta.requestId = "r000042";
-    std::ostringstream os;
-    events.writeChromeTrace(os, meta);
-    const std::string json = os.str();
-
-    // Worker-lane identity on the process, the propagated request id
-    // on every event, and the sampled region rendered as a named
-    // span with its duration.
-    EXPECT_NE(json.find("\"process_name\""), std::string::npos);
-    EXPECT_NE(json.find("\"worker 7\""), std::string::npos);
-    EXPECT_NE(json.find("\"pid\": 7"), std::string::npos);
-    EXPECT_NE(json.find("\"req\": \"r000042\""), std::string::npos);
-    EXPECT_NE(json.find("\"region 0\""), std::string::npos);
-    EXPECT_NE(json.find("\"dur\": 900"), std::string::npos);
-
-    // The default overload must stay byte-stable: no pid-7 lane, no
-    // request-id args.
-    std::ostringstream plain;
-    events.writeChromeTrace(plain);
-    EXPECT_EQ(plain.str().find("\"req\""), std::string::npos);
-    EXPECT_EQ(plain.str().find("\"pid\": 7"), std::string::npos);
-}
-
 // ---------------------------------------------------------------
 // Sampled runs: region spans and interval tiling
 // ---------------------------------------------------------------
@@ -495,7 +463,7 @@ TEST(SimulatorTrace, SampledRunEmitsOneSpanPerRegion)
     EXPECT_EQ(spans[1].seq, 40'000u);
 
     // The buffer's time base ends past the last span, so a follow-on
-    // run appended by the serve path cannot overlap this timeline.
+    // run appended to the same buffer cannot overlap this timeline.
     EXPECT_GT(events.timeBase(), spans.back().cycle);
 }
 
@@ -540,101 +508,4 @@ TEST(IntervalStats, WindowDeltasTileSampledRegions)
     // The concatenated windows cover exactly the measured regions:
     // their deltas sum to the aggregated headline counter.
     EXPECT_EQ(retired, res.mainRetired);
-}
-
-// ---------------------------------------------------------------
-// Cross-process trace merging
-// ---------------------------------------------------------------
-
-TEST(TraceMerge, StitchesFragmentsWithLaneOffsetsAndDedup)
-{
-    // Three fragments: two from worker lane 1 (back-to-back requests)
-    // and one from lane 2. The merger must shift the second lane-1
-    // fragment past the first, keep lane metadata deduplicated, and
-    // leave the per-event request ids intact.
-    auto writeFragment = [](const std::string &path, unsigned lane,
-                            const std::string &req, Cycle last_ts) {
-        obs::EventBuffer ev(64);
-        ev.setNow(2);
-        ev.push(obs::EventKind::Fetch, 0, 0x1000, 1);
-        ev.setNow(last_ts);
-        ev.push(obs::EventKind::Retire, 0, 0x1004, 2);
-        obs::ChromeTraceMeta meta;
-        meta.pid = lane;
-        meta.processName = "worker " + std::to_string(lane);
-        meta.requestId = req;
-        std::ofstream os(path);
-        ev.writeChromeTrace(os, meta);
-    };
-
-    const std::string fa = "merge_test_frag_a.json";
-    const std::string fb = "merge_test_frag_b.json";
-    const std::string fc = "merge_test_frag_c.json";
-    writeFragment(fa, 1, "r000001", 50);
-    writeFragment(fb, 1, "r000002", 40);
-    writeFragment(fc, 2, "r000003", 30);
-
-    std::ostringstream merged;
-    std::string error;
-    obs::MergeStats stats;
-    ASSERT_TRUE(obs::mergeChromeTraces({fa, fb, fc}, merged, error,
-                                       &stats))
-        << error;
-    std::remove(fa.c_str());
-    std::remove(fb.c_str());
-    std::remove(fc.c_str());
-
-    EXPECT_EQ(stats.fragments, 3u);
-    EXPECT_EQ(stats.lanes, 2u);
-    EXPECT_EQ(stats.events, 6u);
-
-    const std::string json = merged.str();
-    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-              std::count(json.begin(), json.end(), '}'));
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-
-    // Lane metadata appears once per lane despite lane 1 sending two
-    // fragments.
-    std::size_t w1 = 0, pos = 0;
-    while ((pos = json.find("\"worker 1\"", pos)) !=
-           std::string::npos) {
-        ++w1;
-        pos += 10;
-    }
-    EXPECT_EQ(w1, 1u);
-    EXPECT_NE(json.find("\"worker 2\""), std::string::npos);
-
-    // Per-event request ids pass through untouched.
-    for (const char *req : {"r000001", "r000002", "r000003"})
-        EXPECT_NE(json.find(std::string("\"req\": \"") + req + "\""),
-                  std::string::npos)
-            << req;
-
-    // Scan events per line: lane-1 timestamps stay monotonic across
-    // the fragment boundary (fragment B shifted past fragment A),
-    // and lane 2 restarts its own frontier near zero.
-    std::istringstream lines(json);
-    std::string line;
-    std::uint64_t last_lane1 = 0, max_lane1_reqA = 0;
-    bool saw_reqB = false;
-    while (std::getline(lines, line)) {
-        if (line.find("\"ph\": \"X\"") == std::string::npos)
-            continue;
-        std::size_t tsp = line.find("\"ts\": ");
-        ASSERT_NE(tsp, std::string::npos);
-        const std::uint64_t ts =
-            std::strtoull(line.c_str() + tsp + 6, nullptr, 10);
-        if (line.find("\"pid\": 1") != std::string::npos) {
-            EXPECT_GE(ts, last_lane1);
-            last_lane1 = ts;
-            if (line.find("r000001") != std::string::npos)
-                max_lane1_reqA = std::max(max_lane1_reqA, ts);
-            if (line.find("r000002") != std::string::npos) {
-                saw_reqB = true;
-                EXPECT_GT(ts, max_lane1_reqA);
-            }
-        }
-    }
-    EXPECT_TRUE(saw_reqB);
-    EXPECT_GE(last_lane1, 50u + 40u);
 }

@@ -1,15 +1,17 @@
 /**
  * @file
  * Tests for the public simulation facade: MachineConfig presets
- * (Table 1), Simulator run independence, the table formatter, and the
- * experiment library rows.
+ * (Table 1), Simulator run independence, the simulated-throughput
+ * rate, the table formatter, and the experiment library rows.
  */
 
 #include <algorithm>
+#include <chrono>
 
 #include <gtest/gtest.h>
 
 #include "sim/experiments.hh"
+#include "sim/result_json.hh"
 #include "sim/simulator.hh"
 #include "sim/table.hh"
 #include "workloads/workloads.hh"
@@ -74,6 +76,33 @@ TEST(SimulatorTest, BaselineIgnoresSlices)
     auto r = simr.runBaseline(wl, o);
     EXPECT_EQ(r.forks, 0u);
     EXPECT_EQ(r.sliceFetched, 0u);
+}
+
+TEST(WorkloadPerfTest, InstsPerSecExcludesWarmupTime)
+{
+    // mainRetired counts measured instructions only, so the rate must
+    // divide by the measured region's wall time, not by a wall clock
+    // that also covers the warm-up.
+    workloads::Params p;
+    p.scale = 100'000;
+    auto wl = workloads::buildVpr(p);
+    sim::Simulator simr(sim::MachineConfig::fourWide());
+    sim::RunOptions o;
+    o.maxMainInstructions = 20'000;
+    o.warmupInstructions = 20'000;
+
+    sim::WorkloadPerf perf;
+    const auto t0 = std::chrono::steady_clock::now();
+    perf.result = simr.run(wl, o, true);
+    perf.wallSeconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+
+    ASSERT_GT(perf.result.wallMeasureSeconds, 0.0);
+    EXPECT_LT(perf.result.wallMeasureSeconds, perf.wallSeconds);
+    EXPECT_DOUBLE_EQ(perf.instsPerSec(),
+                     static_cast<double>(perf.result.mainRetired) /
+                         perf.result.wallMeasureSeconds);
 }
 
 TEST(TableTest, RendersAlignedColumns)

@@ -40,7 +40,6 @@
 #include "obs/interval.hh"
 #include "obs/trace.hh"
 #include "sim/experiments.hh"
-#include "sim/serve_job.hh"
 #include "sim/simulator.hh"
 #include "trace/frontend.hh"
 #include "workloads/workloads.hh"
@@ -66,7 +65,6 @@ struct Options
     bool profile = false;
     bool stats = false;
     bool json = false;      // machine-readable result on stdout
-    bool noWall = false;    // omit nondeterministic wall-clock fields
     bool disasm = false;
     bool list = false;
     bool compare = false;   // run baseline AND slices, print speedup
@@ -148,10 +146,6 @@ usage(int code)
         "  --profile         print the problem-instruction profile\n"
         "  --stats           dump all detail counters\n"
         "  --json            print the result as JSON on stdout\n"
-        "  --no-wall         omit the nondeterministic wall-clock\n"
-        "                    fields from --json output, making the\n"
-        "                    document byte-reproducible (the form the\n"
-        "                    sweep service caches and serves)\n"
         "  --trace FLAGS     arm debug tracing (comma list of\n"
         "                    fetch,smt,corr,slice,mem,pred or 'all';\n"
         "                    SS_TRACE in the environment also works)\n"
@@ -277,8 +271,6 @@ parseArgs(int argc, char **argv)
             o.stats = true;
         else if (a == "--json")
             o.json = true;
-        else if (a == "--no-wall")
-            o.noWall = true;
         else if (a == "--disasm")
             o.disasm = true;
         else if (a == "--list")
@@ -391,21 +383,13 @@ main(int argc, char **argv)
     fault::FaultPlan plan;
     {
         std::string perr;
-        if (!fault::FaultPlan::parse(inject_spec, plan, perr)) {
+        if (!fault::FaultPlan::parseSimPlan(inject_spec, plan, perr)) {
             std::fprintf(stderr, "error: %s\n%s", perr.c_str(),
                          fault::FaultPlan::grammarHelp().c_str());
             return 2;
         }
     }
     plan.seed = o.seed;
-    if (plan.hasServiceSites()) {
-        std::fprintf(stderr,
-                     "error: the plan names service-level sites "
-                     "(serve.*/cache.*/sock.*); those inject into "
-                     "the sweep daemon — pass them to "
-                     "specslice_serve --inject instead\n");
-        return 2;
-    }
 
     if (!o.saveCheckpoint.empty() && o.compare) {
         std::fprintf(stderr,
@@ -610,8 +594,6 @@ main(int argc, char **argv)
     sim::SimOutcome worst = sim::worstOutcome(runs);
 
     if (o.json) {
-        // The document assembly is shared with the sweep service so a
-        // served result is byte-identical to this path (--no-wall).
         sim::DocMeta meta;
         meta.workload = wl.name;
         meta.width = o.width;
@@ -620,8 +602,7 @@ main(int argc, char **argv)
         meta.seed = o.seed;
         meta.injectDescription = plan.empty() ? "" : plan.describe();
         meta.compare = o.compare;
-        std::printf("%s\n",
-                    sim::perfDocument(meta, runs, !o.noWall).c_str());
+        std::printf("%s\n", sim::perfDocument(meta, runs).c_str());
     } else {
         for (const auto &p : runs)
             printResult(p.name.c_str(), p.result);

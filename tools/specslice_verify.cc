@@ -86,11 +86,6 @@ struct Options
     /** Checkpoint cache dir: first run per workload saves the
      *  fast-forward state, later runs restore it (empty = off). */
     std::string checkpoints;
-    /** Incremental mode: route every run through the content-
-     *  addressed result cache, so an unchanged binary re-verifies
-     *  without simulating at all. */
-    bool serve = false;
-    std::string cacheDir;  ///< "" = SS_CACHE_DIR or .sscache
     bool check = true;
     bool verbose = false;
     bool json = false;            ///< sweep summary JSON on stdout
@@ -139,12 +134,12 @@ usage(int code)
         "                    re-executing; the key covers workload,\n"
         "                    seed, fast-forward depth, and binary, so\n"
         "                    a stale checkpoint is never restored)\n"
-        "  --serve           incremental verify: serve runs from the\n"
-        "                    content-addressed result cache, simulate\n"
-        "                    only what the cache is missing (after a\n"
-        "                    no-op rebuild the whole sweep is served)\n"
-        "  --cache DIR       result-cache directory for --serve\n"
-        "                    (default $SS_CACHE_DIR or .sscache)\n"
+        "  --cache DIR       incremental verify: serve runs from the\n"
+        "                    content-addressed result cache in DIR\n"
+        "                    (default $SS_CACHE_DIR; unset = off),\n"
+        "                    simulate only what it is missing (after\n"
+        "                    a no-op rebuild the whole sweep is\n"
+        "                    served)\n"
         "  --seed N          workload seed (generate; 1)\n"
         "  --width 4|8       machine width (generate; 4)\n"
         "  --threads N       SMT contexts (generate; 4)\n"
@@ -172,7 +167,7 @@ parsePlanOrDie(const std::string &spec)
 {
     fault::FaultPlan plan;
     std::string err;
-    if (!fault::FaultPlan::parse(spec, plan, err)) {
+    if (!fault::FaultPlan::parseSimPlan(spec, plan, err)) {
         std::fprintf(stderr, "error: %s\n%s", err.c_str(),
                      fault::FaultPlan::grammarHelp().c_str());
         std::exit(2);
@@ -241,10 +236,10 @@ parseArgs(int argc, char **argv)
                 usage(2);
         } else if (a == "--checkpoints") {
             o.checkpoints = next();
-        } else if (a == "--serve") {
-            o.serve = true;
-        } else if (a == "--cache") {
-            o.cacheDir = next();
+        } else if (a == "--cache" || a.rfind("--cache=", 0) == 0) {
+            // Opened by bench::openCacheOption in main().
+            if (a == "--cache")
+                next();
         } else if (a == "--seed") {
             o.params.seed = parseNum(next());
         } else if (a == "--width") {
@@ -314,7 +309,7 @@ struct LiveRun
 
 /** Run one workload in both configurations and digest the results.
  *  With a result cache, runs the cache already holds are served
- *  without simulating (incremental --serve verify). */
+ *  without simulating (incremental --cache verify). */
 LiveRun
 buildLiveRun(const std::string &name, const RunParams &p, bool check,
              const fault::FaultPlan &plan,
@@ -599,18 +594,10 @@ main(int argc, char **argv)
     if (!o.checkpoints.empty())
         std::filesystem::create_directories(o.checkpoints);
 
-    // --serve: one shared cache; ResultCache is thread-safe, so the
+    // --cache: one shared cache; ResultCache is thread-safe, so the
     // JobPool workers hit it concurrently.
-    std::unique_ptr<sim::ResultCache> cache;
-    if (o.serve) {
-        std::string dir = o.cacheDir;
-        if (dir.empty())
-            if (const char *env = std::getenv("SS_CACHE_DIR"))
-                dir = env;
-        if (dir.empty())
-            dir = ".sscache";
-        cache = std::make_unique<sim::ResultCache>(dir);
-    }
+    std::unique_ptr<sim::ResultCache> cache =
+        bench::openCacheOption(argc, argv);
 
     sim::JobPool pool(o.jobs);
     sim::SettleOptions sopts;

@@ -7,28 +7,15 @@
  * each carrying the required "name"/"ph"/"ts"/"pid"/"tid" keys.
  *
  *     trace_lint trace.json
- *     trace_lint --merged merged_trace.json
- *
- * --merged additionally validates the shape the cross-process merger
- * (obs/trace_merge) guarantees: every complete ("ph":"X") event has a
- * "ts", timestamps are monotonically non-decreasing within each
- * (pid, tid) lane, every event's pid lane carries process_name
- * metadata, and every event's args carry the "req" request id the
- * daemon propagated into the worker.
  *
  * Exits 0 when the file would load in chrome://tracing / Perfetto,
- * 1 with a diagnostic otherwise. Used by the trace_smoke and
- * metrics_smoke ctests.
+ * 1 with a diagnostic otherwise. Used by the trace_smoke ctest.
  */
 
 #include <cctype>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -261,20 +248,9 @@ struct Parser
     }
 };
 
-/** Cross-event state for --merged validation. */
-struct MergedState
-{
-    /** (pid, tid) -> last seen ts: per-lane monotonicity. */
-    std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
-        lastTs;
-    std::set<std::uint64_t> eventPids;  ///< pids of "X" events
-    std::set<std::uint64_t> namedPids;  ///< pids with process_name
-};
-
-/** Does the event object starting at `pos` carry all required keys
- *  (and, in merged mode, the merger's guarantees)? */
+/** Does the event object starting at `pos` carry all required keys? */
 bool
-checkEvent(Parser &p, MergedState *merged)
+checkEvent(Parser &p)
 {
     std::vector<std::pair<std::string, std::string>> kv;
     if (!p.parseObject(&kv))
@@ -290,37 +266,6 @@ checkEvent(Parser &p, MergedState *merged)
             return p.fail(std::string("event missing \"") + req +
                           "\" key");
     }
-    if (!merged)
-        return true;
-
-    const std::string &ph = *find("ph");
-    const std::uint64_t pid =
-        std::strtoull(find("pid")->c_str(), nullptr, 10);
-    const std::uint64_t tid =
-        std::strtoull(find("tid")->c_str(), nullptr, 10);
-    if (ph == "\"M\"") {
-        if (*find("name") == "\"process_name\"")
-            merged->namedPids.insert(pid);
-        return true;
-    }
-    // Complete events: a timestamp, monotonic within its lane, and
-    // the propagated request id in args.
-    const std::string *ts_text = find("ts");
-    if (!ts_text)
-        return p.fail("merged event missing \"ts\"");
-    const std::uint64_t ts =
-        std::strtoull(ts_text->c_str(), nullptr, 10);
-    auto lane = std::make_pair(pid, tid);
-    auto it = merged->lastTs.find(lane);
-    if (it != merged->lastTs.end() && ts < it->second)
-        return p.fail("ts went backwards within lane pid=" +
-                      std::to_string(pid) +
-                      " tid=" + std::to_string(tid));
-    merged->lastTs[lane] = ts;
-    merged->eventPids.insert(pid);
-    const std::string *args = find("args");
-    if (!args || args->find("\"req\"") == std::string::npos)
-        return p.fail("merged event args carry no \"req\" id");
     return true;
 }
 
@@ -329,22 +274,10 @@ checkEvent(Parser &p, MergedState *merged)
 int
 main(int argc, char **argv)
 {
-    bool merged = false;
-    const char *path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--merged") == 0)
-            merged = true;
-        else if (!path)
-            path = argv[i];
-        else
-            path = "";  // too many operands
-    }
-    if (!path || !*path) {
-        std::fprintf(stderr,
-                     "usage: trace_lint [--merged] <trace.json>\n");
+    if (argc != 2) {
+        std::fprintf(stderr, "usage: trace_lint <trace.json>\n");
         return 2;
     }
-    argv[1] = const_cast<char *>(path);
 
     std::ifstream is(argv[1]);
     if (!is) {
@@ -398,12 +331,11 @@ main(int argc, char **argv)
                      argv[1]);
         return 1;
     }
-    MergedState mstate;
     std::size_t events = 0;
     p.skipWs();
     if (p.pos < text.size() && text[p.pos] != ']') {
         for (;;) {
-            if (!checkEvent(p, merged ? &mstate : nullptr)) {
+            if (!checkEvent(p)) {
                 std::fprintf(stderr, "trace_lint: %s: %s\n", argv[1],
                              p.error.c_str());
                 return 1;
@@ -416,22 +348,6 @@ main(int argc, char **argv)
             }
             break;
         }
-    }
-
-    if (merged) {
-        for (std::uint64_t pid : mstate.eventPids) {
-            if (!mstate.namedPids.count(pid)) {
-                std::fprintf(stderr,
-                             "trace_lint: %s: pid lane %llu has no "
-                             "process_name metadata\n",
-                             argv[1],
-                             static_cast<unsigned long long>(pid));
-                return 1;
-            }
-        }
-        std::printf("trace_lint: %s: ok (%zu events, %zu lanes)\n",
-                    argv[1], events, mstate.eventPids.size());
-        return 0;
     }
 
     std::printf("trace_lint: %s: ok (%zu events)\n", argv[1], events);
