@@ -122,8 +122,8 @@ runSweep(unsigned jobs)
                 "(+%llu warm-up) per workload\n",
                 static_cast<unsigned long long>(insts),
                 static_cast<unsigned long long>(warmup));
-    std::printf("%-10s %12s %8s %14s\n", "workload", "cycles", "IPC",
-                "sim insts/s");
+    std::printf("%-10s %12s %8s %14s %10s\n", "workload", "cycles",
+                "IPC", "sim insts/s", "skipped %");
 
     // Per-run wall clock is measured inside each job (with --jobs > 1
     // the runs time-share cores, so per-run insts/s is only clean at
@@ -148,10 +148,17 @@ runSweep(unsigned jobs)
     double sweep_wall =
         std::chrono::duration<double>(sweep_t1 - sweep_t0).count();
 
+    // Share of simulated cycles (warm-up included) the event-driven
+    // core jumped over instead of stepping.
     for (const bench::WorkloadPerf &p : rows) {
-        std::printf("%-10s %12llu %8.3f %14.0f\n", p.name.c_str(),
-                    static_cast<unsigned long long>(p.result.cycles),
-                    p.result.ipc(), p.instsPerSec());
+        const sim::RunResult &r = p.result;
+        const double skipped_pct =
+            r.totalCycles ? 100.0 * static_cast<double>(r.skippedCycles) /
+                                static_cast<double>(r.totalCycles)
+                          : 0.0;
+        std::printf("%-10s %12llu %8.3f %14.0f %10.1f\n", p.name.c_str(),
+                    static_cast<unsigned long long>(r.cycles), r.ipc(),
+                    p.instsPerSec(), skipped_pct);
     }
 
     std::string path = bench::writeBenchJson("simspeed", rows, sweep_wall);

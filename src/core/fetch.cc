@@ -93,6 +93,7 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
         ++s_.fetchWindowStalls;
         return false;
     }
+    cycleActive_ = true;
 
     Addr pc = t.fetchPc;
 

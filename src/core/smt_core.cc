@@ -38,6 +38,9 @@ namespace
  *  few thousand cycles), far below the 50x cycle budget. */
 constexpr Cycle defaultWatchdogCycles = 250'000;
 
+/** Cooperative cancellation is polled when (cycle & mask) == 0. */
+constexpr Cycle cancelPollMask = 0x1fff;
+
 } // namespace
 
 Cycle
@@ -119,6 +122,23 @@ DynInst *
 SmtCore::inst(SeqNum seq)
 {
     return inFlight_.find(seq);
+}
+
+Cycle
+SmtCore::nextCoreEvent() const
+{
+    Cycle next = readyWakeAt_;
+    if (!completions_.empty())
+        next = std::min(next, completions_.top().first);
+    for (const ThreadCtx &t : threads_) {
+        if (!t.active || t.fetchEnded)
+            continue;
+        if (t.fetchStallUntil > cycle_)
+            next = std::min(next, t.fetchStallUntil);
+        if (t.killAtCycle != 0)
+            next = std::min(next, t.killAtCycle);
+    }
+    return next;
 }
 
 SeqNum
@@ -275,16 +295,27 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
 
     SimOutcome outcome = SimOutcome::Completed;
     std::string diagnosis;
+    Cycle skipped = 0;
 
+    // Event-driven: a quiet cycle (no stage set cycleActive_) changes
+    // nothing the next cycle reads, so every cycle up to the next
+    // scheduled event is quiet in the same way and cycle_ jumps over
+    // them. fetch_window_stalls is the only counter a quiet cycle
+    // moves; it is added in bulk. intervalCycles = 1 makes every
+    // cycle an event, i.e. steps cycle by cycle.
     while (cycle_ < max_cycles) {
         ++cycle_;
         if (events_)
             events_->setNow(cycle_);
+        cycleActive_ = false;
+        const std::uint64_t stalls_before = s_.fetchWindowStalls;
         hierarchy_.tick(cycle_);
         completeStage();
         issueStage();
         fetchStage();
         retireStage();
+        const std::uint64_t quiet_stalls =
+            s_.fetchWindowStalls - stalls_before;
 
         if (mainRetired_ != last_retired) {
             last_retired = mainRetired_;
@@ -297,7 +328,7 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
         }
         // Cooperative cancellation (JobPool deadlines): one TLS load
         // every 8K cycles.
-        if ((cycle_ & 0x1fff) == 0)
+        if ((cycle_ & cancelPollMask) == 0)
             throwIfCancelled("core run");
 
         if (!warm && mainRetired_ >= opts.warmupInstructions) {
@@ -320,6 +351,21 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
             break;
         if (mainHalted_ && threads_[0].rob.empty())
             break;
+
+        if (cycleActive_)
+            continue;
+        Cycle next = std::min({nextCoreEvent(), max_cycles,
+                               (cycle_ | cancelPollMask) + 1});
+        if (watchdog)
+            next = std::min(next, last_progress + watchdog);
+        if (iv_cycles)
+            next = std::min(next, iv.nextBoundary);
+        if (next > cycle_ + 1) {
+            const Cycle n = next - 1 - cycle_;
+            s_.fetchWindowStalls += quiet_stalls * n;
+            skipped += n;
+            cycle_ = next - 1;
+        }
     }
 
     // Close the final (possibly partial) window.
@@ -346,6 +392,7 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
         res.intervals = std::move(local_intervals);
     res.cycles = cycle_ - measure_start;
     res.totalCycles = cycle_;
+    res.skippedCycles = skipped;
     {
         const auto wall_end = std::chrono::steady_clock::now();
         std::chrono::duration<double> wu = wall_boundary - wall_start;
@@ -446,13 +493,20 @@ SmtCore::issueStage()
     unsigned issued = 0;
     unsigned int_alu = 0, mem_ports = 0, complex = 0, fp = 0;
     readyKept_.clear();
+    // Keep an entry for a later cycle, noting the first cycle it may
+    // issue (the next event for quiet-cycle skipping).
+    Cycle wake_at = noEvent;
+    auto keep = [&](SeqNum seq, Cycle at) {
+        readyKept_.push_back(seq);
+        wake_at = std::min(wake_at, at);
+    };
 
     for (SeqNum seq : ready_) {
         DynInst *di = inst(seq);
         if (!di || di->issued)
             continue;  // squashed since insertion: drop lazily
         if (di->eligibleAt > cycle_) {
-            readyKept_.push_back(seq);
+            keep(seq, di->eligibleAt);
             continue;
         }
 
@@ -463,7 +517,7 @@ SmtCore::issueStage()
         bool dedicated =
             di->sliceThread && cfg_.dedicatedSliceResources;
         if (!dedicated && issued >= cfg_.issueWidth) {
-            readyKept_.push_back(seq);
+            keep(seq, cycle_ + 1);
             continue;
         }
 
@@ -494,10 +548,11 @@ SmtCore::issueStage()
             break;
         }
         if (!fu_ok) {
-            readyKept_.push_back(seq);
+            keep(seq, cycle_ + 1);
             continue;
         }
 
+        cycleActive_ = true;
         di->issued = true;
         if (!dedicated)
             ++issued;
@@ -519,6 +574,7 @@ SmtCore::issueStage()
     // sorted, so the next cycle merges only fresh insertions.
     ready_.swap(readyKept_);
     readySortedPrefix_ = ready_.size();
+    readyWakeAt_ = wake_at;
 }
 
 Cycle
@@ -582,6 +638,7 @@ SmtCore::completeStage()
     while (!completions_.empty() && completions_.top().first <= cycle_) {
         SeqNum seq = completions_.top().second;
         completions_.pop();
+        cycleActive_ = true;
         DynInst *di = inst(seq);
         if (!di || !di->issued || di->completed)
             continue;  // squashed or stale event
@@ -796,6 +853,9 @@ SmtCore::retireStage()
             if (!d->completed)
                 break;
             SS_ASSERT(!d->wrongPath, "wrong-path inst at retire");
+            // The head retires or the write buffer refuses it; both
+            // are activity (each retry taps the injector again).
+            cycleActive_ = true;
 
             if (d->si->isStore() && !d->sliceThread && !d->fx.fault) {
                 if (!hierarchy_.retireStore(d->fx.memAddr, cycle_)) {
@@ -1010,6 +1070,7 @@ SmtCore::releaseSliceThread(ThreadId tid)
     ThreadCtx &t = threads_[tid];
     SS_ASSERT(t.isSlice && t.rob.empty(), "slice thread still busy");
     t.active = false;
+    cycleActive_ = true;
 
     if (cfg_.forkConfidenceGating && t.sliceIdx >= 0) {
         // Train the fork gate: did the main thread consume anything

@@ -290,6 +290,10 @@ struct RunResult
     /** Cycles simulated including warm-up (RunResult::cycles covers
      *  the measured region only); used to stitch multi-run traces. */
     Cycle totalCycles = 0;
+    /** Of totalCycles, the quiet cycles run() jumped over instead of
+     *  stepping. Host-speed bookkeeping like the wall-clock fields:
+     *  never serialized or digested. */
+    Cycle skippedCycles = 0;
 
     // Retirement-checker outcome (RunOptions.check runs only).
     /** Main-thread retirements the checker compared (warm-up included;
@@ -390,6 +394,10 @@ class SmtCore
     void handleLateResult(
         const slice::PredictionCorrelator::LateResult &late);
     SeqNum oldestInFlight() const;
+    /** Earliest cycle at which a completion, a ready instruction, a
+     *  fetch-stall expiry or an injected slice kill can make a stage
+     *  act (noEvent when none is scheduled). */
+    Cycle nextCoreEvent() const;
     /** Kill slice threads whose injected killAtCycle has passed. */
     void applyInjectedSliceKills();
     /** Structured no-forward-progress report for the watchdog. */
@@ -485,7 +493,13 @@ class SmtCore
     };
 
     // ---- dynamic state ----
+    static constexpr Cycle noEvent = ~Cycle{0};
     Cycle cycle_ = 0;
+    /** Set by every stage that changes state this cycle: a completion
+     *  popped, an instruction issued, a fetch past the window-full
+     *  check, a ROB head retired or refused by the write buffer, a
+     *  slice released. A cycle that leaves it clear is quiet. */
+    bool cycleActive_ = false;
     SeqNum nextSeq_ = 1;
     std::vector<ThreadCtx> threads_;
     InFlightWindow inFlight_;
@@ -512,6 +526,8 @@ class SmtCore
     std::size_t readySortedPrefix_ = 0;
     /** Scratch for the per-cycle drain (kept to reuse capacity). */
     std::vector<SeqNum> readyKept_;
+    /** First cycle an entry issueStage kept in ready_ may issue. */
+    Cycle readyWakeAt_ = noEvent;
     using Event = std::pair<Cycle, SeqNum>;
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
         completions_;

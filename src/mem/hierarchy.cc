@@ -395,15 +395,17 @@ void
 MemoryHierarchy::tick(Cycle now)
 {
     writeBuf_.drain(now);
-    // Keep the pending-fill map from accumulating expired entries.
-    if (pendingFills_.size() > 256) {
-        for (auto it = pendingFills_.begin();
-             it != pendingFills_.end();) {
-            if (it->second.readyAt <= now)
-                it = pendingFills_.erase(it);
-            else
-                ++it;
-        }
+    // Keep the pending-fill map from accumulating expired entries,
+    // sweeping only once it has doubled since the last sweep: with
+    // hundreds of fills in flight a per-cycle sweep cost more than
+    // the rest of the cycle. When an expired entry goes is invisible
+    // to the model, since an L1 hit on one erases it and pays
+    // l1Latency.
+    if (pendingFills_.size() > sweepAt_) {
+        std::erase_if(pendingFills_, [now](const auto &kv) {
+            return kv.second.readyAt <= now;
+        });
+        sweepAt_ = std::max<std::size_t>(256, 2 * pendingFills_.size());
     }
 }
 

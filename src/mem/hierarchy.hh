@@ -98,7 +98,9 @@ class MemoryHierarchy
      */
     bool retireStore(Addr addr, Cycle now);
 
-    /** Background maintenance (write-buffer drain). */
+    /** Background maintenance (write-buffer drain, expired-fill
+     *  sweep). Keyed on `now` alone, so the core may skip quiet
+     *  cycles between calls. */
     void tick(Cycle now);
 
     /** Would a load of addr hit (no state change)? For profiling. */
@@ -204,6 +206,9 @@ class MemoryHierarchy
     StreamPrefetcher prefetcher_;
     Cycle memBusFreeAt_ = 0;
     std::unordered_map<Addr, PendingFill> pendingFills_;
+    /** tick() sweeps expired pendingFills_ once the map outgrows
+     *  this (twice its size after the last sweep, at least 256). */
+    std::size_t sweepAt_ = 256;
     fault::Injector *injector_ = nullptr;
     StatGroup stats_;
     Handles s_;

@@ -341,7 +341,7 @@ resultFromJson(const Value &doc, RunResult &out, std::string &error)
         error = "result document lacks an outcome";
         return false;
     }
-    out = RunResult{};
+    out = RunResult();
     out.outcome = outcomeFromName(outcome->str);
     out.diagnosis = doc.getStr("diagnosis");
     out.faultSummary = doc.getStr("fault_summary");

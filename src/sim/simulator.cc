@@ -82,6 +82,7 @@ accumulate(RunResult &agg, RunResult &&r)
     agg.latePredictions += r.latePredictions;
     agg.lateReversals += r.lateReversals;
     agg.totalCycles += r.totalCycles;
+    agg.skippedCycles += r.skippedCycles;
     agg.wallWarmupSeconds += r.wallWarmupSeconds;
     agg.wallMeasureSeconds += r.wallMeasureSeconds;
     agg.detail.merge(r.detail);

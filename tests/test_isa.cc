@@ -79,16 +79,20 @@ TEST_P(EncodingRoundTrip, RandomFieldsSurvive)
 
         Instruction back = decode(encode(inst, pc), pc);
         EXPECT_EQ(back.op, inst.op);
-        if (t.readsRa || t.isCondBranch)
+        if (t.readsRa || t.isCondBranch) {
             EXPECT_EQ(back.ra, inst.ra);
-        if (t.readsRb)
+        }
+        if (t.readsRb) {
             EXPECT_EQ(back.rb, inst.rb);
-        if (t.writesRc || t.readsRc)
+        }
+        if (t.writesRc || t.readsRc) {
             EXPECT_EQ(back.rc, inst.rc);
-        if (t.isCondBranch || t.isUncondDirect)
+        }
+        if (t.isCondBranch || t.isUncondDirect) {
             EXPECT_EQ(back.target, inst.target);
-        else if (t.hasImm)
+        } else if (t.hasImm) {
             EXPECT_EQ(back.imm, inst.imm);
+        }
     }
 }
 

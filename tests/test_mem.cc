@@ -6,7 +6,9 @@
  * MSHR merging, slice covered-miss accounting, store paths).
  */
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -87,9 +89,10 @@ TEST_P(CacheGeometry, ReferenceModelAgreement)
             c.fill(a, false, false);
             filled.insert(c.lineAddr(a));
         } else {
-            if (c.access(a, true) != nullptr)
+            if (c.access(a, true) != nullptr) {
                 EXPECT_TRUE(filled.count(c.lineAddr(a)))
                     << "hit on never-filled line";
+            }
         }
     }
 }
@@ -243,6 +246,69 @@ TEST(HierarchyTest, MshrMergeDelayedHit)
     EXPECT_EQ(r2.latency, r1.latency - 10);
     EXPECT_EQ(mh.stats().get("delayed_hits"), 1u);
     EXPECT_EQ(mh.stats().get("l1d_misses"), 1u);
+}
+
+TEST(HierarchyTest, DeepFillQueueMergesUntilEachFillLands)
+{
+    // Thousands of misses to distinct L2 lines in one cycle queue
+    // behind the memory bus, so the pending-fill map holds far more
+    // than tick()'s 256-entry sweep floor. The L1 is large enough
+    // that no line is evicted: an access before a line's fill lands
+    // is a delayed hit for the remaining latency, one after it is a
+    // plain L1 hit. tick() sweeps once, at the first tick, and never
+    // again (the map never doubles), so every later expiry is seen
+    // by the access path before any sweep removes it.
+    MemConfig cfg = smallConfig();
+    cfg.l1dSize = 1024 * 1024;
+    cfg.l1dAssoc = 4;
+    MemoryHierarchy mh(cfg);
+    constexpr unsigned n = 3000;
+    constexpr Addr base = 0x10000000;
+    constexpr Cycle t0 = 1;
+    std::vector<Cycle> ready(n);
+    for (unsigned i = 0; i < n; ++i) {
+        auto r = mh.accessData(base + i * cfg.l2LineSize, false, false,
+                               t0);
+        ASSERT_TRUE(r.memAccess);
+        ASSERT_EQ(r.latency, cfg.l1Latency + cfg.l2Latency +
+                                 cfg.memLatency +
+                                 i * cfg.memBusOccupancy);
+        ready[i] = t0 + r.latency;
+    }
+    EXPECT_EQ(mh.outstandingFills(t0), n);
+
+    std::uint64_t delayed = 0;
+    unsigned checkpoints = 0;
+    for (Cycle now = t0 + 1; now <= ready.back() + 1; ++now) {
+        mh.tick(now);
+        if (now % 997 != 0)
+            continue;
+        ++checkpoints;
+        const auto landed = static_cast<unsigned>(
+            std::upper_bound(ready.begin(), ready.end(), now) -
+            ready.begin());
+        EXPECT_EQ(mh.outstandingFills(now), n - landed) << now;
+        if (landed < n) {
+            // The newest fill is still queued: merge with it.
+            auto r = mh.accessData(base + (n - 1) * cfg.l2LineSize,
+                                   false, false, now);
+            EXPECT_TRUE(r.l1Hit);
+            EXPECT_EQ(r.latency, ready.back() - now) << now;
+            ++delayed;
+        }
+        if (landed > 0) {
+            // The most recent fill to land expired unswept: it must
+            // cost l1Latency and count no delayed hit.
+            auto r = mh.accessData(base + (landed - 1) * cfg.l2LineSize,
+                                   false, false, now);
+            EXPECT_TRUE(r.l1Hit);
+            EXPECT_EQ(r.latency, cfg.l1Latency) << now;
+        }
+        EXPECT_EQ(mh.stats().get("delayed_hits"), delayed) << now;
+    }
+    EXPECT_GE(checkpoints, 10u);
+    EXPECT_EQ(mh.outstandingFills(ready.back()), 0u);
+    EXPECT_EQ(mh.stats().get("l1d_misses"), n);
 }
 
 TEST(HierarchyTest, SliceCoveredMissAccounting)

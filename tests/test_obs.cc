@@ -182,12 +182,14 @@ TEST(CorrelatorEvents, EveryBoundSlotHasCreateAndOneTerminal)
 
     // A bound slot must terminate as Used, an unbound one as Killed.
     events.forEach([&](const obs::TraceEvent &e) {
-        if (e.kind == obs::EventKind::CorrPredUsed)
+        if (e.kind == obs::EventKind::CorrPredUsed) {
             EXPECT_TRUE(bound.count(e.arg))
                 << "unbound token " << e.arg << " closed as used";
-        if (e.kind == obs::EventKind::CorrPredKilled)
+        }
+        if (e.kind == obs::EventKind::CorrPredKilled) {
             EXPECT_FALSE(bound.count(e.arg))
                 << "bound token " << e.arg << " closed as killed";
+        }
     });
 }
 
@@ -246,8 +248,9 @@ TEST(IntervalStats, WindowDeltasSumToFinalCounters)
         const obs::IntervalRecord &r = res.intervals[i];
         EXPECT_EQ(r.index, i);
         EXPECT_LT(r.startCycle, r.endCycle);
-        if (i)
+        if (i) {
             EXPECT_EQ(r.startCycle, res.intervals[i - 1].endCycle);
+        }
         retired += r.retired;
         mispred += r.mispredictions;
         branches += r.condBranches;

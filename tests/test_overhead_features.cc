@@ -119,8 +119,9 @@ TEST(DedicatedResources, ArchitecturallyTransparent)
     EXPECT_NEAR(static_cast<double>(r1.mainRetired),
                 static_cast<double>(r2.mainRetired), 8.0);
     // Overrides stay essentially perfect in both modes.
-    if (r2.correlatorUsed > 100)
+    if (r2.correlatorUsed > 100) {
         EXPECT_LT(r2.correlatorWrong * 100, r2.correlatorUsed * 3);
+    }
 }
 
 TEST(DedicatedResources, SlicesFetchInParallelWithMain)

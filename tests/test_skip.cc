@@ -1,0 +1,228 @@
+/**
+ * @file
+ * Quiet-cycle skipping is invisible. SmtCore::run jumps over cycles
+ * in which no stage acts; RunOptions::intervalCycles = 1 makes every
+ * cycle an event, so the same run with it steps cycle by cycle and is
+ * the reference. Each case runs both ways and expects every digest
+ * counter, the cycle counts, the outcome, the fault summary and the
+ * watchdog diagnosis to agree.
+ */
+
+#include <cctype>
+#include <string>
+#include <tuple>
+
+#include <gtest/gtest.h>
+
+#include "fault/fault.hh"
+#include "sim/experiments.hh"
+#include "sim/result_json.hh"
+#include "sim/simulator.hh"
+#include "workloads/workloads.hh"
+
+using namespace specslice;
+
+namespace
+{
+
+sim::ExperimentConfig
+shortRuns()
+{
+    sim::ExperimentConfig cfg;
+    cfg.warmupInsts = 2'000;
+    cfg.measureInsts = 4'000;
+    return cfg;
+}
+
+fault::FaultPlan
+plan(const std::string &spec)
+{
+    fault::FaultPlan p;
+    std::string err;
+    EXPECT_TRUE(fault::FaultPlan::parseSimPlan(spec, p, err)) << err;
+    p.seed = 1;
+    return p;
+}
+
+/** Run opts as given and stepped; expect identical results.
+ *  @return the skipping run. */
+sim::RunResult
+expectStepEquivalent(const sim::MachineConfig &machine,
+                     const sim::Workload &wl, sim::RunOptions opts,
+                     bool with_slices)
+{
+    sim::Simulator simr(machine);
+    sim::RunResult skipping = simr.run(wl, opts, with_slices);
+    opts.intervalCycles = 1;
+    const sim::RunResult stepped = simr.run(wl, opts, with_slices);
+
+    EXPECT_GT(skipping.skippedCycles, 0u);
+    EXPECT_EQ(stepped.skippedCycles, 0u);
+    EXPECT_EQ(sim::digestSection("", skipping).counters,
+              sim::digestSection("", stepped).counters);
+    EXPECT_EQ(skipping.cycles, stepped.cycles);
+    EXPECT_EQ(skipping.totalCycles, stepped.totalCycles);
+    EXPECT_EQ(skipping.outcome, stepped.outcome);
+    EXPECT_EQ(skipping.faultSummary, stepped.faultSummary);
+    EXPECT_EQ(skipping.diagnosis, stepped.diagnosis);
+    return skipping;
+}
+
+/** The same for a sliced run of the named workload, built at the
+ *  shortRuns() scale. */
+sim::RunResult
+expectStepEquivalent(const sim::MachineConfig &machine,
+                     const std::string &workload,
+                     const sim::RunOptions &opts)
+{
+    const sim::Workload wl =
+        sim::buildBenchWorkload(workload, shortRuns());
+    return expectStepEquivalent(machine, wl, opts, true);
+}
+
+} // namespace
+
+/** (workload, "baseline" | "slices" | "limit") */
+class SkipEquivalence
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>>
+{
+};
+
+TEST_P(SkipEquivalence, MatchesSteppedRun)
+{
+    const auto &[name, mode] = GetParam();
+    const sim::ExperimentConfig cfg = shortRuns();
+    const sim::Workload wl = sim::buildBenchWorkload(name, cfg);
+    const sim::RunOptions opts =
+        mode == "limit" ? sim::limitOptions(wl, cfg) : cfg.runOptions();
+    expectStepEquivalent(sim::MachineConfig::fourWide(), wl, opts,
+                         mode == "slices");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, SkipEquivalence,
+    ::testing::Combine(::testing::ValuesIn(workloads::allWorkloadNames()),
+                       ::testing::Values("baseline", "slices", "limit")),
+    [](const auto &info) {
+        return std::get<0>(info.param) + "_" + std::get<1>(info.param);
+    });
+
+TEST(SkipEquivalenceConfigs, EightWide)
+{
+    for (const char *wl : {"mcf", "vpr"}) {
+        SCOPED_TRACE(wl);
+        expectStepEquivalent(sim::MachineConfig::eightWide(), wl,
+                             shortRuns().runOptions());
+    }
+}
+
+TEST(SkipEquivalenceConfigs, EightThreads)
+{
+    sim::MachineConfig machine = sim::MachineConfig::fourWide();
+    machine.numThreads = 8;
+    for (const char *wl : {"mcf", "gap"}) {
+        SCOPED_TRACE(wl);
+        expectStepEquivalent(machine, wl, shortRuns().runOptions());
+    }
+}
+
+TEST(SkipEquivalenceConfigs, DedicatedSliceResources)
+{
+    sim::MachineConfig machine = sim::MachineConfig::fourWide();
+    machine.dedicatedSliceResources = true;
+    for (const char *wl : {"mcf", "vpr"}) {
+        SCOPED_TRACE(wl);
+        expectStepEquivalent(machine, wl, shortRuns().runOptions());
+    }
+}
+
+TEST(SkipEquivalenceConfigs, SampledRegions)
+{
+    workloads::Params p;
+    p.scale = 200'000;  // long enough to fast-forward into
+    const sim::Workload wl = workloads::buildWorkload("mcf", p);
+    sim::RunOptions opts = shortRuns().runOptions();
+    opts.fastForwardInstructions = 50'000;
+    opts.sampleRegions = 2;
+    opts.sampleStride = 20'000;
+    const sim::RunResult r = expectStepEquivalent(
+        sim::MachineConfig::fourWide(), wl, opts, true);
+    EXPECT_EQ(r.sampledRegions, 2u);
+}
+
+/** (fault-injection plan) */
+class SkipEquivalenceInjected : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(SkipEquivalenceInjected, MatchesSteppedRun)
+{
+    for (const char *wl : {"mcf", "vpr"}) {
+        SCOPED_TRACE(wl);
+        sim::RunOptions opts = shortRuns().runOptions();
+        opts.faults = plan(GetParam());
+        const sim::RunResult r = expectStepEquivalent(
+            sim::MachineConfig::fourWide(), wl, opts);
+        EXPECT_GT(r.faultsInjected, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Plans, SkipEquivalenceInjected,
+    ::testing::Values("slice.kill:1@n2", "slice.kill@n3",
+                      "mem.wbstall@p0.3", "mem.latency:+200@p0.05"),
+    [](const auto &info) {
+        std::string name = info.param;
+        for (char &c : name) {
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return name;
+    });
+
+TEST(SkipEquivalenceWatchdog, FiresAtTheSameCycleOnLivelock)
+{
+    // mem.wbstall@p1 livelocks retirement on the first store miss
+    // (every retry is an active cycle); both runs must end in the
+    // watchdog with the same diagnosis.
+    sim::RunOptions opts = shortRuns().runOptions();
+    opts.faults = plan("mem.wbstall@p1");
+    opts.watchdogCycles = 5'000;
+    const sim::RunResult r = expectStepEquivalent(
+        sim::MachineConfig::fourWide(), "vpr", opts);
+    EXPECT_EQ(r.outcome, sim::SimOutcome::Watchdog);
+    EXPECT_NE(r.diagnosis.find("retired nothing for 5000 cycles"),
+              std::string::npos)
+        << r.diagnosis;
+}
+
+TEST(SkipEquivalenceWatchdog, FiresAtTheSameCycleWhenQuiet)
+{
+    // Every load takes a million cycles: the machine goes quiet with
+    // nothing scheduled before the watchdog deadline, which is then
+    // the event the skip must stop at.
+    sim::RunOptions opts = shortRuns().runOptions();
+    opts.faults = plan("mem.latency:+1000000@p1");
+    opts.watchdogCycles = 5'000;
+    const sim::RunResult r = expectStepEquivalent(
+        sim::MachineConfig::fourWide(), "mcf", opts);
+    EXPECT_EQ(r.outcome, sim::SimOutcome::Watchdog);
+    EXPECT_NE(r.diagnosis.find("retired nothing for 5000 cycles"),
+              std::string::npos)
+        << r.diagnosis;
+}
+
+TEST(SkippedCycles, StallBoundRunSkipsMostCycles)
+{
+    // Guards the optimisation itself: if skipping silently stopped,
+    // every equivalence case above would still pass.
+    const sim::ExperimentConfig cfg = shortRuns();
+    const sim::Workload wl = sim::buildBenchWorkload("mcf", cfg);
+    sim::Simulator simr(sim::MachineConfig::fourWide());
+    sim::RunOptions opts = cfg.runOptions();
+    const sim::RunResult r = simr.run(wl, opts, true);
+    EXPECT_GT(2 * r.skippedCycles, r.totalCycles);
+
+    opts.intervalCycles = 1;
+    EXPECT_EQ(simr.run(wl, opts, true).skippedCycles, 0u);
+}
