@@ -17,11 +17,13 @@
 #define SPECSLICE_BENCH_COMMON_HH
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -99,6 +101,49 @@ initObservability(int argc, char **argv)
 }
 
 /**
+ * Strictly parse a decimal integer in [0, max] into out: digits only
+ * (no sign, no leading whitespace, no trailing garbage) and no
+ * overflow. strtoull alone clamps out-of-range input to 2^64-1 and
+ * negates " -1"; a caller that then narrows would run something
+ * nobody asked for.
+ * @return false if s is not such a number.
+ */
+inline bool
+parseCount(const char *s, std::uint64_t max, std::uint64_t &out)
+{
+    if (*s < '0' || *s > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(s, &end, 10);
+    if (errno == ERANGE || *end != '\0' || v > max)
+        return false;
+    out = v;
+    return true;
+}
+
+/**
+ * The value s of command-line option opt as a T, parsed by parseCount
+ * up to T's maximum. Anything else is a usage error: print it and
+ * exit 2, as envOr does.
+ */
+template <typename T = std::uint64_t>
+T
+countOption(const std::string &opt, const char *s)
+{
+    const auto max =
+        static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    std::uint64_t v = 0;
+    if (!parseCount(s, max, v)) {
+        std::fprintf(stderr,
+                     "error: %s '%s' is not an integer in [0, %llu]\n",
+                     opt.c_str(), s, static_cast<unsigned long long>(max));
+        std::exit(2);
+    }
+    return static_cast<T>(v);
+}
+
+/**
  * Read an unsigned integer from the environment, falling back to dflt
  * when the variable is unset. Malformed values (empty, negative,
  * trailing garbage, overflow) abort with a clear message instead of
@@ -110,13 +155,8 @@ envOr(const char *name, std::uint64_t dflt)
     const char *v = std::getenv(name);
     if (!v)
         return dflt;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    bool negative = v[0] == '-';
-    bool empty = *v == '\0';
-    bool trailing = end == nullptr || *end != '\0';
-    if (empty || negative || trailing || errno == ERANGE) {
+    std::uint64_t parsed = 0;
+    if (!parseCount(v, ~std::uint64_t{0}, parsed)) {
         std::fprintf(stderr,
                      "error: %s='%s' is not a valid non-negative "
                      "integer\n",
@@ -186,11 +226,8 @@ jobsOption(int argc, char **argv)
             std::exit(2);
         }
         const char *v = argv[i + 1];
-        char *end = nullptr;
-        errno = 0;
-        unsigned long parsed = std::strtoul(v, &end, 10);
-        if (*v == '\0' || v[0] == '-' || !end || *end != '\0' ||
-            errno == ERANGE || parsed == 0 || parsed > 4096) {
+        std::uint64_t parsed = 0;
+        if (!parseCount(v, 4096, parsed) || parsed == 0) {
             std::fprintf(stderr,
                          "error: --jobs %s is not a job count in "
                          "[1, 4096]\n",

@@ -2,11 +2,29 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace specslice::arch
 {
+
+MemoryImage::MemoryImage(MemoryImage &&other) noexcept
+{
+    *this = std::move(other);
+}
+
+MemoryImage &
+MemoryImage::operator=(MemoryImage &&other) noexcept
+{
+    if (this != &other) {
+        pages_ = std::move(other.pages_);
+        other.pages_.clear();
+        cachedPageNum_ = std::exchange(other.cachedPageNum_, ~Addr{0});
+        cachedPage_ = std::exchange(other.cachedPage_, nullptr);
+    }
+    return *this;
+}
 
 const MemoryImage::Page *
 MemoryImage::findPage(Addr addr) const
@@ -29,10 +47,8 @@ MemoryImage::touchPage(Addr addr)
     if (pnum == cachedPageNum_)
         return *cachedPage_;
     auto &slot = pages_[pnum];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
-    }
+    if (!slot)
+        slot = std::make_unique<Page>();  // value-initialised: zeroed
     cachedPageNum_ = pnum;
     cachedPage_ = slot.get();
     return *slot;
@@ -116,7 +132,7 @@ MemoryImage::importPage(Addr page_num, const std::uint8_t *data)
     SS_ASSERT(page_num != 0, "cannot map the null page");
     auto &slot = pages_[page_num];
     if (!slot)
-        slot = std::make_unique<Page>();
+        slot = std::make_unique_for_overwrite<Page>();
     std::memcpy(slot->data(), data, pageSize);
     // The translation cache may point at a page this import replaced.
     cachedPageNum_ = ~Addr{0};

@@ -26,6 +26,11 @@ namespace specslice::arch
 class MemoryImage
 {
   public:
+    MemoryImage() = default;
+    /** Moves leave the source empty, translation cache included. */
+    MemoryImage(MemoryImage &&other) noexcept;
+    MemoryImage &operator=(MemoryImage &&other) noexcept;
+
     static constexpr unsigned pageShift = 12;
     static constexpr std::size_t pageSize = std::size_t{1} << pageShift;
 
@@ -103,7 +108,8 @@ class MemoryImage
      * One-entry translation cache. The simulated working sets walk
      * small regions, so consecutive accesses overwhelmingly land on
      * the same page; caching the last page skips the hash lookup.
-     * Pages are never deallocated, so the pointer cannot dangle.
+     * Pages are never deallocated while the image owns them, and a
+     * move clears the source's cache, so the pointer cannot dangle.
      */
     mutable Addr cachedPageNum_ = ~Addr{0};
     mutable Page *cachedPage_ = nullptr;

@@ -20,13 +20,13 @@
 #define SPECSLICE_CHECK_CHECKER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
 #include "arch/exec.hh"
 #include "arch/memimg.hh"
 #include "arch/regfile.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
 
@@ -160,7 +160,7 @@ class RetireChecker
     std::uint64_t checked_ = 0;
     std::uint64_t regWrites_ = 0;  ///< reg-writing retirements seen
     std::uint64_t stores_ = 0;     ///< store retirements seen
-    std::deque<RetireRecord> history_;
+    RingQueue<RetireRecord> history_;
     Divergence div_;
 };
 

@@ -7,7 +7,8 @@
  * and no per-lookup indirection beyond the cell array itself.
  *
  * Semantics are the subset of std::unordered_map the simulator's
- * index structures need: find / operator[] / erase / size / clear.
+ * index structures need: find / operator[] / erase / eraseIf / size /
+ * clear.
  * Iteration order is unspecified (callers that need ordered walks
  * keep their own ordered container and use the map as an index).
  */
@@ -119,6 +120,21 @@ class OpenHashMap
                 return true;
             }
             i = (i + 1) & mask();
+        }
+    }
+
+    /** Erase every pair for which pred(key, value) holds. */
+    template <typename Pred>
+    void
+    eraseIf(Pred pred)
+    {
+        for (Cell &c : cells_) {
+            if (c.state == State::Full && pred(c.key, c.value)) {
+                c.state = State::Tombstone;
+                c.value = Value{};
+                --size_;
+                ++tombstones_;
+            }
         }
     }
 

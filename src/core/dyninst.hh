@@ -21,7 +21,11 @@
 namespace specslice::core
 {
 
-struct DynInst
+/**
+ * A dynamic instruction's plain data: everything but the two buffers
+ * DynInst adds, so a recycled window slot resets it in one assignment.
+ */
+struct DynInstData
 {
     SeqNum seq = invalidSeqNum;     ///< Von Neumann number
     ThreadId thread = invalidThread;
@@ -40,7 +44,6 @@ struct DynInst
 
     // Dependence tracking (timing only; values are functional).
     unsigned pendingSrcs = 0;
-    std::vector<SeqNum> dependents;
     /** lastWriter value displaced by this inst (squash rollback). */
     SeqNum prevWriter = invalidSeqNum;
     bool setsLastWriter = false;
@@ -58,13 +61,28 @@ struct DynInst
     bool usedCorrelator = false;        ///< direction overridden by slice
     std::uint64_t correlatorToken = 0;
 
-    /** Register state just after this branch (late-binding reversal). */
-    std::unique_ptr<arch::RegFile> regCheckpointAfter;
-
     // Slice bookkeeping.
     std::uint64_t pgiToken = 0;     ///< this is a PGI (slice thread)
     bool pgiInvert = false;
     ThreadId forkedThread = invalidThread;  ///< fork point: thread forked
+};
+
+struct DynInst : DynInstData
+{
+    /** VN#s of the instructions waiting on this one's result. */
+    std::vector<SeqNum> dependents;
+    /** Register state just after this branch (late-binding reversal). */
+    std::unique_ptr<arch::RegFile> regCheckpointAfter;
+
+    /** Reset to a fresh instruction in a recycled window slot,
+     *  keeping the dependents buffer's capacity. */
+    void
+    recycle()
+    {
+        static_cast<DynInstData &>(*this) = DynInstData{};
+        dependents.clear();
+        regCheckpointAfter.reset();
+    }
 };
 
 } // namespace specslice::core

@@ -124,8 +124,12 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
         SS_FATAL("main thread fetched unmapped pc 0x", std::hex, pc);
     }
 
-    DynInst di;
-    di.seq = nextSeq_++;
+    // Build the instruction in its window slot. Nothing below fetches
+    // again, so the ring cannot grow and move it.
+    const SeqNum seq = nextSeq_++;
+    DynInst &di = inFlight_.claim(seq);
+    di.recycle();
+    di.seq = seq;
     di.thread = tid;
     di.pc = pc;
     di.si = si;
@@ -304,33 +308,30 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
         ++s_.sliceFaults;
     }
 
-    // ---- dependence tracking & window insertion ----
+    // ---- dependence tracking & window accounting ----
     if (!di.wrongPath)
         setupDependencies(di, t);
 
-    SeqNum seq = di.seq;
-    bool issue_ready = !di.wrongPath && di.pendingSrcs == 0;
-    DynInst &win = inFlight_.emplace(seq, std::move(di));
     t.rob.push_back(seq);
     ++windowCounterFor(t.isSlice);
     ++t.icount;
     ++fetched;
-    if (issue_ready)
+    if (!di.wrongPath && di.pendingSrcs == 0)
         ready_.push_back(seq);
 
     if (t.isSlice) {
         ++s_.sliceFetched;
     } else {
         ++s_.mainFetched;
-        if (win.wrongPath)
+        if (di.wrongPath)
             ++s_.mainFetchedWrongpath;
     }
 
     if (events_) [[unlikely]]
-        events_->push(obs::EventKind::Fetch, tid, win.pc, seq,
-                      win.wrongPath);
-    SS_DTRACE(Fetch, "tid=", int{tid}, " pc=0x", std::hex, win.pc,
-              std::dec, " seq=", seq, " wp=", int{win.wrongPath},
+        events_->push(obs::EventKind::Fetch, tid, di.pc, seq,
+                      di.wrongPath);
+    SS_DTRACE(Fetch, "tid=", int{tid}, " pc=0x", std::hex, di.pc,
+              std::dec, " seq=", seq, " wp=", int{di.wrongPath},
               " cyc=", cycle_);
 
     return !end_fetch_group;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 #include "check/checker.hh"
 #include "common/failure.hh"
@@ -41,6 +42,22 @@ constexpr Cycle defaultWatchdogCycles = 250'000;
 /** Cooperative cancellation is polled when (cycle & mask) == 0. */
 constexpr Cycle cancelPollMask = 0x1fff;
 
+/** Warm-up plus measured instructions. A budget past 2^64 is a caller
+ *  error: wrapping would end the run after a handful of
+ *  instructions and report it complete. */
+std::uint64_t
+instructionBudget(std::uint64_t max_main_instructions,
+                  std::uint64_t warmup_instructions)
+{
+    std::uint64_t budget = 0;
+    if (__builtin_add_overflow(max_main_instructions,
+                               warmup_instructions, &budget))
+        SS_FATAL("instruction budget overflows 64 bits: ",
+                 max_main_instructions, " measured + ",
+                 warmup_instructions, " warm-up instructions");
+    return budget;
+}
+
 } // namespace
 
 Cycle
@@ -48,13 +65,18 @@ defaultCycleLimit(std::uint64_t max_main_instructions,
                   std::uint64_t warmup_instructions)
 {
     const std::uint64_t budget =
-        max_main_instructions + warmup_instructions;
+        instructionBudget(max_main_instructions, warmup_instructions);
     // Slack scales with the total budget (warm-up included) so a run
     // with a large warm-up gets proportionally as much headroom as one
     // with a large measured region; the floor keeps small smoke runs
     // from a uselessly tight limit.
     const Cycle slack = std::max<Cycle>(100'000, budget / 4);
-    return 50 * budget + slack;
+    Cycle limit = 0;
+    if (__builtin_mul_overflow(budget, Cycle{50}, &limit) ||
+        __builtin_add_overflow(limit, slack, &limit))
+        SS_FATAL("the default cycle limit for ", budget,
+                 " instructions overflows 64 bits; set maxCycles");
+    return limit;
 }
 
 SmtCore::Handles::Handles(StatGroup &g)
@@ -258,12 +280,12 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
             hierarchy_.warmInst(pc);
     }
 
+    const std::uint64_t budget = instructionBudget(
+        opts.maxMainInstructions, opts.warmupInstructions);
     Cycle max_cycles =
         opts.maxCycles ? opts.maxCycles
                        : defaultCycleLimit(opts.maxMainInstructions,
                                            opts.warmupInstructions);
-    std::uint64_t budget =
-        opts.maxMainInstructions + opts.warmupInstructions;
 
     bool warm = opts.warmupInstructions == 0;
     Cycle measure_start = 0;
@@ -483,11 +505,18 @@ SmtCore::issueStage()
     // Sort the entries appended since the last drain and merge them
     // into the sorted prefix: the scan below then visits candidates
     // in VN# (oldest-first) order, exactly as the ordered set did.
+    // The merge goes through the scratch buffer (inplace_merge would
+    // allocate a temporary one every cycle).
     if (readySortedPrefix_ < ready_.size()) {
         auto mid = ready_.begin() +
                    static_cast<std::ptrdiff_t>(readySortedPrefix_);
         std::sort(mid, ready_.end());
-        std::inplace_merge(ready_.begin(), mid, ready_.end());
+        if (readySortedPrefix_ > 0) {
+            readyKept_.clear();
+            std::merge(ready_.begin(), mid, mid, ready_.end(),
+                       std::back_inserter(readyKept_));
+            ready_.swap(readyKept_);
+        }
     }
 
     unsigned issued = 0;

@@ -18,8 +18,6 @@
 #define SPECSLICE_CORE_SMT_CORE_HH
 
 #include <array>
-#include <deque>
-#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -29,6 +27,7 @@
 #include "arch/regfile.hh"
 #include "common/bitutils.hh"
 #include "branch/predictor_unit.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "core/config.hh"
@@ -90,7 +89,8 @@ const char *outcomeName(SimOutcome outcome);
  * and long runs get the same proportional headroom. The old fixed
  * 100k-cycle slack starved runs whose warm-up dwarfed the measured
  * region; the floor keeps tiny smoke runs from getting a uselessly
- * tight limit.
+ * tight limit. A budget or limit that overflows 64 bits is fatal
+ * (SS_FATAL), never wrapped.
  */
 Cycle defaultCycleLimit(std::uint64_t max_main_instructions,
                         std::uint64_t warmup_instructions);
@@ -341,7 +341,7 @@ class SmtCore
         Cycle fetchStallUntil = 0;
         bool fetchEnded = false;        ///< halt/terminate: drain only
         arch::RegFile regs;
-        std::deque<SeqNum> rob;         ///< fetch order, oldest first
+        RingQueue<SeqNum> rob;          ///< fetch order, oldest first
         std::array<SeqNum, isa::numRegs> lastWriter{};
         unsigned icount = 0;            ///< in-flight count (ICOUNT)
         // Slice-thread fields.
@@ -442,56 +442,6 @@ class SmtCore
     /** Retirement-time architectural checker (null = off). */
     check::RetireChecker *checker_ = nullptr;
 
-    /**
-     * The in-flight instruction window, keyed by VN#. Sequence
-     * numbers are handed out densely and instructions are inserted in
-     * VN# order, so the live range [base, base + slots) stays within
-     * a few window sizes; a deque of optionals gives O(1) lookup with
-     * no hashing and no per-instruction node allocation. Deque
-     * end-operations keep references to other elements stable, same
-     * as the node-based map this replaces.
-     */
-    class InFlightWindow
-    {
-      public:
-        DynInst *
-        find(SeqNum seq)
-        {
-            if (seq < base_ || seq - base_ >= slots_.size())
-                return nullptr;
-            auto &slot = slots_[seq - base_];
-            return slot ? &*slot : nullptr;
-        }
-
-        /** Insert seq's instruction; seq must be newer than all
-         *  previous insertions. */
-        DynInst &
-        emplace(SeqNum seq, DynInst &&di)
-        {
-            if (slots_.empty())
-                base_ = seq;
-            while (base_ + slots_.size() < seq)
-                slots_.emplace_back(std::nullopt);
-            return *slots_.emplace_back(std::move(di));
-        }
-
-        void
-        erase(SeqNum seq)
-        {
-            if (seq < base_ || seq - base_ >= slots_.size())
-                return;
-            slots_[seq - base_].reset();
-            while (!slots_.empty() && !slots_.front()) {
-                slots_.pop_front();
-                ++base_;
-            }
-        }
-
-      private:
-        SeqNum base_ = 0;
-        std::deque<std::optional<DynInst>> slots_;
-    };
-
     // ---- dynamic state ----
     static constexpr Cycle noEvent = ~Cycle{0};
     Cycle cycle_ = 0;
@@ -502,7 +452,18 @@ class SmtCore
     bool cycleActive_ = false;
     SeqNum nextSeq_ = 1;
     std::vector<ThreadCtx> threads_;
-    InFlightWindow inFlight_;
+    /**
+     * The in-flight instruction window, keyed by VN#: a ring of
+     * recycled DynInst slots. fetchOne builds each instruction in its
+     * slot, and a reused slot keeps its dependents buffer, so the
+     * steady state allocates nothing. The live VN# range can exceed
+     * the window size (a blocked ROB head holds it open while squashed
+     * instructions leave gaps behind), so the ring doubles when a new
+     * VN# does not fit, moving every slot. No stage may therefore hold
+     * a DynInst pointer or reference across a fetch; erasing (retire,
+     * squash) moves nothing.
+     */
+    IdRing<DynInst> inFlight_;
     unsigned windowOccupancy_ = 0;
     /** Separate helper-thread window (dedicated-resources mode). */
     unsigned sliceWindowOccupancy_ = 0;
@@ -524,14 +485,15 @@ class SmtCore
     std::vector<SeqNum> ready_;
     /** Prefix of ready_ already in sorted order. */
     std::size_t readySortedPrefix_ = 0;
-    /** Scratch for the per-cycle drain (kept to reuse capacity). */
+    /** Scratch for the per-cycle merge and drain (kept to reuse
+     *  capacity). */
     std::vector<SeqNum> readyKept_;
     /** First cycle an entry issueStage kept in ready_ may issue. */
     Cycle readyWakeAt_ = noEvent;
     using Event = std::pair<Cycle, SeqNum>;
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
         completions_;
-    std::deque<StoreUndo> storeUndoLog_;
+    RingQueue<StoreUndo> storeUndoLog_;
     std::uint64_t mainRetired_ = 0;
     bool mainHalted_ = false;
 

@@ -181,13 +181,13 @@ MemoryHierarchy::accessDataTimed(Addr addr, bool is_store,
 
         // MSHR merge: if this line's fill is still in flight, the
         // access waits for the remaining latency, not a fresh miss.
-        auto pit = pendingFills_.find(l1d_.lineAddr(addr));
-        if (pit != pendingFills_.end()) {
-            if (now < pit->second.readyAt) {
-                res.latency = pit->second.readyAt - now;
+        const Addr line_addr = l1d_.lineAddr(addr);
+        if (const PendingFill *fill = pendingFills_.find(line_addr)) {
+            if (now < fill->readyAt) {
+                res.latency = fill->readyAt - now;
                 ++s_.delayedHits;
             } else {
-                pendingFills_.erase(pit);
+                pendingFills_.erase(line_addr);
             }
         }
 
@@ -402,8 +402,8 @@ MemoryHierarchy::tick(Cycle now)
     // to the model, since an L1 hit on one erases it and pays
     // l1Latency.
     if (pendingFills_.size() > sweepAt_) {
-        std::erase_if(pendingFills_, [now](const auto &kv) {
-            return kv.second.readyAt <= now;
+        pendingFills_.eraseIf([now](Addr, const PendingFill &fill) {
+            return fill.readyAt <= now;
         });
         sweepAt_ = std::max<std::size_t>(256, 2 * pendingFills_.size());
     }
@@ -419,10 +419,9 @@ std::size_t
 MemoryHierarchy::outstandingFills(Cycle now) const
 {
     std::size_t n = 0;
-    for (const auto &[line, fill] : pendingFills_) {
-        if (fill.readyAt > now)
-            ++n;
-    }
+    pendingFills_.forEach([&n, now](Addr, const PendingFill &fill) {
+        n += fill.readyAt > now;
+    });
     return n;
 }
 

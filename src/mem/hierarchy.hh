@@ -12,9 +12,7 @@
 #ifndef SPECSLICE_MEM_HIERARCHY_HH
 #define SPECSLICE_MEM_HIERARCHY_HH
 
-#include <memory>
-#include <unordered_map>
-
+#include "common/open_hash.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "fault/fault.hh"
@@ -205,7 +203,7 @@ class MemoryHierarchy
     WriteBuffer writeBuf_;
     StreamPrefetcher prefetcher_;
     Cycle memBusFreeAt_ = 0;
-    std::unordered_map<Addr, PendingFill> pendingFills_;
+    OpenHashMap<Addr, PendingFill> pendingFills_;
     /** tick() sweeps expired pendingFills_ once the map outgrows
      *  this (twice its size after the last sweep, at least 256). */
     std::size_t sweepAt_ = 256;

@@ -14,10 +14,10 @@ StreamPrefetcher::StreamPrefetcher(unsigned streams, unsigned line_size,
     streams_.resize(streams);
 }
 
-std::vector<Addr>
+const std::vector<Addr> &
 StreamPrefetcher::onMiss(Addr addr)
 {
-    std::vector<Addr> out;
+    out_.clear();
     Addr line = lineOf(addr);
     auto line_num = static_cast<std::int64_t>(line / lineSize_);
 
@@ -29,7 +29,7 @@ StreamPrefetcher::onMiss(Addr addr)
         auto last_num = static_cast<std::int64_t>(s.lastLine / lineSize_);
         std::int64_t delta = line_num - last_num;
         if (delta == 0)
-            return out;  // repeated miss on same line; nothing new
+            return out_;  // repeated miss on same line; nothing new
         bool continues =
             (s.stride != 0 && delta == s.stride) ||
             (s.stride == 0 && (delta == 1 || delta == -1));
@@ -43,9 +43,9 @@ StreamPrefetcher::onMiss(Addr addr)
                 std::int64_t target =
                     line_num + s.stride * static_cast<std::int64_t>(d);
                 if (target >= 0)
-                    out.push_back(static_cast<Addr>(target) * lineSize_);
+                    out_.push_back(static_cast<Addr>(target) * lineSize_);
             }
-            return out;
+            return out_;
         }
     }
 
@@ -67,8 +67,8 @@ StreamPrefetcher::onMiss(Addr addr)
     victim->lru = ++lruClock_;
 
     if (sequential_)
-        out.push_back(line + lineSize_);
-    return out;
+        out_.push_back(line + lineSize_);
+    return out_;
 }
 
 } // namespace specslice::mem

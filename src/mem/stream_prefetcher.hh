@@ -31,9 +31,10 @@ class StreamPrefetcher
 
     /**
      * Observe a demand miss and decide what to prefetch.
-     * @return line addresses to prefetch (possibly empty).
+     * @return line addresses to prefetch (possibly empty), in a
+     *         buffer the next call reuses.
      */
-    std::vector<Addr> onMiss(Addr addr);
+    const std::vector<Addr> &onMiss(Addr addr);
 
   private:
     struct Stream
@@ -55,6 +56,7 @@ class StreamPrefetcher
     bool sequential_;
     std::uint64_t lruClock_ = 0;
     std::vector<Stream> streams_;
+    std::vector<Addr> out_;  ///< onMiss result, reused
 };
 
 } // namespace specslice::mem

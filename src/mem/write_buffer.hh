@@ -8,8 +8,7 @@
 #ifndef SPECSLICE_MEM_WRITE_BUFFER_HH
 #define SPECSLICE_MEM_WRITE_BUFFER_HH
 
-#include <deque>
-
+#include "common/ring.hh"
 #include "common/types.hh"
 
 namespace specslice::mem
@@ -46,7 +45,7 @@ class WriteBuffer
 
     std::size_t capacity_;
     Cycle drainInterval_;
-    std::deque<Entry> entries_;
+    RingQueue<Entry> entries_;
 };
 
 } // namespace specslice::mem

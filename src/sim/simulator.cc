@@ -129,20 +129,20 @@ Simulator::run(const Workload &wl, const RunOptions &opts,
 
 RunResult
 Simulator::runOne(const Workload &wl, const RunOptions &opts,
-                  bool with_slices, const RegionStart *region)
+                  bool with_slices, RegionStart *region)
 {
     SS_ASSERT(wl.entry != invalidAddr, "workload has no entry point");
 
-    // Region runs execute on a clone of the sampling stream's state;
-    // plain runs build a fresh image from the workload initializer.
+    // Region runs execute on the region's image (a clone of the
+    // sampling stream's), moved in below once the checker has taken
+    // its reference copy; plain runs build a fresh image from the
+    // workload initializer.
     arch::MemoryImage mem;
     Addr entry = wl.entry;
-    if (region) {
-        mem = region->mem.clone();
+    if (region)
         entry = region->pc;
-    } else if (wl.initMemory) {
+    else if (wl.initMemory)
         wl.initMemory(mem);
-    }
 
     MachineConfig cfg = cfg_;
     cfg.slicesEnabled = with_slices;
@@ -205,6 +205,10 @@ Simulator::runOne(const Workload &wl, const RunOptions &opts,
     }
 #endif
 
+    // The core executes at fetch and so writes its image ahead of
+    // retirement: the checker's copy above must come first.
+    if (region)
+        mem = std::move(region->mem);
     core::SmtCore machine(cfg, wl.program, mem);
     if (with_slices) {
         for (const auto &s : wl.slices) {

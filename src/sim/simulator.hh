@@ -71,9 +71,10 @@ class Simulator
   private:
     struct RegionStart;
 
-    /** One detailed timing run (from entry or a region snapshot). */
+    /** One detailed timing run (from entry or a region snapshot).
+     *  A region's memory image is moved into the run. */
     RunResult runOne(const Workload &wl, const RunOptions &opts,
-                     bool with_slices, const RegionStart *region);
+                     bool with_slices, RegionStart *region);
     /** Fast-forward + sampled-region orchestration. */
     RunResult runSampled(const Workload &wl, const RunOptions &opts,
                          bool with_slices);

@@ -57,10 +57,10 @@ PredictionCorrelator::unindexEntry(const Entry &e)
         std::vector<std::uint64_t> *ids = pcIndex_.find(pc);
         if (!ids)
             continue;
+        // An emptied list stays, keeping its capacity for the next
+        // fork: the keys are the slices' static branch and kill PCs.
         ids->erase(std::remove(ids->begin(), ids->end(), e.id),
                    ids->end());
-        if (ids->empty())
-            pcIndex_.erase(pc);
     }
 }
 
@@ -123,22 +123,23 @@ PredictionCorrelator::onFork(const SliceDescriptor &desc, ThreadId thread,
         if (findEntry(fork_seq, p.problemBranchPc))
             continue;  // a second PGI feeding the same branch
         maybeEvictForCapacity();
-        Entry e;
-        e.id = nextEntryId_++;
+        const std::uint64_t id = nextEntryId_++;
+        Entry &e = entries_.claim(id);
+        e.recycle();
+        e.id = id;
         e.branchPc = p.problemBranchPc;
         e.loopKillPc = p.loopKillPc;
         e.sliceKillPc = p.sliceKillPc;
         e.skipFirstLoopKill = p.loopKillSkipFirst;
         e.forkSeq = fork_seq;
         e.thread = thread;
-        Entry &stored = entries_.push(std::move(e));
-        indexEntry(stored);
+        indexEntry(e);
         ++s_.entriesAllocated;
         if (events_)
             events_->push(obs::EventKind::CorrEntryCreate, thread,
-                          stored.branchPc, fork_seq, stored.id);
-        SS_DTRACE(Corr, "entry id=", stored.id, " branch=0x", std::hex,
-                  stored.branchPc, std::dec, " fork=", fork_seq,
+                          e.branchPc, fork_seq, e.id);
+        SS_DTRACE(Corr, "entry id=", e.id, " branch=0x", std::hex,
+                  e.branchPc, std::dec, " fork=", fork_seq,
                   " thread=", unsigned{thread});
     }
 }
@@ -309,12 +310,12 @@ PredictionCorrelator::onBranchFetch(Addr pc, SeqNum branch_seq,
 void
 PredictionCorrelator::onKillFetch(Addr pc, SeqNum kill_seq)
 {
-    const std::vector<std::uint64_t> *found = pcIndex_.find(pc);
-    if (!found)
+    const std::vector<std::uint64_t> *ids = pcIndex_.find(pc);
+    if (!ids)
         return;
-    // Copy: kills never add/remove entries.
-    std::vector<std::uint64_t> ids = *found;
-    for (std::uint64_t id : ids) {
+    // Kills never add or remove entries, so the list can be walked
+    // in place.
+    for (std::uint64_t id : *ids) {
         Entry *ep = entries_.find(id);
         if (!ep)
             continue;
@@ -363,11 +364,11 @@ PredictionCorrelator::onKillFetch(Addr pc, SeqNum kill_seq)
 void
 PredictionCorrelator::squashMain(SeqNum squash_seq)
 {
-    std::vector<std::uint64_t> to_free;
+    toFree_.clear();
     entries_.forEach([&](Entry &e) {
         if (e.forkSeq > squash_seq) {
             // The fork point itself was squashed.
-            to_free.push_back(e.id);
+            toFree_.push_back(e.id);
             ++s_.entriesSquashed;
             return;
         }
@@ -392,7 +393,7 @@ PredictionCorrelator::squashMain(SeqNum squash_seq)
             }
         }
     });
-    for (std::uint64_t id : to_free)
+    for (std::uint64_t id : toFree_)
         freeEntry(id);
 }
 
@@ -456,7 +457,7 @@ PredictionCorrelator::onSliceDone(SeqNum fork_seq)
 void
 PredictionCorrelator::retireUpTo(SeqNum bound)
 {
-    std::vector<std::uint64_t> to_free;
+    toFree_.clear();
     entries_.forEach([&](Entry &e) {
         while (!e.slots.empty()) {
             Slot &s = e.slots.front();
@@ -473,9 +474,9 @@ PredictionCorrelator::retireUpTo(SeqNum bound)
             e.deadSeq != invalidSeqNum && e.deadSeq <= bound;
         if ((e.sliceDone || dead_retired) && e.slots.empty() &&
             e.forkSeq <= bound)
-            to_free.push_back(e.id);
+            toFree_.push_back(e.id);
     });
-    for (std::uint64_t id : to_free)
+    for (std::uint64_t id : toFree_)
         freeEntry(id);
 }
 

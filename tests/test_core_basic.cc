@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/memimg.hh"
+#include "common/failure.hh"
 #include "core/smt_core.hh"
 #include "isa/assembler.hh"
 #include "isa/program.hh"
@@ -264,6 +265,31 @@ TEST(CoreBasic, DefaultCycleLimitScalesWithWarmup)
     // split between warm-up and measurement.
     EXPECT_EQ(core::defaultCycleLimit(1'000'000, 4'000'000),
               core::defaultCycleLimit(4'000'000, 1'000'000));
+}
+
+TEST(CoreBasic, OverflowingBudgetsFailLoudly)
+{
+    // A wrapped budget would end the run early and call it complete:
+    // max + 100 warm-up instructions would retire 99.
+    constexpr std::uint64_t maxU64 = ~std::uint64_t{0};
+    ScopedThrowErrors throwing;
+    EXPECT_THROW(core::defaultCycleLimit(maxU64, 100), SimError);
+    // The budget fits, but 50 cycles per instruction do not.
+    EXPECT_THROW(core::defaultCycleLimit(maxU64 / 50 + 1, 0), SimError);
+    // 50 cycles per instruction fit, the slack on top does not.
+    EXPECT_THROW(core::defaultCycleLimit(maxU64 / 50, 0), SimError);
+
+    isa::Assembler as(codeBase);
+    as.halt();
+    isa::Program prog;
+    prog.addSection(as.finish());
+    arch::MemoryImage mem;
+    core::SmtCore machine(core::CoreConfig::fourWide(), prog, mem);
+    core::RunOptions o;
+    o.maxMainInstructions = maxU64;
+    o.warmupInstructions = 100;
+    o.maxCycles = 1'000;  // the budget itself must be checked too
+    EXPECT_THROW(machine.run(codeBase, o), SimError);
 }
 
 TEST(CoreBasic, LongWarmupRunCompletesWithinDefaultLimit)

@@ -141,16 +141,6 @@ usage(int code)
     std::exit(code);
 }
 
-std::uint64_t
-parseNum(const char *s)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(s, &end, 10);
-    if (!end || *end != '\0' || *s == '\0' || *s == '-')
-        usage(2);
-    return v;
-}
-
 std::vector<std::string>
 splitCsv(const std::string &csv)
 {
@@ -181,17 +171,17 @@ parseArgs(int argc, char **argv)
         } else if (a == "--out") {
             o.out = next();
         } else if (a == "--insts") {
-            o.insts = parseNum(next());
+            o.insts = bench::countOption(a, next());
         } else if (a == "--warmup") {
-            o.warmup = parseNum(next());
+            o.warmup = bench::countOption(a, next());
         } else if (a == "--seed") {
-            o.seed = parseNum(next());
+            o.seed = bench::countOption(a, next());
         } else if (a == "--trace") {
             o.traceFile = next();
         } else if (a == "--predictor") {
             o.predictors = splitCsv(next());
         } else if (a == "--max-records") {
-            o.maxRecords = parseNum(next());
+            o.maxRecords = bench::countOption(a, next());
         } else if (a == "--golden") {
             o.golden = next();
         } else if (a == "--generate") {
@@ -205,7 +195,7 @@ parseArgs(int argc, char **argv)
         } else if (a == "--traces") {
             o.traces = splitCsv(next());
         } else if (a == "--jobs") {
-            o.jobs = static_cast<unsigned>(parseNum(next()));
+            o.jobs = bench::countOption<unsigned>(a, next());
             if (o.jobs == 0 || o.jobs > 4096)
                 usage(2);
         } else if (a == "--json") {

@@ -161,16 +161,6 @@ usage(int code)
     std::exit(code);
 }
 
-std::uint64_t
-parseNum(const char *s)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(s, &end, 10);
-    if (!end || *end != '\0' || *s == '\0' || *s == '-')
-        usage(2);
-    return v;
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
@@ -187,28 +177,28 @@ parseArgs(int argc, char **argv)
         else if (a == "--trace-file")
             o.traceFile = next();
         else if (a == "--width")
-            o.width = static_cast<unsigned>(parseNum(next()));
+            o.width = bench::countOption<unsigned>(a, next());
         else if (a == "--insts")
-            o.insts = parseNum(next());
+            o.insts = bench::countOption(a, next());
         else if (a == "--warmup")
-            o.warmup = parseNum(next());
+            o.warmup = bench::countOption(a, next());
         else if (a == "--seed")
-            o.seed = parseNum(next());
+            o.seed = bench::countOption(a, next());
         else if (a == "--threads")
-            o.threads = static_cast<unsigned>(parseNum(next()));
+            o.threads = bench::countOption<unsigned>(a, next());
         else if (a == "--bias")
-            o.bias = static_cast<int>(parseNum(next()));
+            o.bias = bench::countOption<int>(a, next());
         else if (a == "--no-slices")
             o.slices = false;
         else if (a == "--fastforward")
-            o.fastforward = parseNum(next());
+            o.fastforward = bench::countOption(a, next());
         else if (a == "--sample") {
-            o.sampleRegions = static_cast<unsigned>(parseNum(next()));
+            o.sampleRegions = bench::countOption<unsigned>(a, next());
             if (o.sampleRegions == 0)
                 usage(2);
         }
         else if (a == "--sample-stride") {
-            o.sampleStride = parseNum(next());
+            o.sampleStride = bench::countOption(a, next());
             if (o.sampleStride == 0)
                 usage(2);
         }
@@ -227,7 +217,7 @@ parseArgs(int argc, char **argv)
         else if (a == "--compare")
             o.compare = true;
         else if (a == "--jobs") {
-            o.jobs = static_cast<unsigned>(parseNum(next()));
+            o.jobs = bench::countOption<unsigned>(a, next());
             if (o.jobs == 0 || o.jobs > 4096)
                 usage(2);
         }
@@ -240,11 +230,11 @@ parseArgs(int argc, char **argv)
             std::exit(0);
         }
         else if (a == "--watchdog")
-            o.watchdog = parseNum(next());
+            o.watchdog = bench::countOption(a, next());
         else if (a == "--no-watchdog")
             o.noWatchdog = true;
         else if (a == "--max-cycles")
-            o.maxCycles = parseNum(next());
+            o.maxCycles = bench::countOption(a, next());
         else if (a == "--allow-partial")
             o.allowPartial = true;
         else if (a == "--trace")
@@ -256,7 +246,7 @@ parseArgs(int argc, char **argv)
             o.intervalsRequested = true;
         }
         else if (a == "--interval-cycles") {
-            o.intervalCycles = parseNum(next());
+            o.intervalCycles = bench::countOption(a, next());
             o.intervalsRequested = true;
             if (o.intervalCycles == 0)
                 usage(2);

@@ -152,16 +152,6 @@ usage(int code)
     std::exit(code);
 }
 
-std::uint64_t
-parseNum(const char *s)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(s, &end, 10);
-    if (!end || *end != '\0' || *s == '\0' || *s == '-')
-        usage(2);
-    return v;
-}
-
 fault::FaultPlan
 parsePlanOrDie(const std::string &spec)
 {
@@ -221,17 +211,17 @@ parseArgs(int argc, char **argv)
         } else if (a == "--json") {
             o.json = true;
         } else if (a == "--insts") {
-            o.params.insts = parseNum(next());
+            o.params.insts = bench::countOption(a, next());
         } else if (a == "--warmup") {
-            o.params.warmup = parseNum(next());
+            o.params.warmup = bench::countOption(a, next());
         } else if (a == "--fastforward") {
-            o.params.fastforward = parseNum(next());
+            o.params.fastforward = bench::countOption(a, next());
         } else if (a == "--sample") {
-            o.params.regions = static_cast<unsigned>(parseNum(next()));
+            o.params.regions = bench::countOption<unsigned>(a, next());
             if (o.params.regions == 0)
                 usage(2);
         } else if (a == "--sample-stride") {
-            o.params.stride = parseNum(next());
+            o.params.stride = bench::countOption(a, next());
             if (o.params.stride == 0)
                 usage(2);
         } else if (a == "--checkpoints") {
@@ -241,17 +231,17 @@ parseArgs(int argc, char **argv)
             if (a == "--cache")
                 next();
         } else if (a == "--seed") {
-            o.params.seed = parseNum(next());
+            o.params.seed = bench::countOption(a, next());
         } else if (a == "--width") {
-            o.params.width = static_cast<unsigned>(parseNum(next()));
+            o.params.width = bench::countOption<unsigned>(a, next());
             if (o.params.width != 4 && o.params.width != 8)
                 usage(2);
         } else if (a == "--threads") {
-            o.params.threads = static_cast<unsigned>(parseNum(next()));
+            o.params.threads = bench::countOption<unsigned>(a, next());
             if (o.params.threads == 0)
                 usage(2);
         } else if (a == "--jobs") {
-            o.jobs = static_cast<unsigned>(parseNum(next()));
+            o.jobs = bench::countOption<unsigned>(a, next());
             if (o.jobs == 0 || o.jobs > 4096)
                 usage(2);
         } else if (a == "--no-check") {
