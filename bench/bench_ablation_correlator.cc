@@ -34,8 +34,7 @@ struct Mode
 int
 main(int argc, char **argv)
 {
-    bench::initObservability(argc, argv);
-    sim::JobPool pool(bench::jobsOption(argc, argv));
+    sim::JobPool pool(bench::parseBenchArgs(argc, argv));
     std::printf("Ablation: prediction correlator mechanisms "
                 "(speedup over no-slice baseline, %%)\n\n");
 

@@ -21,8 +21,7 @@ using sim::speedupPct;
 int
 main(int argc, char **argv)
 {
-    bench::initObservability(argc, argv);
-    sim::JobPool pool(bench::jobsOption(argc, argv));
+    sim::JobPool pool(bench::parseBenchArgs(argc, argv));
     std::printf("Ablation: helper-thread contexts and ICOUNT bias "
                 "(speedup over baseline, %%)\n\n");
 

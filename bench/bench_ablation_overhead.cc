@@ -27,8 +27,7 @@ using sim::speedupPct;
 int
 main(int argc, char **argv)
 {
-    bench::initObservability(argc, argv);
-    sim::JobPool pool(bench::jobsOption(argc, argv));
+    sim::JobPool pool(bench::parseBenchArgs(argc, argv));
     std::printf("Ablation: Section 6.3 overhead reduction "
                 "(speedup over no-slice baseline, %%)\n\n");
 

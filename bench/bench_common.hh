@@ -21,16 +21,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/jsonio.hh"
-#include "sim/result_cache.hh"
 #include "obs/interval.hh"
 #include "obs/trace.hh"
 #include "profile/pde_profile.hh"
@@ -61,44 +58,14 @@ namespace specslice::bench
  *   6 — trace-driven runs: job specs accept "trace_file" (serve
  *       requests, specslice_run --trace-file) and specslice_replay
  *       emits per-trace replay documents/BENCH_replay.json stamped
- *       with this version
+ *       with this version; later, specslice_verify --json lost its
+ *       "cache" block with --cache itself (no bump: the block only
+ *       appeared under --cache, which is now a usage error)
  *
  * The constant itself lives in sim/result_json.hh so specslice_run
  * --json stamps the same version.
  */
 constexpr std::uint64_t benchSchemaVersion = sim::resultSchemaVersion;
-
-/**
- * Arm debug tracing for a bench/driver binary: SS_TRACE from the
- * environment plus any `--trace FLAGS` / `--trace=FLAGS` argument.
- * Call once at the top of main(); an unknown flag name is a usage
- * error (exit 2) listing the valid names.
- */
-inline void
-initObservability(int argc, char **argv)
-{
-    obs::TraceSink::instance().initFromEnv();
-    auto arm = [](const char *csv) {
-        std::string err;
-        if (!obs::TraceSink::instance().trySetFlags(csv, err)) {
-            std::fprintf(stderr, "error: %s\n", err.c_str());
-            std::exit(2);
-        }
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (std::strcmp(a, "--trace") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "error: --trace requires a flag list\n");
-                std::exit(2);
-            }
-            arm(argv[i + 1]);
-        } else if (std::strncmp(a, "--trace=", 8) == 0) {
-            arm(a + 8);
-        }
-    }
-}
 
 /**
  * Strictly parse a decimal integer in [0, max] into out: digits only
@@ -210,64 +177,58 @@ benchOpts(bool profile = false)
 }
 
 /**
- * Parse a `--jobs N` option out of argv (any position). Returns the
- * parsed count, or 0 (meaning "pool default": SS_JOBS or the hardware
- * concurrency) when the flag is absent. Bad values abort with a usage
- * message rather than silently running serial.
+ * Parse a bench binary's command line in one pass. It takes `--jobs N`
+ * and `--trace FLAGS` / `--trace=FLAGS`, which arms debug tracing on
+ * top of SS_TRACE from the environment. Any other argument, a bad job
+ * count and an unknown trace flag are usage errors (exit 2), so a
+ * misspelt option cannot silently run the default sweep.
+ * @return the --jobs count, or 0 (meaning "pool default": SS_JOBS or
+ *         the hardware concurrency) when the flag is absent.
  */
 inline unsigned
-jobsOption(int argc, char **argv)
+parseBenchArgs(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") != 0)
-            continue;
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "error: --jobs requires a count\n");
+    obs::TraceSink::instance().initFromEnv();
+    auto arm = [](const std::string &csv) {
+        std::string err;
+        if (!obs::TraceSink::instance().trySetFlags(csv, err)) {
+            std::fprintf(stderr, "error: %s\n", err.c_str());
             std::exit(2);
         }
-        const char *v = argv[i + 1];
-        std::uint64_t parsed = 0;
-        if (!parseCount(v, 4096, parsed) || parsed == 0) {
-            std::fprintf(stderr,
-                         "error: --jobs %s is not a job count in "
-                         "[1, 4096]\n",
-                         v);
-            std::exit(2);
-        }
-        return static_cast<unsigned>(parsed);
-    }
-    return 0;
-}
-
-/**
- * Parse a `--cache DIR` / `--cache=DIR` option (any position), falling
- * back to the SS_CACHE_DIR environment variable. Returns the opened
- * content-addressed result store, or nullptr when neither source names
- * a directory. A rerun pointed at the same directory serves every
- * unchanged cell from disk.
- */
-inline std::unique_ptr<sim::ResultCache>
-openCacheOption(int argc, char **argv)
-{
-    std::string dir;
+    };
+    unsigned jobs = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--cache") == 0) {
+        const std::string a = argv[i];
+        auto value = [&]() -> const char * {
             if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "error: --cache requires a directory\n");
+                std::fprintf(stderr, "error: %s requires a value\n",
+                             a.c_str());
                 std::exit(2);
             }
-            dir = argv[i + 1];
-        } else if (std::strncmp(argv[i], "--cache=", 8) == 0) {
-            dir = argv[i] + 8;
+            return argv[++i];
+        };
+        if (a == "--jobs") {
+            const char *v = value();
+            std::uint64_t parsed = 0;
+            if (!parseCount(v, 4096, parsed) || parsed == 0) {
+                std::fprintf(stderr,
+                             "error: --jobs %s is not a job count in "
+                             "[1, 4096]\n",
+                             v);
+                std::exit(2);
+            }
+            jobs = static_cast<unsigned>(parsed);
+        } else if (a == "--trace") {
+            arm(value());
+        } else if (a.rfind("--trace=", 0) == 0) {
+            arm(a.substr(8));
+        } else {
+            std::fprintf(stderr, "error: unknown option '%s'\n",
+                         a.c_str());
+            std::exit(2);
         }
     }
-    if (dir.empty())
-        if (const char *env = std::getenv("SS_CACHE_DIR"))
-            dir = env;
-    if (dir.empty())
-        return nullptr;
-    return std::make_unique<sim::ResultCache>(dir);
+    return jobs;
 }
 
 /**
@@ -308,18 +269,6 @@ benchWorkloadNames()
         std::exit(2);
     }
     return picked;
-}
-
-/** Limit-study options: perfect the PCs the workload's slices cover. */
-inline sim::RunOptions
-limitOpts(const sim::Workload &wl)
-{
-    sim::RunOptions o = benchOpts();
-    for (Addr pc : wl.coveredBranchPcs())
-        o.perfect.branchPcs.insert(pc);
-    for (Addr pc : wl.coveredLoadPcs())
-        o.perfect.loadPcs.insert(pc);
-    return o;
 }
 
 // ---------------------------------------------------------------

@@ -94,7 +94,7 @@ now()
 int
 main(int argc, char **argv)
 {
-    bench::initObservability(argc, argv);
+    const unsigned jobs = bench::parseBenchArgs(argc, argv);
 
     const std::uint64_t fullInsts = bench::benchInsts();
     const std::uint64_t fullWarmup = bench::benchWarmup();
@@ -145,7 +145,7 @@ main(int argc, char **argv)
     // Phase 2 — full vs sampled timing runs, parallel across
     // workloads (two runs per workload; the IPCs compared come from
     // simulated cycles, which wall-clock sharing cannot perturb).
-    sim::JobPool pool(bench::jobsOption(argc, argv));
+    sim::JobPool pool(jobs);
     std::vector<Row> done = pool.map(rows, [&](const Row &in) {
         Row row = in;
         workloads::Params wp;

@@ -31,11 +31,8 @@ struct Config
 int
 main(int argc, char **argv)
 {
-    bench::initObservability(argc, argv);
+    sim::JobPool pool(bench::parseBenchArgs(argc, argv));
     sim::ExperimentConfig cfg = bench::experimentConfig();
-    auto cache = bench::openCacheOption(argc, argv);
-    cfg.cache = cache.get();
-    sim::JobPool pool(bench::jobsOption(argc, argv));
     std::printf("Figure 1: IPC of baseline vs problem-instructions-"
                 "perfect vs all-perfect\n");
     std::printf("Machine parameters per Table 1 (4-wide: 128-entry "

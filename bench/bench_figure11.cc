@@ -19,11 +19,8 @@ using namespace specslice;
 int
 main(int argc, char **argv)
 {
-    bench::initObservability(argc, argv);
+    sim::JobPool pool(bench::parseBenchArgs(argc, argv));
     sim::ExperimentConfig cfg = bench::experimentConfig();
-    auto cache = bench::openCacheOption(argc, argv);
-    cfg.cache = cache.get();
-    sim::JobPool pool(bench::jobsOption(argc, argv));
     std::printf("Figure 11: speedup of slices and of the constrained "
                 "limit study (4-wide)\n\n");
 

@@ -171,9 +171,9 @@ runSweep(unsigned jobs)
 int
 main(int argc, char **argv)
 {
-    bench::initObservability(argc, argv);
     if (argc > 1 && std::strcmp(argv[1], "--gbench") == 0) {
         // Drop the flag and hand the rest to google-benchmark.
+        obs::TraceSink::instance().initFromEnv();
         for (int i = 1; i + 1 < argc; ++i)
             argv[i] = argv[i + 1];
         --argc;
@@ -184,5 +184,5 @@ main(int argc, char **argv)
         benchmark::Shutdown();
         return 0;
     }
-    return runSweep(bench::jobsOption(argc, argv));
+    return runSweep(bench::parseBenchArgs(argc, argv));
 }

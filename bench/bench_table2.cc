@@ -18,11 +18,8 @@ using namespace specslice;
 int
 main(int argc, char **argv)
 {
-    bench::initObservability(argc, argv);
+    sim::JobPool pool(bench::parseBenchArgs(argc, argv));
     sim::ExperimentConfig cfg = bench::experimentConfig();
-    auto cache = bench::openCacheOption(argc, argv);
-    cfg.cache = cache.get();
-    sim::JobPool pool(bench::jobsOption(argc, argv));
     std::printf("Table 2: coverage of performance degrading events by "
                 "problem instructions\n");
     std::printf("(baseline 4-wide machine, %llu measured instructions "

@@ -29,8 +29,7 @@ inLoop(unsigned total, unsigned in_loop)
 int
 main(int argc, char **argv)
 {
-    bench::initObservability(argc, argv);
-    sim::JobPool pool(bench::jobsOption(argc, argv));
+    sim::JobPool pool(bench::parseBenchArgs(argc, argv));
     std::printf("Table 3: characterization of the speculative slices\n");
     std::printf("(static size, live-ins, prefetches, predictions, kills; "
                 "loop contents in parens)\n\n");

@@ -23,11 +23,8 @@ using namespace specslice;
 int
 main(int argc, char **argv)
 {
-    bench::initObservability(argc, argv);
+    sim::JobPool pool(bench::parseBenchArgs(argc, argv));
     sim::ExperimentConfig cfg = bench::experimentConfig();
-    auto cache = bench::openCacheOption(argc, argv);
-    cfg.cache = cache.get();
-    sim::JobPool pool(bench::jobsOption(argc, argv));
     std::printf("Table 4: execution with and without slices "
                 "(4-wide machine)\n\n");
 

@@ -407,7 +407,7 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
     res.outcome = outcome;
     res.diagnosis = std::move(diagnosis);
     res.faultsInjected = injector_.firedTotal();
-    res.faultSummary = injector_.firedSummary();
+    res.faultsBySite = injector_.firedCounts();
     if (opts.intervalSink)
         res.intervals = *opts.intervalSink;
     else
@@ -1064,7 +1064,7 @@ SmtCore::diagnoseStall(Cycle stalled_for)
     d += buf;
     if (injector_.enabled()) {
         d += "\n  injection: ";
-        std::string fired = injector_.firedSummary();
+        std::string fired = fault::summarize(injector_.firedCounts());
         d += fired.empty() ? "(armed, none fired)" : fired;
     }
     return d;

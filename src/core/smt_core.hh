@@ -95,7 +95,11 @@ const char *outcomeName(SimOutcome outcome);
 Cycle defaultCycleLimit(std::uint64_t max_main_instructions,
                         std::uint64_t warmup_instructions);
 
-/** Options for one simulation run. */
+/**
+ * What SmtCore::run reads for one detailed run. sim::RunOptions extends
+ * it with the checker flags, sampling knobs and checkpoint paths that
+ * sim::Simulator interprets before it calls the core.
+ */
 struct RunOptions
 {
     /** Stop after this many main-thread instructions retire. */
@@ -149,20 +153,6 @@ struct RunOptions
      */
     check::RetireChecker *checker = nullptr;
 
-    // ---- sim-level checking knobs (interpreted by sim::Simulator,
-    //      which owns checker construction per run) ----
-    /** Co-simulate with the retirement checker (also forced on for
-     *  every run by SS_CHECK=1 in the environment). */
-    bool check = false;
-    /** SS_FATAL with the first-divergence report the moment a
-     *  divergence is detected. When false the divergence is latched
-     *  into RunResult instead (used by the injected-fault tests). */
-    bool checkFatal = true;
-    /** Mutation-style self-test: corrupt the Nth (1-based) observed
-     *  register writeback / store before comparison. 0 = off. */
-    std::uint64_t checkInjectRegFault = 0;
-    std::uint64_t checkInjectStoreFault = 0;
-
     // ---- architectural-state injection (checkpoint/sampled runs;
     //      sim::Simulator fills these from a FastForward snapshot) ----
     /** Start the main thread's registers from this file instead of
@@ -181,57 +171,6 @@ struct RunOptions
      *  mid-program start doesn't begin with a cold L1I. Must outlive
      *  the run. */
     const std::vector<Addr> *instWarmth = nullptr;
-
-    // ---- sampling knobs (interpreted by sim::Simulator::run, which
-    //      owns the fast-forward engine and region orchestration) ----
-    /**
-     * Functionally fast-forward to this absolute instruction count
-     * (from the workload entry) before the first timing region.
-     * Warm-up (warmupInstructions) and measurement
-     * (maxMainInstructions) then run in detail from that point.
-     */
-    std::uint64_t fastForwardInstructions = 0;
-    /**
-     * Number of detailed timing regions to sample and aggregate
-     * (0 or 1 = a single region). Each region runs warm-up + measure
-     * instructions on a snapshot of the architectural state; between
-     * regions the fast-forward engine advances sampleStride
-     * instructions along the pristine architectural stream.
-     */
-    unsigned sampleRegions = 0;
-    /** Instructions between region starts (0 = contiguous: warm-up +
-     *  measure, i.e. the next region starts where this one ended). */
-    std::uint64_t sampleStride = 0;
-    /** Replay fast-forward branch history into each region's predictor
-     *  (disable to measure cold-start bias). */
-    bool warmPredictors = true;
-    /** Replay fast-forward data accesses into each region's cache
-     *  hierarchy (disable to measure cold-cache bias). */
-    bool warmCaches = true;
-    /** Replay fast-forward instruction lines into each region's L1I
-     *  (--cold-icache disables it, the i-side analogue of the two
-     *  flags above). */
-    bool warmInstCache = true;
-    /** Load the starting architectural state from this checkpoint file
-     *  ("" = start at the workload entry). */
-    std::string restoreCheckpoint;
-    /** After fast-forwarding, save the pre-region architectural state
-     *  here ("" = don't). */
-    std::string saveCheckpoint;
-
-    // ---- trace-driven runs (interpreted by the callers that load
-    //      the workload: trace::loadTraceWorkload rebuilds the
-    //      embedded program/memory/slices and the simulator runs it
-    //      like any other workload) ----
-    /**
-     * The sstr trace file this run's workload was reconstructed from
-     * ("" = a builder-made workload). The core never reads it; it is
-     * run *identity*: sim::runCacheKey folds the file's content hash
-     * into the cache key, so a rewritten trace invalidates cached
-     * results by construction and a trace-mode run never aliases the
-     * equivalent workload-mode run.
-     */
-    std::string traceFile;
 };
 
 /** Aggregated results of a run. */
@@ -244,8 +183,8 @@ struct RunResult
     std::string diagnosis;
     /** Total injected-fault firings (0 when injection is off). */
     std::uint64_t faultsInjected = 0;
-    /** Per-site firing counts, "site=n,site=n" ("" when none). */
-    std::string faultSummary;
+    /** Injected-fault firings per site (all 0 when injection is off). */
+    fault::SiteCounts faultsBySite{};
     Cycle cycles = 0;
     std::uint64_t mainRetired = 0;
     std::uint64_t mainFetched = 0;       ///< correct + wrong path
@@ -277,8 +216,7 @@ struct RunResult
     unsigned sampledRegions = 0;
 
     // Wall-clock phase breakdown and trace bookkeeping. Never
-    // serialized into result documents: they are nondeterministic,
-    // so a result-cache hit restores them as 0. They feed
+    // digested: they are nondeterministic. They feed
     // WorkloadPerf::instsPerSec and the repository benchmark's
     // per-phase host times (perfbench/).
     /** Wall seconds spent fast-forwarding (sampled runs only). */
@@ -311,6 +249,13 @@ struct RunResult
         return cycles ? static_cast<double>(mainRetired) /
                             static_cast<double>(cycles)
                       : 0.0;
+    }
+
+    /** Per-site firing counts, "site=n,site=n" ("" when none). */
+    std::string
+    faultSummary() const
+    {
+        return fault::summarize(faultsBySite);
     }
 
     PcProfile profile;

@@ -36,10 +36,6 @@ constexpr SiteInfo site_table[] = {
      true},
     {Site::CheckStore, "check.store",
      "corrupt the Nth checked store value (requires @nN)", 0, true},
-    {Site::CacheEnospc, "cache.enospc",
-     "fail a result-cache store as if the disk were full", 0, false},
-    {Site::CacheFlip, "cache.flip",
-     "flip one payload bit on a result-cache read", 0, false},
 };
 
 static_assert(sizeof(site_table) / sizeof(site_table[0]) == numSites,
@@ -200,10 +196,20 @@ siteName(Site site)
     return site_table[i].name;
 }
 
-bool
-isServiceSite(Site site)
+std::string
+summarize(const SiteCounts &counts)
 {
-    return site >= Site::CacheEnospc && site < Site::NumSites;
+    std::string out;
+    for (std::size_t i = 0; i < numSites; ++i) {
+        if (counts[i] == 0)
+            continue;
+        if (!out.empty())
+            out += ",";
+        out += site_table[i].name;
+        out += "=";
+        out += std::to_string(counts[i]);
+    }
+    return out;
 }
 
 std::string
@@ -254,23 +260,6 @@ FaultPlan::parse(const std::string &text, FaultPlan &plan,
         }
         seen[idx] = true;
         plan.specs.push_back(spec);
-    }
-    return true;
-}
-
-bool
-FaultPlan::parseSimPlan(const std::string &text, FaultPlan &plan,
-                        std::string &err)
-{
-    if (!parse(text, plan, err))
-        return false;
-    for (const FaultSpec &spec : plan.specs) {
-        if (isServiceSite(spec.site)) {
-            err = std::string("site '") + siteName(spec.site) +
-                  "' taps the result cache, not a simulation run; "
-                  "--inject takes simulator sites only";
-            return false;
-        }
     }
     return true;
 }
@@ -331,37 +320,13 @@ Injector::firedTotal() const
     return total;
 }
 
-std::string
-Injector::firedSummary() const
+SiteCounts
+Injector::firedCounts() const
 {
-    std::string out;
-    for (std::size_t i = 0; i < numSites; ++i) {
-        if (slots_[i].fired == 0)
-            continue;
-        if (!out.empty())
-            out += ",";
-        out += site_table[i].name;
-        out += "=";
-        out += std::to_string(slots_[i].fired);
-    }
-    return out;
-}
-
-namespace
-{
-Injector *g_service_injector = nullptr;
-} // namespace
-
-void
-setServiceInjector(Injector *inj)
-{
-    g_service_injector = inj;
-}
-
-bool
-serviceFire(Site site)
-{
-    return g_service_injector && g_service_injector->fire(site);
+    SiteCounts counts{};
+    for (std::size_t i = 0; i < numSites; ++i)
+        counts[i] = slots_[i].fired;
+    return counts;
 }
 
 } // namespace specslice::fault

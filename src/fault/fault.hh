@@ -32,15 +32,6 @@
  *                   (requires @nN; exercises the checker itself)
  *     check.store   corrupt the Nth checked store value (requires @nN)
  *
- * Service-level sites (fired by the result cache through the
- * process-wide service injector, not by the simulator — see
- * isServiceSite()):
- *
- *     cache.enospc  fail a result-cache store as if the disk were
- *                   full (the cache degrades to pass-through)
- *     cache.flip    flip one payload bit on a cache read (the entry
- *                   is checksum-rejected and quarantined)
- *
  * Example: `mem.latency:+200@p0.01,slice.kill@n5`.
  *
  * Determinism: each site gets its own RNG stream seeded from
@@ -57,6 +48,7 @@
 #ifndef SPECSLICE_FAULT_FAULT_HH
 #define SPECSLICE_FAULT_FAULT_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -77,8 +69,6 @@ enum class Site
     CorrDrop,
     CheckReg,
     CheckStore,
-    CacheEnospc,
-    CacheFlip,
     NumSites,
 };
 
@@ -88,10 +78,12 @@ constexpr std::size_t numSites =
 /** Spec-string name of a site ("mem.latency", ...). */
 const char *siteName(Site site);
 
-/** True for the cache.* sites, which tap the result cache rather than
- *  the simulator core. They are inert inside a simulation and fire
- *  only through the process-wide service injector below. */
-bool isServiceSite(Site site);
+/** Firing counts per site, indexed by Site. */
+using SiteCounts = std::array<std::uint64_t, numSites>;
+
+/** "site=count,site=count" for the sites with a non-zero count, in
+ *  site-table order ("" when none). */
+std::string summarize(const SiteCounts &counts);
 
 /** One parsed fault from the spec string. */
 struct FaultSpec
@@ -125,15 +117,6 @@ struct FaultPlan
      */
     static bool parse(const std::string &text, FaultPlan &plan,
                      std::string &err);
-
-    /**
-     * parse() for a plan armed on simulation runs (`--inject`,
-     * SS_INJECT): additionally rejects service-level sites, which no
-     * simulation fires, so a plan cannot be accepted and then
-     * silently never fire.
-     */
-    static bool parseSimPlan(const std::string &text, FaultPlan &plan,
-                             std::string &err);
 
     /** The grammar/site help text used in parse errors and --help. */
     static std::string grammarHelp();
@@ -179,8 +162,8 @@ class Injector
     /** Total fires across all sites this run. */
     std::uint64_t firedTotal() const;
 
-    /** "site=count,site=count" for sites that fired ("" if none). */
-    std::string firedSummary() const;
+    /** Fires per site this run. */
+    SiteCounts firedCounts() const;
 
   private:
     struct Slot
@@ -207,18 +190,6 @@ class Injector
     Slot slots_[numSites];
     bool enabled_ = false;
 };
-
-/**
- * Install (or clear, with nullptr) the process-wide injector for
- * service-level sites; tests install one to drive the result cache's
- * failure paths. Not thread-safe by design: install it before any
- * cache I/O begins.
- */
-void setServiceInjector(Injector *inj);
-
-/** Convenience: fire `site` on the service injector if one is
- *  installed and armed there; false otherwise. */
-bool serviceFire(Site site);
 
 } // namespace specslice::fault
 

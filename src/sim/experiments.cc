@@ -1,47 +1,9 @@
 #include "sim/experiments.hh"
 
-#include "common/jsonio.hh"
-#include "sim/result_cache.hh"
-#include "sim/result_json.hh"
-#include "sim/run_key.hh"
 #include "workloads/workloads.hh"
 
 namespace specslice::sim
 {
-
-RunResult
-cachedRun(const MachineConfig &machine, Simulator &simr,
-          const Workload &wl, const ExperimentConfig &cfg,
-          const RunOptions &opts, bool with_slices)
-{
-    auto simulate = [&] {
-        return with_slices ? simr.run(wl, opts, true)
-                           : simr.runBaseline(wl, opts);
-    };
-    if (!cfg.cache)
-        return simulate();
-
-    RunKeyInputs in;
-    in.workload = &wl;
-    in.dataSeed = cfg.seed;
-    in.config = &machine;
-    in.options = &opts;
-    in.withSlices = with_slices;
-    const std::string key = runCacheKey(in);
-
-    if (auto payload = cfg.cache->lookup(key)) {
-        std::string err;
-        auto doc = json::parse(*payload, err);
-        RunResult r;
-        if (doc && resultFromJson(*doc, r, err))
-            return r;
-        // Unreadable payload: treat as a miss and recompute below.
-    }
-    RunResult r = simulate();
-    std::string err;
-    cfg.cache->store(key, resultToJson(r), err);
-    return r;
-}
 
 Workload
 buildBenchWorkload(const std::string &name, const ExperimentConfig &cfg)
@@ -58,8 +20,7 @@ runTable2Row(const MachineConfig &machine, const std::string &benchmark,
 {
     Workload wl = buildBenchWorkload(benchmark, cfg);
     Simulator simr(machine);
-    RunResult res =
-        cachedRun(machine, simr, wl, cfg, cfg.runOptions(true), false);
+    RunResult res = simr.runBaseline(wl, cfg.runOptions(true));
 
     Table2Row row;
     row.program = benchmark;
@@ -77,19 +38,18 @@ runFigure1Row(const MachineConfig &machine, const std::string &benchmark,
 
     // Baseline doubles as the profiling run that identifies the
     // problem instructions (Section 2.2).
-    RunResult base =
-        cachedRun(machine, simr, wl, cfg, cfg.runOptions(true), false);
+    RunResult base = simr.runBaseline(wl, cfg.runOptions(true));
     auto prob = profile::classifyProblemInstructions(base.profile);
 
     RunOptions pp = cfg.runOptions();
     pp.perfect.branchPcs = prob.problemBranches;
     pp.perfect.loadPcs = prob.problemLoads;
-    RunResult prob_perfect = cachedRun(machine, simr, wl, cfg, pp, false);
+    RunResult prob_perfect = simr.runBaseline(wl, pp);
 
     RunOptions ap = cfg.runOptions();
     ap.perfect.allBranchesPerfect = true;
     ap.perfect.allLoadsPerfect = true;
-    RunResult all_perfect = cachedRun(machine, simr, wl, cfg, ap, false);
+    RunResult all_perfect = simr.runBaseline(wl, ap);
 
     Figure1Row row;
     row.program = benchmark;
@@ -100,14 +60,13 @@ runFigure1Row(const MachineConfig &machine, const std::string &benchmark,
 }
 
 RunOptions
-limitOptions(const Workload &wl, const ExperimentConfig &cfg)
+limitOptions(const Workload &wl, RunOptions opts)
 {
-    RunOptions o = cfg.runOptions();
     for (Addr pc : wl.coveredBranchPcs())
-        o.perfect.branchPcs.insert(pc);
+        opts.perfect.branchPcs.insert(pc);
     for (Addr pc : wl.coveredLoadPcs())
-        o.perfect.loadPcs.insert(pc);
-    return o;
+        opts.perfect.loadPcs.insert(pc);
+    return opts;
 }
 
 double
@@ -131,12 +90,9 @@ runFigure11Row(const MachineConfig &machine,
 
     Figure11Row row;
     row.program = benchmark;
-    row.base =
-        cachedRun(machine, simr, wl, cfg, cfg.runOptions(), false);
-    row.sliced =
-        cachedRun(machine, simr, wl, cfg, cfg.runOptions(), true);
-    row.limit = cachedRun(machine, simr, wl, cfg,
-                          limitOptions(wl, cfg), false);
+    row.base = simr.runBaseline(wl, cfg.runOptions());
+    row.sliced = simr.run(wl, cfg.runOptions(), true);
+    row.limit = simr.runBaseline(wl, limitOptions(wl, cfg.runOptions()));
     return row;
 }
 
@@ -151,10 +107,8 @@ runTable4Row(const MachineConfig &machine, const std::string &benchmark,
     Simulator simr(machine);
     Table4Row row;
     row.program = benchmark;
-    row.base =
-        cachedRun(machine, simr, wl, cfg, cfg.runOptions(), false);
-    row.sliced =
-        cachedRun(machine, simr, wl, cfg, cfg.runOptions(), true);
+    row.base = simr.runBaseline(wl, cfg.runOptions());
+    row.sliced = simr.run(wl, cfg.runOptions(), true);
     row.speedupPercent = speedupPct(row.base, row.sliced);
     if (row.speedupPercent < min_speedup_pct)
         return std::nullopt;
@@ -186,10 +140,8 @@ runTable4Row(const MachineConfig &machine, const std::string &benchmark,
     RunOptions bo = cfg.runOptions();
     for (Addr pc : wl.coveredBranchPcs())
         bo.perfect.branchPcs.insert(pc);
-    double ld = speedupPct(row.base,
-                           cachedRun(machine, simr, wl, cfg, lo, false));
-    double br = speedupPct(row.base,
-                           cachedRun(machine, simr, wl, cfg, bo, false));
+    double ld = speedupPct(row.base, simr.runBaseline(wl, lo));
+    double br = speedupPct(row.base, simr.runBaseline(wl, bo));
     row.loadFraction = (ld + br) > 0.01 ? ld / (ld + br) : 0.0;
 
     return row;

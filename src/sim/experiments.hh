@@ -20,22 +20,12 @@
 namespace specslice::sim
 {
 
-class ResultCache;
-
 /** Common run-length knobs for all experiments. */
 struct ExperimentConfig
 {
     std::uint64_t measureInsts = 300'000;
     std::uint64_t warmupInsts = 100'000;
     std::uint64_t seed = 1;
-    /**
-     * Optional content-addressed result store (bench --cache DIR,
-     * specslice_verify --cache DIR). When set, every
-     * experiment-library simulation goes through cachedRun: a hit
-     * restores the full RunResult without simulating, a miss runs and
-     * commits. Not owned.
-     */
-    ResultCache *cache = nullptr;
 
     std::uint64_t
     workloadScale() const
@@ -53,16 +43,6 @@ struct ExperimentConfig
         return o;
     }
 };
-
-/**
- * Run `wl` on `simr` (built from `machine`) — or serve the result from
- * cfg.cache when an entry keyed by (workload, machine, opts, slices,
- * binary) exists. A corrupt cached payload is re-simulated, never
- * served. With cfg.cache unset this is exactly simr.run/runBaseline.
- */
-RunResult cachedRun(const MachineConfig &machine, Simulator &simr,
-                    const Workload &wl, const ExperimentConfig &cfg,
-                    const RunOptions &opts, bool with_slices);
 
 /** Build the named workload at the experiment's scale/seed. */
 Workload buildBenchWorkload(const std::string &name,
@@ -116,8 +96,8 @@ Figure11Row runFigure11Row(const MachineConfig &machine,
                            const std::string &benchmark,
                            const ExperimentConfig &cfg);
 
-/** Run options that magically perfect the slice-covered PCs. */
-RunOptions limitOptions(const Workload &wl, const ExperimentConfig &cfg);
+/** opts, extended to magically perfect the slice-covered PCs. */
+RunOptions limitOptions(const Workload &wl, RunOptions opts);
 
 // ---------------------------------------------------------------
 // Table 4: detailed base vs base+slices characterization.

@@ -1,7 +1,5 @@
 #include "sim/result_json.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "obs/interval.hh"
 #include "sim/simulator.hh"
@@ -10,7 +8,6 @@ namespace specslice::sim
 {
 
 using json::JsonObject;
-using json::Value;
 using json::jsonArray;
 
 check::Digest::Section
@@ -68,7 +65,7 @@ perfRecord(const WorkloadPerf &p)
         .field("outcome", std::string(outcomeName(p.result.outcome)));
     if (p.result.faultsInjected) {
         o.field("faults_injected", p.result.faultsInjected)
-            .field("fault_summary", p.result.faultSummary);
+            .field("fault_summary", p.result.faultSummary());
     }
     if (p.result.sampledRegions) {
         o.field("fast_forwarded", p.result.fastForwarded)
@@ -157,228 +154,6 @@ errorDocument(const std::string &workload, std::uint64_t seed,
         .field("seed", seed)
         .raw("error", err.str());
     return doc.str();
-}
-
-namespace
-{
-
-SimOutcome
-outcomeFromName(const std::string &name)
-{
-    for (SimOutcome o :
-         {SimOutcome::Completed, SimOutcome::CycleLimit,
-          SimOutcome::Watchdog, SimOutcome::CheckerDivergence,
-          SimOutcome::Fault}) {
-        if (name == outcomeName(o))
-            return o;
-    }
-    return SimOutcome::Fault;
-}
-
-/** The named RunResult counters, in emission order. One table drives
- *  both directions so a field can't be written and then dropped on
- *  read-back. */
-struct CounterField
-{
-    const char *key;
-    std::uint64_t RunResult::*member;
-};
-
-constexpr CounterField counterFields[] = {
-    {"faults_injected", &RunResult::faultsInjected},
-    {"main_retired", &RunResult::mainRetired},
-    {"main_fetched", &RunResult::mainFetched},
-    {"main_fetched_wrong_path", &RunResult::mainFetchedWrongPath},
-    {"slice_fetched", &RunResult::sliceFetched},
-    {"slice_retired", &RunResult::sliceRetired},
-    {"cond_branches", &RunResult::condBranches},
-    {"mispredictions", &RunResult::mispredictions},
-    {"loads", &RunResult::loads},
-    {"l1d_misses_main", &RunResult::l1dMissesMain},
-    {"covered_misses", &RunResult::coveredMisses},
-    {"slice_prefetches", &RunResult::slicePrefetches},
-    {"forks", &RunResult::forks},
-    {"forks_squashed", &RunResult::forksSquashed},
-    {"forks_ignored", &RunResult::forksIgnored},
-    {"predictions_generated", &RunResult::predictionsGenerated},
-    {"correlator_used", &RunResult::correlatorUsed},
-    {"correlator_wrong", &RunResult::correlatorWrong},
-    {"late_predictions", &RunResult::latePredictions},
-    {"late_reversals", &RunResult::lateReversals},
-    {"fast_forwarded", &RunResult::fastForwarded},
-    {"checked_retired", &RunResult::checkedRetired},
-};
-
-std::string
-intervalsRecordJson(const std::vector<obs::IntervalRecord> &records)
-{
-    return obs::intervalsToJson(records);
-}
-
-bool
-intervalsFromJson(const Value &arr,
-                  std::vector<obs::IntervalRecord> &out)
-{
-    if (!arr.isArray())
-        return false;
-    out.clear();
-    out.reserve(arr.items.size());
-    for (const Value &e : arr.items) {
-        if (!e.isObject())
-            return false;
-        obs::IntervalRecord r;
-        r.index = e.getU64("interval");
-        r.startCycle = e.getU64("start_cycle");
-        r.endCycle = e.getU64("end_cycle");
-        r.retired = e.getU64("retired");
-        r.loads = e.getU64("loads");
-        r.l1dMisses = e.getU64("l1d_misses");
-        r.l2Misses = e.getU64("l2_misses");
-        r.condBranches = e.getU64("cond_branches");
-        r.mispredictions = e.getU64("mispredictions");
-        r.forks = e.getU64("forks");
-        r.predsGenerated = e.getU64("preds_generated");
-        r.predsBound = e.getU64("preds_bound");
-        r.predsUsed = e.getU64("preds_used");
-        r.predsKilled = e.getU64("preds_killed");
-        out.push_back(r);
-    }
-    return true;
-}
-
-std::string
-profileToJson(const core::PcProfile &profile)
-{
-    // Deterministic order: sort by PC (the map is unordered).
-    std::vector<std::pair<Addr, core::PcProfile::Counts>> rows(
-        profile.perPc.begin(), profile.perPc.end());
-    std::sort(rows.begin(), rows.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    std::vector<std::string> elems;
-    elems.reserve(rows.size());
-    for (const auto &[pc, c] : rows) {
-        JsonObject o;
-        o.field("pc", std::uint64_t{pc})
-            .field("branch_exec", c.branchExec)
-            .field("branch_mispred", c.branchMispred)
-            .field("load_exec", c.loadExec)
-            .field("load_miss", c.loadMiss)
-            .field("store_exec", c.storeExec)
-            .field("store_miss", c.storeMiss);
-        elems.push_back(o.str());
-    }
-    return jsonArray(elems);
-}
-
-bool
-profileFromJson(const Value &arr, core::PcProfile &out)
-{
-    if (!arr.isArray())
-        return false;
-    out.perPc.clear();
-    for (const Value &e : arr.items) {
-        if (!e.isObject())
-            return false;
-        core::PcProfile::Counts c;
-        c.branchExec = e.getU64("branch_exec");
-        c.branchMispred = e.getU64("branch_mispred");
-        c.loadExec = e.getU64("load_exec");
-        c.loadMiss = e.getU64("load_miss");
-        c.storeExec = e.getU64("store_exec");
-        c.storeMiss = e.getU64("store_miss");
-        out.perPc.emplace(static_cast<Addr>(e.getU64("pc")), c);
-    }
-    return true;
-}
-
-} // namespace
-
-std::string
-resultToJson(const RunResult &r)
-{
-    JsonObject o;
-    o.field("outcome", std::string(outcomeName(r.outcome)));
-    if (!r.diagnosis.empty())
-        o.field("diagnosis", r.diagnosis);
-    if (!r.faultSummary.empty())
-        o.field("fault_summary", r.faultSummary);
-    o.field("cycles", r.cycles);
-    for (const CounterField &f : counterFields)
-        o.field(f.key, r.*(f.member));
-    o.field("sampled_regions", std::uint64_t{r.sampledRegions});
-    if (r.checkDiverged) {
-        o.field("check_diverged", std::uint64_t{1})
-            .field("check_report", r.checkReport);
-    }
-
-    std::vector<std::string> detail;
-    for (const auto &[name, stat] : r.detail.counters()) {
-        detail.push_back(JsonObject()
-                             .field("name", name)
-                             .field("value", stat.value())
-                             .str());
-    }
-    if (!detail.empty())
-        o.raw("detail", jsonArray(detail));
-    if (!r.intervals.empty())
-        o.raw("intervals", intervalsRecordJson(r.intervals));
-    if (!r.profile.perPc.empty())
-        o.raw("profile", profileToJson(r.profile));
-    return o.str();
-}
-
-bool
-resultFromJson(const Value &doc, RunResult &out, std::string &error)
-{
-    if (!doc.isObject()) {
-        error = "result document is not an object";
-        return false;
-    }
-    const Value *outcome = doc.get("outcome");
-    if (!outcome || !outcome->isString()) {
-        error = "result document lacks an outcome";
-        return false;
-    }
-    out = RunResult();
-    out.outcome = outcomeFromName(outcome->str);
-    out.diagnosis = doc.getStr("diagnosis");
-    out.faultSummary = doc.getStr("fault_summary");
-    out.cycles = doc.getU64("cycles");
-    for (const CounterField &f : counterFields)
-        out.*(f.member) = doc.getU64(f.key);
-    out.sampledRegions =
-        static_cast<unsigned>(doc.getU64("sampled_regions"));
-    out.checkDiverged = doc.getU64("check_diverged") != 0;
-    out.checkReport = doc.getStr("check_report");
-
-    if (const Value *detail = doc.get("detail")) {
-        if (!detail->isArray()) {
-            error = "detail is not an array";
-            return false;
-        }
-        for (const Value &e : detail->items) {
-            if (!e.isObject() || !e.get("name")) {
-                error = "malformed detail entry";
-                return false;
-            }
-            out.detail.set(e.getStr("name"), e.getU64("value"));
-        }
-    }
-    if (const Value *iv = doc.get("intervals")) {
-        if (!intervalsFromJson(*iv, out.intervals)) {
-            error = "malformed intervals array";
-            return false;
-        }
-    }
-    if (const Value *prof = doc.get("profile")) {
-        if (!profileFromJson(*prof, out.profile)) {
-            error = "malformed profile array";
-            return false;
-        }
-    }
-    return true;
 }
 
 } // namespace specslice::sim

@@ -1,20 +1,9 @@
 /**
  * @file
- * RunResult <-> JSON.
- *
- * Two kinds of documents share this file:
- *
- *  - The per-workload *record* (perfRecord) and the specslice_run
- *    --json document built from it (perfDocument): the stable,
- *    human-facing rows emitted by specslice_run --json and
- *    BENCH_*.json.
- *
- *  - The *full* result document (resultToJson/resultFromJson): a
- *    lossless round-trip of RunResult used as the result-cache
- *    payload. It carries every named counter, the detail StatGroup,
- *    intervals, the per-PC profile, and checker/sampling provenance,
- *    so a cache hit is indistinguishable from a fresh simulation to
- *    every consumer.
+ * RunResult -> JSON: the per-workload *record* (perfRecord) and the
+ * specslice_run --json document built from it (perfDocument), the
+ * stable, human-facing rows emitted by specslice_run --json and
+ * BENCH_*.json, plus the golden-digest section of a finished run.
  */
 
 #ifndef SPECSLICE_SIM_RESULT_JSON_HH
@@ -106,17 +95,6 @@ std::string errorDocument(const std::string &workload,
  */
 check::Digest::Section digestSection(const std::string &config,
                                      const RunResult &r);
-
-/** Render a RunResult as a lossless single-line JSON object. */
-std::string resultToJson(const RunResult &r);
-
-/**
- * Rebuild a RunResult from resultToJson output. @return false (and
- * set error) on a structurally unusable document; unknown fields are
- * ignored so newer writers stay readable.
- */
-bool resultFromJson(const json::Value &doc, RunResult &out,
-                    std::string &error);
 
 } // namespace specslice::sim
 

@@ -59,8 +59,8 @@ accumulate(RunResult &agg, RunResult &&r)
         agg.diagnosis = r.diagnosis;
     }
     agg.faultsInjected += r.faultsInjected;
-    if (agg.faultSummary.empty())
-        agg.faultSummary = std::move(r.faultSummary);
+    for (std::size_t i = 0; i < fault::numSites; ++i)
+        agg.faultsBySite[i] += r.faultsBySite[i];
     agg.cycles += r.cycles;
     agg.mainRetired += r.mainRetired;
     agg.mainFetched += r.mainFetched;
@@ -151,8 +151,8 @@ Simulator::runOne(const Workload &wl, const RunOptions &opts,
     // therefore get one per job): a fresh reference memory image built
     // by the same initializer the timing core's image got, stepping
     // from the same entry PC — or, for a region run, from the same
-    // architectural snapshot.
-    RunOptions run_opts = opts;
+    // architectural snapshot. The core gets only its half of opts.
+    core::RunOptions run_opts = opts;
     if (region) {
         run_opts.initialRegs = &region->regs;
         run_opts.branchWarmth =
@@ -166,11 +166,10 @@ Simulator::runOne(const Workload &wl, const RunOptions &opts,
     std::unique_ptr<check::RetireChecker> checker;
     bool want_check = opts.check || checkForcedByEnv();
 
-    // The check.* injection sites are the fault-registry spelling of
-    // the two legacy checker knobs: corrupt the Nth observed register
+    // The check.* injection sites corrupt the Nth observed register
     // writeback / store before comparison (@nN, one-shot semantics).
-    std::uint64_t inject_reg = opts.checkInjectRegFault;
-    std::uint64_t inject_store = opts.checkInjectStoreFault;
+    std::uint64_t inject_reg = 0;
+    std::uint64_t inject_store = 0;
     for (const fault::FaultSpec &spec : opts.faults.specs) {
         if (spec.site == fault::Site::CheckReg)
             inject_reg = spec.period;

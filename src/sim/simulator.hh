@@ -18,6 +18,8 @@
 #ifndef SPECSLICE_SIM_SIMULATOR_HH
 #define SPECSLICE_SIM_SIMULATOR_HH
 
+#include <string>
+
 #include "common/failure.hh"
 #include "core/smt_core.hh"
 #include "sim/workload.hh"
@@ -26,7 +28,6 @@ namespace specslice::sim
 {
 
 using MachineConfig = core::CoreConfig;
-using RunOptions = core::RunOptions;
 using RunResult = core::RunResult;
 using SimOutcome = core::SimOutcome;
 using core::outcomeName;
@@ -34,6 +35,64 @@ using core::outcomeName;
  *  (defined in common/failure.hh; aliased here as the sim-facade
  *  name tools catch around Simulator::run). */
 using SimError = specslice::SimError;
+
+/**
+ * Options for one Simulator::run: what the core reads (the base), plus
+ * the checker flags, sampling knobs and checkpoint paths the simulator
+ * interprets. runOne hands the core only its own half.
+ */
+struct RunOptions : core::RunOptions
+{
+    RunOptions() = default;
+    /** These core options, every simulator knob at its default. */
+    RunOptions(const core::RunOptions &core) : core::RunOptions(core) {}
+
+    // ---- checking (the simulator builds one checker per run) ----
+    /** Co-simulate with the retirement checker (also forced on for
+     *  every run by SS_CHECK=1 in the environment). */
+    bool check = false;
+    /** SS_FATAL with the first-divergence report the moment a
+     *  divergence is detected. When false the divergence is latched
+     *  into RunResult instead (used by the injected-fault tests). */
+    bool checkFatal = true;
+
+    // ---- sampling (the simulator owns the fast-forward engine and
+    //      region orchestration) ----
+    /**
+     * Functionally fast-forward to this absolute instruction count
+     * (from the workload entry) before the first timing region.
+     * Warm-up (warmupInstructions) and measurement
+     * (maxMainInstructions) then run in detail from that point.
+     */
+    std::uint64_t fastForwardInstructions = 0;
+    /**
+     * Number of detailed timing regions to sample and aggregate
+     * (0 or 1 = a single region). Each region runs warm-up + measure
+     * instructions on a snapshot of the architectural state; between
+     * regions the fast-forward engine advances sampleStride
+     * instructions along the pristine architectural stream.
+     */
+    unsigned sampleRegions = 0;
+    /** Instructions between region starts (0 = contiguous: warm-up +
+     *  measure, i.e. the next region starts where this one ended). */
+    std::uint64_t sampleStride = 0;
+    /** Replay fast-forward branch history into each region's predictor
+     *  (disable to measure cold-start bias). */
+    bool warmPredictors = true;
+    /** Replay fast-forward data accesses into each region's cache
+     *  hierarchy (disable to measure cold-cache bias). */
+    bool warmCaches = true;
+    /** Replay fast-forward instruction lines into each region's L1I
+     *  (--cold-icache disables it, the i-side analogue of the two
+     *  flags above). */
+    bool warmInstCache = true;
+    /** Load the starting architectural state from this checkpoint file
+     *  ("" = start at the workload entry). */
+    std::string restoreCheckpoint;
+    /** After fast-forwarding, save the pre-region architectural state
+     *  here ("" = don't). */
+    std::string saveCheckpoint;
+};
 
 class Simulator
 {

@@ -127,7 +127,8 @@ TEST_P(SteadyStateAllocations, PerFetchedInstruction)
     cfg.measureInsts = longInsts;
     const sim::Workload wl = sim::buildBenchWorkload(name, cfg);
     sim::RunOptions opts =
-        mode == "limit" ? sim::limitOptions(wl, cfg) : cfg.runOptions();
+        mode == "limit" ? sim::limitOptions(wl, cfg.runOptions())
+                        : cfg.runOptions();
     const bool with_slices = mode == "slices";
 
     // A first run absorbs one-time process set-up (static tables,

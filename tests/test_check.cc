@@ -6,8 +6,8 @@
  * records to prove each divergence kind is caught at exactly the
  * corrupted instruction; integration tests run real workloads under
  * sim::Simulator with checking on, including the mutation-style
- * injected-fault knobs; digest tests cover the format round-trip,
- * diff tolerance rules, and the lint.
+ * check.reg / check.store fault sites; digest tests cover the format
+ * round-trip, diff tolerance rules, and the lint.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "arch/exec.hh"
 #include "check/checker.hh"
 #include "check/digest.hh"
+#include "fault/fault.hh"
 #include "isa/assembler.hh"
 #include "isa/program.hh"
 #include "sim/simulator.hh"
@@ -348,7 +349,10 @@ TEST(CheckIntegration, InjectedRegFaultDetectedAndReported)
     sim::Simulator machine(sim::MachineConfig::fourWide());
 
     auto opts = checkedOpts(5000, 0);
-    opts.checkInjectRegFault = 1000;
+    std::string err;
+    ASSERT_TRUE(fault::FaultPlan::parse("check.reg@n1000", opts.faults,
+                                        err))
+        << err;
     auto res = machine.run(wl, opts, true);
     EXPECT_TRUE(res.checkDiverged);
     EXPECT_NE(res.checkReport.find("register-writeback"),
@@ -369,7 +373,10 @@ TEST(CheckIntegration, InjectedStoreFaultDetected)
     sim::Simulator machine(sim::MachineConfig::fourWide());
 
     auto opts = checkedOpts(5000, 0);
-    opts.checkInjectStoreFault = 50;
+    std::string err;
+    ASSERT_TRUE(fault::FaultPlan::parse("check.store@n50", opts.faults,
+                                        err))
+        << err;
     auto res = machine.runBaseline(wl, opts);
     EXPECT_TRUE(res.checkDiverged);
     EXPECT_NE(res.checkReport.find("store-data"), std::string::npos)

@@ -75,7 +75,7 @@ fingerprint(const sim::RunResult &r)
     os << r.cycles << ' ' << r.mainRetired << ' ' << r.mispredictions
        << ' ' << r.l1dMissesMain << ' ' << r.forks << ' '
        << r.correlatorUsed << ' ' << r.faultsInjected << ' '
-       << r.faultSummary << '\n';
+       << r.faultSummary() << '\n';
     r.detail.dump(os);
     return os.str();
 }
@@ -112,66 +112,10 @@ TEST(FaultPlanParse, EverySiteRoundTrips)
     for (const char *spec :
          {"mem.latency@p0.5", "mem.wbstall@p1", "slice.kill:1@n2",
           "pred.flip@p0.001", "corr.drop@n3", "check.reg@n5",
-          "check.store@n7", "cache.enospc@p0.5", "cache.flip@n4"}) {
+          "check.store@n7"}) {
         fault::FaultPlan plan = mustParse(spec);
         ASSERT_EQ(plan.specs.size(), 1u) << spec;
     }
-}
-
-TEST(FaultPlanParse, ServiceSitesAreClassified)
-{
-    // The result cache owns the cache.* sites; the simulator owns the
-    // rest. A plan armed on simulation runs is parsed with
-    // parseSimPlan, which rejects cache sites instead of accepting a
-    // fault that would never fire.
-    EXPECT_FALSE(fault::isServiceSite(fault::Site::MemLatency));
-    EXPECT_FALSE(fault::isServiceSite(fault::Site::CheckStore));
-    EXPECT_TRUE(fault::isServiceSite(fault::Site::CacheEnospc));
-    EXPECT_TRUE(fault::isServiceSite(fault::Site::CacheFlip));
-
-    fault::FaultPlan plan;
-    std::string err;
-    EXPECT_TRUE(fault::FaultPlan::parseSimPlan("mem.latency@p0.1",
-                                               plan, err))
-        << err;
-    EXPECT_EQ(plan.specs.size(), 1u);
-
-    for (const char *spec :
-         {"cache.enospc@n1", "mem.latency@p0.1,cache.flip@n2"}) {
-        err.clear();
-        EXPECT_FALSE(fault::FaultPlan::parseSimPlan(spec, plan, err))
-            << spec;
-        EXPECT_NE(err.find("cache."), std::string::npos) << err;
-        EXPECT_NE(err.find("simulator sites only"), std::string::npos)
-            << err;
-    }
-
-    // Grammar errors still come from parse().
-    EXPECT_FALSE(fault::FaultPlan::parseSimPlan("nosite@p0.5", plan,
-                                                err));
-    EXPECT_NE(err.find("unknown fault site"), std::string::npos);
-}
-
-TEST(FaultInjection, ServiceInjectorSingletonFiresDeterministically)
-{
-    // No injector installed: every service tap is a cheap no-op.
-    fault::setServiceInjector(nullptr);
-    EXPECT_FALSE(fault::serviceFire(fault::Site::CacheFlip));
-
-    fault::FaultPlan plan = mustParse("cache.flip@n3", 11);
-    fault::Injector inj(plan);
-    fault::setServiceInjector(&inj);
-    std::vector<bool> fired;
-    for (int i = 0; i < 9; ++i)
-        fired.push_back(fault::serviceFire(fault::Site::CacheFlip));
-    // A site the plan does not arm never fires.
-    EXPECT_FALSE(fault::serviceFire(fault::Site::CacheEnospc));
-    fault::setServiceInjector(nullptr);
-
-    // @n3 fires on every 3rd event.
-    std::vector<bool> expect = {false, false, true, false, false,
-                                true,  false, false, true};
-    EXPECT_EQ(fired, expect);
 }
 
 TEST(FaultPlanParse, EmptySpecIsNoInjection)

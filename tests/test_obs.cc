@@ -432,7 +432,7 @@ TEST(SimulatorTrace, SampledRunEmitsOneSpanPerRegion)
     sim::Simulator simr(sim::MachineConfig::fourWide());
 
     obs::EventBuffer events(1u << 20);
-    core::RunOptions opts;
+    sim::RunOptions opts;
     opts.maxMainInstructions = 10'000;
     opts.warmupInstructions = 4'000;
     opts.fastForwardInstructions = 20'000;
@@ -477,7 +477,7 @@ TEST(IntervalStats, WindowDeltasTileSampledRegions)
     auto wl = workloads::buildVpr(p);
     sim::Simulator simr(sim::MachineConfig::fourWide());
 
-    core::RunOptions opts;
+    sim::RunOptions opts;
     opts.maxMainInstructions = 10'000;
     opts.warmupInstructions = 4'000;
     opts.fastForwardInstructions = 20'000;

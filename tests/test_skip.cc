@@ -39,7 +39,7 @@ plan(const std::string &spec)
 {
     fault::FaultPlan p;
     std::string err;
-    EXPECT_TRUE(fault::FaultPlan::parseSimPlan(spec, p, err)) << err;
+    EXPECT_TRUE(fault::FaultPlan::parse(spec, p, err)) << err;
     p.seed = 1;
     return p;
 }
@@ -63,7 +63,7 @@ expectStepEquivalent(const sim::MachineConfig &machine,
     EXPECT_EQ(skipping.cycles, stepped.cycles);
     EXPECT_EQ(skipping.totalCycles, stepped.totalCycles);
     EXPECT_EQ(skipping.outcome, stepped.outcome);
-    EXPECT_EQ(skipping.faultSummary, stepped.faultSummary);
+    EXPECT_EQ(skipping.faultsBySite, stepped.faultsBySite);
     EXPECT_EQ(skipping.diagnosis, stepped.diagnosis);
     return skipping;
 }
@@ -94,7 +94,8 @@ TEST_P(SkipEquivalence, MatchesSteppedRun)
     const sim::ExperimentConfig cfg = shortRuns();
     const sim::Workload wl = sim::buildBenchWorkload(name, cfg);
     const sim::RunOptions opts =
-        mode == "limit" ? sim::limitOptions(wl, cfg) : cfg.runOptions();
+        mode == "limit" ? sim::limitOptions(wl, cfg.runOptions())
+                        : cfg.runOptions();
     expectStepEquivalent(sim::MachineConfig::fourWide(), wl, opts,
                          mode == "slices");
 }

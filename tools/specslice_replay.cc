@@ -501,7 +501,6 @@ runSim(const Options &o)
     opts.maxMainInstructions = insts;
     opts.warmupInstructions = warmup;
     opts.check = true;
-    opts.traceFile = o.traceFile;
     if (haveGolden) {
         opts.fastForwardInstructions = golden.fastforward;
         opts.sampleRegions = static_cast<unsigned>(golden.regions);

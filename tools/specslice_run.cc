@@ -373,7 +373,7 @@ main(int argc, char **argv)
     fault::FaultPlan plan;
     {
         std::string perr;
-        if (!fault::FaultPlan::parseSimPlan(inject_spec, plan, perr)) {
+        if (!fault::FaultPlan::parse(inject_spec, plan, perr)) {
             std::fprintf(stderr, "error: %s\n%s", perr.c_str(),
                          fault::FaultPlan::grammarHelp().c_str());
             return 2;
@@ -431,7 +431,6 @@ main(int argc, char **argv)
 
     sim::Simulator machine(cfg);
     sim::RunOptions opts;
-    opts.traceFile = o.traceFile;
     opts.maxMainInstructions = o.insts;
     opts.warmupInstructions = o.warmup;
     opts.maxCycles = o.maxCycles;
@@ -506,31 +505,11 @@ main(int argc, char **argv)
     std::vector<bench::WorkloadPerf> runs;
     sim::RunResult result;
     if (o.limit) {
-        sim::ExperimentConfig ecfg;
-        ecfg.measureInsts = o.insts;
-        ecfg.warmupInsts = o.warmup;
-        ecfg.seed = o.seed;
-        auto lo = sim::limitOptions(wl, ecfg);
-        lo.profile = o.profile;
-        lo.check = o.check;
-        lo.maxCycles = opts.maxCycles;
-        lo.watchdogCycles = opts.watchdogCycles;
-        lo.watchdogEnabled = opts.watchdogEnabled;
-        lo.faults = opts.faults;
-        lo.intervalCycles = opts.intervalCycles;
-        lo.intervalSink = opts.intervalSink;
-        lo.fastForwardInstructions = opts.fastForwardInstructions;
-        lo.sampleRegions = opts.sampleRegions;
-        lo.sampleStride = opts.sampleStride;
-        lo.warmPredictors = opts.warmPredictors;
-        lo.warmCaches = opts.warmCaches;
-        lo.warmInstCache = opts.warmInstCache;
-        lo.saveCheckpoint = opts.saveCheckpoint;
-        lo.restoreCheckpoint = opts.restoreCheckpoint;
-        lo.events = events.get();
+        opts.events = events.get();
         try {
             ScopedThrowErrors throwing;
-            runs.push_back(timedRun("limit", machine, wl, lo, false));
+            runs.push_back(timedRun("limit", machine, wl,
+                                    sim::limitOptions(wl, opts), false));
         } catch (const SimError &e) {
             return simFailure(SimError::kindName(e.kind()), e.what());
         }
@@ -611,7 +590,7 @@ main(int argc, char **argv)
             for (const auto &p : runs)
                 std::printf("faults[%s]: %s\n", p.name.c_str(),
                             p.result.faultsInjected
-                                ? p.result.faultSummary.c_str()
+                                ? p.result.faultSummary().c_str()
                                 : "(armed, none fired)");
         }
         if (checked) {

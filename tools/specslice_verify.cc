@@ -38,7 +38,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <memory>
 #include <fstream>
 #include <map>
 #include <set>
@@ -50,10 +49,7 @@
 #include "check/digest.hh"
 #include "common/logging.hh"
 #include "fault/fault.hh"
-#include "sim/experiments.hh"
 #include "sim/job_pool.hh"
-#include "sim/result_cache.hh"
-#include "sim/run_key.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
@@ -83,9 +79,6 @@ struct Options
     std::vector<std::string> workloads;  ///< empty = all (+ coverage)
     RunParams params;
     unsigned jobs = 0;  ///< 0 = SS_JOBS or hardware concurrency
-    /** Checkpoint cache dir: first run per workload saves the
-     *  fast-forward state, later runs restore it (empty = off). */
-    std::string checkpoints;
     bool check = true;
     bool verbose = false;
     bool json = false;            ///< sweep summary JSON on stdout
@@ -128,18 +121,6 @@ usage(int code)
         "                    warmup+insts each (recorded in digest)\n"
         "  --sample-stride N generate: instructions between region\n"
         "                    starts (default warmup+insts)\n"
-        "  --checkpoints DIR cache the fast-forward state per workload\n"
-        "                    (first run saves DIR/<name>-<key>.ckpt,\n"
-        "                    later runs restore instead of\n"
-        "                    re-executing; the key covers workload,\n"
-        "                    seed, fast-forward depth, and binary, so\n"
-        "                    a stale checkpoint is never restored)\n"
-        "  --cache DIR       incremental verify: serve runs from the\n"
-        "                    content-addressed result cache in DIR\n"
-        "                    (default $SS_CACHE_DIR; unset = off),\n"
-        "                    simulate only what it is missing (after\n"
-        "                    a no-op rebuild the whole sweep is\n"
-        "                    served)\n"
         "  --seed N          workload seed (generate; 1)\n"
         "  --width 4|8       machine width (generate; 4)\n"
         "  --threads N       SMT contexts (generate; 4)\n"
@@ -157,7 +138,7 @@ parsePlanOrDie(const std::string &spec)
 {
     fault::FaultPlan plan;
     std::string err;
-    if (!fault::FaultPlan::parseSimPlan(spec, plan, err)) {
+    if (!fault::FaultPlan::parse(spec, plan, err)) {
         std::fprintf(stderr, "error: %s\n%s", err.c_str(),
                      fault::FaultPlan::grammarHelp().c_str());
         std::exit(2);
@@ -224,12 +205,6 @@ parseArgs(int argc, char **argv)
             o.params.stride = bench::countOption(a, next());
             if (o.params.stride == 0)
                 usage(2);
-        } else if (a == "--checkpoints") {
-            o.checkpoints = next();
-        } else if (a == "--cache" || a.rfind("--cache=", 0) == 0) {
-            // Opened by bench::openCacheOption in main().
-            if (a == "--cache")
-                next();
         } else if (a == "--seed") {
             o.params.seed = bench::countOption(a, next());
         } else if (a == "--width") {
@@ -297,14 +272,10 @@ struct LiveRun
     std::string faultSummary;
 };
 
-/** Run one workload in both configurations and digest the results.
- *  With a result cache, runs the cache already holds are served
- *  without simulating (incremental --cache verify). */
+/** Run one workload in both configurations and digest the results. */
 LiveRun
 buildLiveRun(const std::string &name, const RunParams &p, bool check,
-             const fault::FaultPlan &plan,
-             const std::string &ckpt_dir = {},
-             sim::ResultCache *cache = nullptr)
+             const fault::FaultPlan &plan)
 {
     // The workload must outlast the whole sampling span; with no
     // sampling this reduces to the historical (insts + warmup) * 2.
@@ -339,38 +310,6 @@ buildLiveRun(const std::string &name, const RunParams &p, bool check,
     opts.sampleRegions = p.regions;
     opts.sampleStride = p.stride;
 
-    // Checkpoint cache: whoever runs this workload first pays for the
-    // fast-forward and saves the state; every later run (the second
-    // config here, or a whole future sweep) restores it. The sweep is
-    // parallel across *workloads* only, so the file is never raced.
-    // The filename embeds checkpointCacheKey (workload identity, data
-    // seed, fast-forward depth, binary fingerprint), so a checkpoint
-    // from a different binary or parameterization is never restored —
-    // it simply isn't found, and a fresh one is saved.
-    //
-    // With a result cache the checkpoint machinery is bypassed
-    // entirely: served runs skip the fast-forward anyway, and keeping
-    // checkpoint paths out of the run options keeps the cache key for
-    // a given configuration stable across passes (first pass would
-    // otherwise save, second restore — two different keys).
-    std::string ckpt;
-    if (!ckpt_dir.empty() && !cache)
-        ckpt = (std::filesystem::path(ckpt_dir) /
-                (name + "-" +
-                 sim::checkpointCacheKey(wl, p.seed, p.fastforward) +
-                 ".ckpt"))
-                   .string();
-    auto optsFor = [&](bool first) {
-        sim::RunOptions per = opts;
-        if (!ckpt.empty()) {
-            if (first && !std::filesystem::exists(ckpt))
-                per.saveCheckpoint = ckpt;
-            else
-                per.restoreCheckpoint = ckpt;
-        }
-        return per;
-    };
-
     LiveRun live;
     live.digest.workload = name;
     live.digest.insts = p.insts;
@@ -392,26 +331,16 @@ buildLiveRun(const std::string &name, const RunParams &p, bool check,
             live.checkReport = r.checkReport;
         }
         live.faultsInjected += r.faultsInjected;
-        if (!r.faultSummary.empty()) {
+        if (r.faultsInjected) {
             if (!live.faultSummary.empty())
                 live.faultSummary += "; ";
             live.faultSummary += config;
             live.faultSummary += ": ";
-            live.faultSummary += r.faultSummary;
+            live.faultSummary += r.faultSummary();
         }
     };
-    if (cache) {
-        sim::ExperimentConfig ecfg;
-        ecfg.seed = p.seed;
-        ecfg.cache = cache;
-        absorb("baseline",
-               sim::cachedRun(cfg, machine, wl, ecfg, opts, false));
-        absorb("slices",
-               sim::cachedRun(cfg, machine, wl, ecfg, opts, true));
-    } else {
-        absorb("baseline", machine.runBaseline(wl, optsFor(true)));
-        absorb("slices", machine.run(wl, optsFor(false), true));
-    }
+    absorb("baseline", machine.runBaseline(wl, opts));
+    absorb("slices", machine.run(wl, opts, true));
     return live;
 }
 
@@ -431,8 +360,7 @@ struct Outcome
 };
 
 Outcome
-verifyWorkload(const std::string &name, const Options &o,
-               sim::ResultCache *cache)
+verifyWorkload(const std::string &name, const Options &o)
 {
     Outcome out;
     out.name = name;
@@ -466,8 +394,7 @@ verifyWorkload(const std::string &name, const Options &o,
     p.stride = golden->stride;
 
     const fault::FaultPlan &plan = planFor(name, o);
-    LiveRun live =
-        buildLiveRun(name, p, o.check, plan, o.checkpoints, cache);
+    LiveRun live = buildLiveRun(name, p, o.check, plan);
 
     if (plan.empty()) {
         out.messages = check::diffDigests(*golden, live.digest);
@@ -513,15 +440,12 @@ verifyWorkload(const std::string &name, const Options &o,
 }
 
 Outcome
-generateWorkload(const std::string &name, const Options &o,
-                 sim::ResultCache *cache)
+generateWorkload(const std::string &name, const Options &o)
 {
     Outcome out;
     out.name = name;
-    check::Digest d = buildLiveRun(name, o.params, o.check,
-                                   fault::FaultPlan{}, o.checkpoints,
-                                   cache)
-                          .digest;
+    check::Digest d =
+        buildLiveRun(name, o.params, o.check, fault::FaultPlan{}).digest;
     for (std::string &msg : check::lintDigest(d)) {
         // A digest that fails its own lint must never reach golden/.
         out.messages.push_back("generated digest fails lint: " +
@@ -581,13 +505,6 @@ main(int argc, char **argv)
 
     if (o.generate)
         std::filesystem::create_directories(o.dir);
-    if (!o.checkpoints.empty())
-        std::filesystem::create_directories(o.checkpoints);
-
-    // --cache: one shared cache; ResultCache is thread-safe, so the
-    // JobPool workers hit it concurrently.
-    std::unique_ptr<sim::ResultCache> cache =
-        bench::openCacheOption(argc, argv);
 
     sim::JobPool pool(o.jobs);
     sim::SettleOptions sopts;
@@ -595,9 +512,8 @@ main(int argc, char **argv)
     auto settled = pool.mapSettled(
         names,
         [&](const std::string &name) {
-            return o.generate
-                       ? generateWorkload(name, o, cache.get())
-                       : verifyWorkload(name, o, cache.get());
+            return o.generate ? generateWorkload(name, o)
+                              : verifyWorkload(name, o);
         },
         sopts);
 
@@ -706,15 +622,6 @@ main(int argc, char **argv)
             .raw("coverage_errors", bench::jsonArray(cov))
             .field("ok_count", std::uint64_t{ok_count})
             .field("total", std::uint64_t{outcomes.size()});
-        if (cache) {
-            const sim::ResultCache::Stats &cs = cache->stats();
-            bench::JsonObject cj;
-            cj.field("dir", cache->dir())
-                .field("hits", cs.hits)
-                .field("misses", cs.misses)
-                .field("stores", cs.stores);
-            doc.raw("cache", cj.str());
-        }
         doc.raw("failed", failed ? "true" : "false");
         std::printf("%s\n", doc.str().c_str());
     } else {
@@ -724,13 +631,6 @@ main(int argc, char **argv)
                     o.generate ? "written" : "match",
                     o.check ? "retirement checker on"
                             : "retirement checker off");
-        if (cache) {
-            const sim::ResultCache::Stats &cs = cache->stats();
-            std::printf("cache %s: %llu served, %llu simulated\n",
-                        cache->dir().c_str(),
-                        static_cast<unsigned long long>(cs.hits),
-                        static_cast<unsigned long long>(cs.misses));
-        }
     }
     return failed ? 1 : 0;
 }
