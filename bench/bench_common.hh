@@ -61,6 +61,11 @@ namespace specslice::bench
  *       with this version; later, specslice_verify --json lost its
  *       "cache" block with --cache itself (no bump: the block only
  *       appeared under --cache, which is now a usage error)
+ *   7 — specslice_verify --json records lose "attempts" and the
+ *       "timeout" state (--deadline is gone); "wall_seconds" times
+ *       the whole verify job; the outcome "fault" is gone, and a
+ *       failed specslice_run --compare reports error kind "panic" or
+ *       "fatal" (was "failed")
  *
  * The constant itself lives in sim/result_json.hh so specslice_run
  * --json stamps the same version.

@@ -9,21 +9,14 @@
  * writes BENCH_simspeed.json — the artifact the `bench_smoke` ctest
  * target produces and perf claims are checked against.
  *
- * `bench_simspeed --gbench [google-benchmark args...]` instead runs
- * the original google-benchmark microbenchmarks (steady-state timing
- * of a few representative configurations).
- *
  * `--jobs N` parallelizes the sweep; the aggregate gains a
  * sweep_wall_seconds field measuring the whole batch end to end. Use
  * `--jobs 1` when the per-run insts/s numbers themselves are the
  * measurement (parallel runs time-share cores).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -35,79 +28,6 @@ using namespace specslice;
 
 namespace
 {
-
-// ---------------------------------------------------------------
-// google-benchmark microbenchmarks (--gbench)
-// ---------------------------------------------------------------
-
-void
-runWorkload(benchmark::State &state, const std::string &name,
-            bool with_slices)
-{
-    workloads::Params p;
-    p.scale = 120'000;
-    auto wl = workloads::buildWorkload(name, p);
-    sim::Simulator simr(sim::MachineConfig::fourWide());
-
-    sim::RunOptions opts;
-    opts.maxMainInstructions = 50'000;
-
-    std::uint64_t insts = 0;
-    for (auto _ : state) {
-        auto res = simr.run(wl, opts, with_slices);
-        insts += res.mainRetired;
-        benchmark::DoNotOptimize(res.cycles);
-    }
-    state.counters["insts/s"] = benchmark::Counter(
-        static_cast<double>(insts), benchmark::Counter::kIsRate);
-}
-
-void
-BM_BaselineVpr(benchmark::State &state)
-{
-    runWorkload(state, "vpr", false);
-}
-
-void
-BM_SlicedVpr(benchmark::State &state)
-{
-    runWorkload(state, "vpr", true);
-}
-
-void
-BM_BaselineMcf(benchmark::State &state)
-{
-    runWorkload(state, "mcf", false);
-}
-
-void
-BM_BaselineVortex(benchmark::State &state)
-{
-    runWorkload(state, "vortex", false);
-}
-
-void
-BM_WorkloadBuildVpr(benchmark::State &state)
-{
-    workloads::Params p;
-    p.scale = 120'000;
-    for (auto _ : state) {
-        auto wl = workloads::buildWorkload("vpr", p);
-        arch::MemoryImage mem;
-        wl.initMemory(mem);
-        benchmark::DoNotOptimize(mem.pageCount());
-    }
-}
-
-BENCHMARK(BM_BaselineVpr)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SlicedVpr)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BaselineMcf)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BaselineVortex)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_WorkloadBuildVpr)->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------
-// Default mode: full-workload sweep + BENCH_simspeed.json
-// ---------------------------------------------------------------
 
 int
 runSweep(unsigned jobs)
@@ -171,18 +91,5 @@ runSweep(unsigned jobs)
 int
 main(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "--gbench") == 0) {
-        // Drop the flag and hand the rest to google-benchmark.
-        obs::TraceSink::instance().initFromEnv();
-        for (int i = 1; i + 1 < argc; ++i)
-            argv[i] = argv[i + 1];
-        --argc;
-        benchmark::Initialize(&argc, argv);
-        if (benchmark::ReportUnrecognizedArguments(argc, argv))
-            return 1;
-        benchmark::RunSpecifiedBenchmarks();
-        benchmark::Shutdown();
-        return 0;
-    }
     return runSweep(bench::parseBenchArgs(argc, argv));
 }

@@ -12,8 +12,7 @@
  *
  * The checker is pure observation: it never feeds anything back into
  * the timing model, so an attached checker cannot change simulation
- * results. Builds configured with -DSS_CHECK_DISABLED=ON compile the
- * retire hook out entirely.
+ * results.
  */
 
 #ifndef SPECSLICE_CHECK_CHECKER_HH

@@ -206,8 +206,8 @@ lintDigest(const Digest &d)
         bad("missing workload name");
     if (d.insts == 0)
         bad("insts must be > 0");
-    if (d.width == 0)
-        bad("width must be > 0");
+    if (d.width != 4 && d.width != 8)
+        bad("width must be 4 or 8 (the Table 1 machines)");
     if (d.threads == 0)
         bad("threads must be > 0");
 

@@ -1,11 +1,5 @@
 #include "common/failure.hh"
 
-#include <cstdint>
-#include <map>
-#include <mutex>
-#include <utility>
-#include <vector>
-
 namespace specslice
 {
 
@@ -14,25 +8,6 @@ namespace
 
 /** Throw-mode nesting depth for the current thread. */
 thread_local unsigned tls_throw_depth = 0;
-
-/** The installed cancellation flag (null = none). */
-thread_local const std::atomic<bool> *tls_cancel = nullptr;
-
-std::mutex &
-dumpMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-std::map<std::uint64_t, std::function<void()>> &
-dumpRegistry()
-{
-    static std::map<std::uint64_t, std::function<void()>> r;
-    return r;
-}
-
-std::uint64_t next_dump_id = 1;
 
 } // namespace
 
@@ -44,8 +19,6 @@ SimError::kindName(Kind kind)
         return "panic";
       case Kind::Fatal:
         return "fatal";
-      case Kind::Timeout:
-        return "timeout";
     }
     return "unknown";
 }
@@ -60,60 +33,8 @@ ScopedThrowErrors::active()
     return tls_throw_depth > 0;
 }
 
-ScopedCancelFlag::ScopedCancelFlag(const std::atomic<bool> *flag)
-{
-    tls_cancel = flag;
-}
-
-ScopedCancelFlag::~ScopedCancelFlag() { tls_cancel = nullptr; }
-
-bool
-cancelRequested()
-{
-    const std::atomic<bool> *flag = tls_cancel;
-    return flag && flag->load(std::memory_order_relaxed);
-}
-
-void
-throwIfCancelled(const char *what)
-{
-    if (cancelRequested())
-        throw SimError(SimError::Kind::Timeout,
-                       std::string("deadline exceeded: ") + what);
-}
-
-ScopedCrashDump::ScopedCrashDump(std::function<void()> fn)
-{
-    std::lock_guard<std::mutex> lock(dumpMutex());
-    id_ = next_dump_id++;
-    dumpRegistry().emplace(id_, std::move(fn));
-}
-
-ScopedCrashDump::~ScopedCrashDump()
-{
-    std::lock_guard<std::mutex> lock(dumpMutex());
-    dumpRegistry().erase(id_);
-}
-
 namespace failure_detail
 {
-
-void
-runCrashDumps()
-{
-    // Drain the registry before running anything: a dump that itself
-    // panics re-enters with an empty registry and cannot recurse.
-    std::map<std::uint64_t, std::function<void()>> dumps;
-    {
-        std::lock_guard<std::mutex> lock(dumpMutex());
-        dumps.swap(dumpRegistry());
-    }
-    for (auto &[id, fn] : dumps) {
-        (void)id;
-        if (fn)
-            fn();
-    }
-}
 
 [[noreturn]] void
 throwError(SimError::Kind kind, const char *file, int line,

@@ -1,31 +1,21 @@
 /**
  * @file
  * Structured failure handling on top of the panic()/fatal() reporting
- * in common/logging.hh — the pieces that make a sweep crash-resilient:
+ * in common/logging.hh:
  *
  *  - SimError: a typed exception carrying the failure kind (Panic,
- *    Fatal, Timeout) and the formatted message.
+ *    Fatal) and the formatted message.
  *  - ScopedThrowErrors: while installed on a thread, SS_PANIC/SS_FATAL
- *    on that thread throw SimError instead of killing the process.
- *    sim::JobPool installs one around every settled job, so one bad
- *    configuration no longer takes down a 24-run sweep.
- *  - ScopedCancelFlag / cancelRequested(): a cooperative cancellation
- *    token. Long-running simulation loops poll cancelRequested() (one
- *    relaxed load) and throw SimError{Timeout} when it fires; the
- *    JobPool deadline monitor raises the flag when a job exceeds its
- *    wall-clock budget.
- *  - ScopedCrashDump: registers a callback the *dying* path of
- *    panic()/fatal() runs before the process exits, so a crashed run
- *    still flushes its observability artifacts (Chrome trace, interval
- *    partials) for post-mortem. Not run when the error is thrown as a
- *    SimError — the catch site owns the artifacts then.
+ *    on that thread throw SimError instead of killing the process. A
+ *    sweep job that must not take the sweep down with it installs one
+ *    and catches the error (specslice_verify reports the workload as
+ *    "error"); tools install one around their runs to report a
+ *    failure as a machine-readable document.
  */
 
 #ifndef SPECSLICE_COMMON_FAILURE_HH
 #define SPECSLICE_COMMON_FAILURE_HH
 
-#include <atomic>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -38,9 +28,8 @@ class SimError : public std::runtime_error
   public:
     enum class Kind
     {
-        Panic,    ///< internal invariant violation (SS_PANIC)
-        Fatal,    ///< user/config error (SS_FATAL)
-        Timeout,  ///< cooperative cancellation (deadline exceeded)
+        Panic,  ///< internal invariant violation (SS_PANIC)
+        Fatal,  ///< user/config error (SS_FATAL)
     };
 
     SimError(Kind kind, const std::string &msg)
@@ -72,52 +61,8 @@ class ScopedThrowErrors
     static bool active();
 };
 
-/**
- * Install a cancellation flag for the current thread. The flag is
- * owned by the caller (typically the JobPool deadline machinery) and
- * must outlive the scope; cancelRequested() reads it.
- */
-class ScopedCancelFlag
-{
-  public:
-    explicit ScopedCancelFlag(const std::atomic<bool> *flag);
-    ~ScopedCancelFlag();
-
-    ScopedCancelFlag(const ScopedCancelFlag &) = delete;
-    ScopedCancelFlag &operator=(const ScopedCancelFlag &) = delete;
-};
-
-/** Has the current thread's cancellation flag been raised? Cheap
- *  (one relaxed load); false when no flag is installed. */
-bool cancelRequested();
-
-/** Throw SimError{Timeout} if the thread's cancel flag is raised. */
-void throwIfCancelled(const char *what);
-
-/**
- * Register a crash-dump callback for the lifetime of this object.
- * panic()/fatal() run all registered callbacks (once; the registry is
- * drained first so a callback that itself fails cannot recurse) right
- * before the process dies.
- */
-class ScopedCrashDump
-{
-  public:
-    explicit ScopedCrashDump(std::function<void()> fn);
-    ~ScopedCrashDump();
-
-    ScopedCrashDump(const ScopedCrashDump &) = delete;
-    ScopedCrashDump &operator=(const ScopedCrashDump &) = delete;
-
-  private:
-    std::uint64_t id_;
-};
-
 namespace failure_detail
 {
-
-/** Drain and run every registered crash dump (dying path only). */
-void runCrashDumps();
 
 /** Throw the SimError for a panic/fatal in throw-mode. */
 [[noreturn]] void throwError(SimError::Kind kind, const char *file,

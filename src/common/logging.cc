@@ -71,10 +71,6 @@ panicImpl(const char *file, int line, const std::string &msg)
         failure_detail::throwError(SimError::Kind::Panic, file, line,
                                    msg);
     dumpCaptureOnExit();
-    // Dying for real: flush registered observability artifacts
-    // (Chrome trace, interval partials) so the crash leaves a usable
-    // post-mortem record.
-    failure_detail::runCrashDumps();
     std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);
     std::abort();
 }
@@ -86,7 +82,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
         failure_detail::throwError(SimError::Kind::Fatal, file, line,
                                    msg);
     dumpCaptureOnExit();
-    failure_detail::runCrashDumps();
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::exit(1);
 }

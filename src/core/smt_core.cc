@@ -7,7 +7,6 @@
 #include <iterator>
 
 #include "check/checker.hh"
-#include "common/failure.hh"
 #include "common/logging.hh"
 #include "obs/trace.hh"
 
@@ -26,10 +25,14 @@ outcomeName(SimOutcome outcome)
         return "watchdog";
       case SimOutcome::CheckerDivergence:
         return "checker_divergence";
-      case SimOutcome::Fault:
-        return "fault";
     }
     return "unknown";
+}
+
+bool
+isWorseOutcome(SimOutcome a, SimOutcome b)
+{
+    return static_cast<int>(a) > static_cast<int>(b);
 }
 
 namespace
@@ -38,9 +41,6 @@ namespace
 /** Far beyond any legitimate stall (worst-case memory chains are a
  *  few thousand cycles), far below the 50x cycle budget. */
 constexpr Cycle defaultWatchdogCycles = 250'000;
-
-/** Cooperative cancellation is polled when (cycle & mask) == 0. */
-constexpr Cycle cancelPollMask = 0x1fff;
 
 /** Warm-up plus measured instructions. A budget past 2^64 is a caller
  *  error: wrapping would end the run after a handful of
@@ -299,7 +299,7 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
     const Cycle iv_cycles = opts.intervalCycles;
     IntervalState iv;
     // When the caller provides a sink, accumulate directly into it so
-    // partial windows are visible to crash-dump handlers mid-run.
+    // the caller keeps the partial windows if the run throws.
     std::vector<obs::IntervalRecord> local_intervals;
     std::vector<obs::IntervalRecord> &intervals =
         opts.intervalSink ? *opts.intervalSink : local_intervals;
@@ -348,11 +348,6 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
             outcome = SimOutcome::Watchdog;
             break;
         }
-        // Cooperative cancellation (JobPool deadlines): one TLS load
-        // every 8K cycles.
-        if ((cycle_ & cancelPollMask) == 0)
-            throwIfCancelled("core run");
-
         if (!warm && mainRetired_ >= opts.warmupInstructions) {
             warm = true;
             resetStats();
@@ -376,8 +371,7 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
 
         if (cycleActive_)
             continue;
-        Cycle next = std::min({nextCoreEvent(), max_cycles,
-                               (cycle_ | cancelPollMask) + 1});
+        Cycle next = std::min(nextCoreEvent(), max_cycles);
         if (watchdog)
             next = std::min(next, last_progress + watchdog);
         if (iv_cycles)
@@ -406,7 +400,6 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
     RunResult res;
     res.outcome = outcome;
     res.diagnosis = std::move(diagnosis);
-    res.faultsInjected = injector_.firedTotal();
     res.faultsBySite = injector_.firedCounts();
     if (opts.intervalSink)
         res.intervals = *opts.intervalSink;
@@ -906,10 +899,8 @@ SmtCore::retireStage()
             if (d->sliceThread) {
                 ++s_.sliceRetired;
             } else {
-#ifndef SS_CHECK_DISABLED
                 if (checker_) [[unlikely]]
                     checkRetirement(*d);
-#endif
                 ++mainRetired_;
             }
             if (events_) [[unlikely]]

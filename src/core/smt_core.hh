@@ -68,7 +68,8 @@ struct PcProfile
  * How a simulation run ended. Anything but Completed means the
  * reported stats cover a truncated or perturbed run; tools surface
  * the outcome in --stats/--json and exit non-zero unless explicitly
- * told a partial result is acceptable.
+ * told a partial result is acceptable. Declared from best to worst
+ * (see isWorseOutcome).
  */
 enum class SimOutcome
 {
@@ -76,11 +77,15 @@ enum class SimOutcome
     CycleLimit,         ///< hard cycle limit hit before the budget
     Watchdog,           ///< no forward progress for watchdogCycles
     CheckerDivergence,  ///< retirement checker latched a divergence
-    Fault,              ///< run died with a SimError (tools only)
 };
 
 /** Stable lower-case name for JSON/stats output. */
 const char *outcomeName(SimOutcome outcome);
+
+/** Is `a` a worse way for a run to end than `b`? An aggregate of
+ *  several runs (sampled regions, --compare, a verify workload's two
+ *  configurations) reports its worst outcome. */
+bool isWorseOutcome(SimOutcome a, SimOutcome b);
 
 /**
  * The hard cycle limit used when RunOptions::maxCycles is 0: 50 cycles
@@ -118,9 +123,9 @@ struct RunOptions
     fault::FaultPlan faults;
     /**
      * When set, the interval time-series is accumulated directly into
-     * this caller-owned vector instead of run()-local storage, so a
-     * crash-dump handler can flush the partial series even if run()
-     * never returns. RunResult::intervals is still populated.
+     * this caller-owned vector instead of run()-local storage, so the
+     * caller still has the partial series when run() throws a
+     * SimError. RunResult::intervals is still populated.
      */
     std::vector<obs::IntervalRecord> *intervalSink = nullptr;
     /** Run this many main-thread instructions before resetting stats
@@ -148,8 +153,7 @@ struct RunOptions
      * retirement (null = off). The checker must start from the same
      * entry PC and initial memory image as this run and must outlive
      * it; each run needs its own instance. sim::Simulator constructs
-     * one per run when the sim-level `check` flag is set. Ignored in
-     * SS_CHECK_DISABLED builds (the hook is compiled out).
+     * one per run when the sim-level `check` flag is set.
      */
     check::RetireChecker *checker = nullptr;
 
@@ -181,8 +185,6 @@ struct RunResult
     SimOutcome outcome = SimOutcome::Completed;
     /** Watchdog stall diagnosis (empty unless outcome == Watchdog). */
     std::string diagnosis;
-    /** Total injected-fault firings (0 when injection is off). */
-    std::uint64_t faultsInjected = 0;
     /** Injected-fault firings per site (all 0 when injection is off). */
     fault::SiteCounts faultsBySite{};
     Cycle cycles = 0;
@@ -235,7 +237,7 @@ struct RunResult
 
     // Retirement-checker outcome (RunOptions.check runs only).
     /** Main-thread retirements the checker compared (warm-up included;
-     *  0 when checking was off or compiled out). */
+     *  0 when checking was off). */
     std::uint64_t checkedRetired = 0;
     /** A divergence was latched (only reachable with checkFatal off —
      *  fatal mode aborts at the divergence point). */
@@ -249,6 +251,16 @@ struct RunResult
         return cycles ? static_cast<double>(mainRetired) /
                             static_cast<double>(cycles)
                       : 0.0;
+    }
+
+    /** Total injected-fault firings (0 when injection is off). */
+    std::uint64_t
+    faultsInjected() const
+    {
+        std::uint64_t total = 0;
+        for (std::uint64_t n : faultsBySite)
+            total += n;
+        return total;
     }
 
     /** Per-site firing counts, "site=n,site=n" ("" when none). */

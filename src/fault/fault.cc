@@ -311,15 +311,6 @@ Injector::fireSlow(Slot &s)
     return hit;
 }
 
-std::uint64_t
-Injector::firedTotal() const
-{
-    std::uint64_t total = 0;
-    for (const Slot &s : slots_)
-        total += s.fired;
-    return total;
-}
-
 SiteCounts
 Injector::firedCounts() const
 {

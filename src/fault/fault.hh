@@ -159,9 +159,6 @@ class Injector
     /** How many times `site` has fired this run. */
     std::uint64_t firedAt(Site site) const { return slot(site).fired; }
 
-    /** Total fires across all sites this run. */
-    std::uint64_t firedTotal() const;
-
     /** Fires per site this run. */
     SiteCounts firedCounts() const;
 

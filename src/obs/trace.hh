@@ -13,10 +13,6 @@
  * common/logging.hh), so concurrent jobs never interleave mid-line
  * and pool workers get their lines tagged with the job index and
  * flushed in submission order.
- *
- * Building with -DSS_TRACE_DISABLED compiles every SS_DTRACE site to
- * nothing (zero code, arguments unevaluated) for maximum-speed
- * builds.
  */
 
 #ifndef SPECSLICE_OBS_TRACE_HH
@@ -111,12 +107,6 @@ class TraceSink
 
 } // namespace specslice::obs
 
-#ifdef SS_TRACE_DISABLED
-/** Tracing compiled out: zero code, arguments never evaluated. */
-#define SS_DTRACE(flag, ...)                                              \
-    do {                                                                  \
-    } while (0)
-#else
 /**
  * Trace under obs::TraceFlag::flag. Costs one relaxed load + branch
  * when the flag is off; formats and emits a full line when on.
@@ -130,6 +120,5 @@ class TraceSink
                 ::specslice::logging_detail::concat(__VA_ARGS__));        \
         }                                                                 \
     } while (0)
-#endif
 
 #endif // SPECSLICE_OBS_TRACE_HH

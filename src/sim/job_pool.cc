@@ -1,185 +1,18 @@
 #include "sim/job_pool.hh"
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <exception>
+#include <system_error>
+#include <thread>
 #include <utility>
 
-#include "common/failure.hh"
 #include "common/logging.hh"
 
 namespace specslice::sim
 {
-
-const char *
-jobStateName(JobState state)
-{
-    switch (state) {
-      case JobState::Ok:
-        return "ok";
-      case JobState::Failed:
-        return "failed";
-      case JobState::TimedOut:
-        return "timed_out";
-    }
-    return "unknown";
-}
-
-namespace
-{
-
-using SteadyClock = std::chrono::steady_clock;
-
-/**
- * Process-wide deadline watcher: one thread, lazily started, that
- * raises each registered job's cancellation flag when its deadline
- * passes. Leaked on purpose — a detached watcher must not race static
- * destruction at process exit.
- */
-class DeadlineMonitor
-{
-  public:
-    static DeadlineMonitor &
-    instance()
-    {
-        static DeadlineMonitor *mon = new DeadlineMonitor;
-        return *mon;
-    }
-
-    std::uint64_t
-    add(SteadyClock::time_point deadline,
-        std::shared_ptr<std::atomic<bool>> flag)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!started_) {
-            started_ = true;
-            std::thread([this] { loop(); }).detach();
-        }
-        std::uint64_t id = next_++;
-        entries_.emplace(id, Entry{deadline, std::move(flag)});
-        cv_.notify_one();
-        return id;
-    }
-
-    void
-    remove(std::uint64_t id)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_.erase(id);
-    }
-
-  private:
-    struct Entry
-    {
-        SteadyClock::time_point deadline;
-        std::shared_ptr<std::atomic<bool>> flag;
-    };
-
-    [[noreturn]] void
-    loop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        for (;;) {
-            if (entries_.empty()) {
-                cv_.wait(lock);
-                continue;
-            }
-            auto earliest = SteadyClock::time_point::max();
-            for (const auto &[id, e] : entries_)
-                earliest = std::min(earliest, e.deadline);
-            cv_.wait_until(lock, earliest);
-            auto now = SteadyClock::now();
-            for (auto it = entries_.begin(); it != entries_.end();) {
-                if (it->second.deadline <= now) {
-                    it->second.flag->store(true,
-                                           std::memory_order_relaxed);
-                    it = entries_.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::map<std::uint64_t, Entry> entries_;
-    std::uint64_t next_ = 1;
-    bool started_ = false;
-};
-
-} // namespace
-
-namespace settle_detail
-{
-
-void
-runSettled(const SettleOptions &opts, JobStatus &status,
-           const std::function<void()> &body)
-{
-    auto t0 = SteadyClock::now();
-    bool deadlined = opts.deadlineSeconds > 0.0;
-    unsigned max_attempts = 1 + (deadlined ? opts.timeoutRetries : 0);
-
-    status = JobStatus{};
-    for (unsigned attempt = 1; attempt <= max_attempts; ++attempt) {
-        status.attempts = attempt;
-
-        // One flag per attempt (shared with the monitor so a late
-        // firing after this attempt ends cannot touch freed memory).
-        auto flag = std::make_shared<std::atomic<bool>>(false);
-        std::uint64_t watch_id = 0;
-        if (deadlined) {
-            auto deadline =
-                SteadyClock::now() +
-                std::chrono::duration_cast<SteadyClock::duration>(
-                    std::chrono::duration<double>(
-                        opts.deadlineSeconds));
-            watch_id =
-                DeadlineMonitor::instance().add(deadline, flag);
-        }
-
-        ScopedCancelFlag cancel(flag.get());
-        ScopedThrowErrors throwing;
-        try {
-            body();
-            if (watch_id)
-                DeadlineMonitor::instance().remove(watch_id);
-            status.state = JobState::Ok;
-            status.error.clear();
-            break;
-        } catch (const SimError &e) {
-            if (watch_id)
-                DeadlineMonitor::instance().remove(watch_id);
-            status.error = e.what();
-            if (e.kind() == SimError::Kind::Timeout) {
-                status.state = JobState::TimedOut;
-                continue;  // retry if attempts remain
-            }
-            status.state = JobState::Failed;
-            break;
-        } catch (const std::exception &e) {
-            if (watch_id)
-                DeadlineMonitor::instance().remove(watch_id);
-            status.state = JobState::Failed;
-            status.error = e.what();
-            break;
-        } catch (...) {
-            if (watch_id)
-                DeadlineMonitor::instance().remove(watch_id);
-            status.state = JobState::Failed;
-            status.error = "unknown exception";
-            break;
-        }
-    }
-
-    status.wallSeconds =
-        std::chrono::duration<double>(SteadyClock::now() - t0).count();
-}
-
-} // namespace settle_detail
 
 unsigned
 JobPool::defaultJobs()
@@ -204,60 +37,47 @@ JobPool::defaultJobs()
     return hw ? hw : 1;
 }
 
-JobPool::JobPool(unsigned jobs) : jobs_(jobs ? jobs : defaultJobs())
-{
-    // jobs_ == 1 runs tasks inline in submit(): no workers, and the
-    // pool degenerates to exactly the serial execution order.
-    if (jobs_ < 2)
-        return;
-    workers_.reserve(jobs_);
-    for (unsigned i = 0; i < jobs_; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
+JobPool::JobPool(unsigned jobs) : jobs_(jobs ? jobs : defaultJobs()) {}
 
-JobPool::~JobPool()
+void
+JobPool::forEach(std::size_t n,
+                 const std::function<void(std::size_t)> &body)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread &w : workers_)
-        w.join();
-}
-
-std::future<void>
-JobPool::submit(std::function<void()> fn)
-{
-    // Wrap the task so its log/trace output is tagged with the job's
-    // submission index and captured; buffers are flushed in submission
-    // order, so the bytes hitting stderr do not depend on the worker
-    // count. The inline (jobs_ < 2) path runs the same wrapper, which
-    // makes `--jobs 1` output identical to a parallel run's.
-    long index = submitted_.fetch_add(1, std::memory_order_relaxed);
-    std::packaged_task<void()> task(
-        [this, index, fn = std::move(fn)]() {
+    // Each job's log/trace output is tagged with its index and
+    // captured; buffers are flushed in index order, so the bytes
+    // hitting stderr do not depend on the thread count.
+    const long base = nextIndex_.fetch_add(static_cast<long>(n));
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<std::size_t> next{0};
+    auto drain = [&] {
+        for (std::size_t i; (i = next.fetch_add(1)) < n;) {
+            const long index = base + static_cast<long>(i);
             std::string buffered;
-            try {
+            {
                 ScopedJobTag tag(index, &buffered);
-                fn();
-            } catch (...) {
-                completeOutput(index, std::move(buffered));
-                throw;
+                try {
+                    body(i);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                }
             }
             completeOutput(index, std::move(buffered));
-        });
-    std::future<void> fut = task.get_future();
-    if (jobs_ < 2) {
-        task();  // inline: exceptions land in the future
-        return fut;
-    }
+        }
+    };
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(task));
+        std::vector<std::jthread> helpers;  // joined at scope end
+        const std::size_t threads = std::min<std::size_t>(jobs_, n);
+        try {
+            for (std::size_t t = 1; t < threads; ++t)
+                helpers.emplace_back(drain);
+        } catch (const std::system_error &) {
+            // Fewer threads only make the batch slower.
+        }
+        drain();
     }
-    cv_.notify_one();
-    return fut;
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
 }
 
 void
@@ -275,24 +95,6 @@ JobPool::completeOutput(long index, std::string &&buffered)
          it = outPending_.erase(it)) {
         ScopedJobTag::writeCaptured(it->second);
         ++outNext_;
-    }
-}
-
-void
-JobPool::workerLoop()
-{
-    for (;;) {
-        std::packaged_task<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock,
-                     [this] { return stopping_ || !queue_.empty(); });
-            if (queue_.empty())
-                return;  // stopping and drained
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        task();
     }
 }
 

@@ -1,128 +1,59 @@
 /**
  * @file
- * A fixed-size thread pool for running independent experiment rows in
- * parallel. Every Simulator::run owns its machine and memory state, so
- * a sweep over benchmarks (or over independent configurations) is
- * embarrassingly parallel; the pool supplies the workers and the
+ * An ordered parallel map for sweeps of independent experiment rows.
+ * Every Simulator::run owns its machine and memory state, so a sweep
+ * over benchmarks (or over independent configurations) is
+ * embarrassingly parallel; map() supplies the threads and the
  * ordering discipline that keeps sweep output byte-identical to a
  * serial run:
  *
- *  - results are returned in submission order (map() fills a slot per
- *    item; callers format/print only after the whole batch is done);
+ *  - results are returned in item order (map() fills a slot per item;
+ *    callers format/print only after the whole batch is done);
  *  - log/trace lines a job emits (SS_WARN, SS_INFORM, SS_DTRACE) are
- *    captured per job via ScopedJobTag, prefixed with the job's
- *    submission index ("[jN] "), and flushed to stderr in submission
- *    order as jobs complete — so sweep output is byte-identical no
- *    matter the worker count;
- *  - exceptions thrown by a job are captured and rethrown from the
- *    submitting thread (the first one in submission order, after all
- *    jobs of the batch have finished);
- *  - a pool with one job runs tasks inline on the submitting thread,
- *    so `--jobs 1` is exactly the serial execution.
+ *    captured per job via ScopedJobTag, prefixed with the job's index
+ *    ("[jN] "; indices keep counting across batches), and flushed to
+ *    stderr in index order as jobs complete — so sweep output is
+ *    byte-identical no matter the thread count;
+ *  - every job of a batch runs; then the first exception in item
+ *    order is rethrown on the calling thread;
+ *  - the calling thread is one of the jobs() threads, so a pool with
+ *    one job runs every item in order on the caller: `--jobs 1` is
+ *    exactly the serial execution.
  *
- * mapSettled() is the crash-resilient variant for sweeps: each job
- * runs under ScopedThrowErrors (panic()/fatal() in simulation code
- * become catchable SimError), failures are isolated per job and
- * reported in a JobStatus instead of being rethrown, and an optional
- * wall-clock deadline cancels runaway jobs cooperatively (one retry
- * by default). One bad configuration no longer takes down a 24-run
- * sweep.
+ * A sweep that must survive a failing job installs ScopedThrowErrors
+ * (common/failure.hh) inside the job and catches the SimError there.
  *
  * The job count comes from (in priority order) an explicit
  * constructor argument (the `--jobs N` flag of the bench drivers and
- * specslice_run), the SS_JOBS environment variable, and
- * hardware_concurrency.
+ * tools), the SS_JOBS environment variable, and hardware_concurrency.
  */
 
 #ifndef SPECSLICE_SIM_JOB_POOL_HH
 #define SPECSLICE_SIM_JOB_POOL_HH
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <exception>
+#include <cstddef>
 #include <functional>
-#include <future>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
 namespace specslice::sim
 {
 
-/** Terminal state of one settled job. */
-enum class JobState
-{
-    Ok,        ///< ran to completion, value present
-    Failed,    ///< threw (SimError from panic/fatal, or any exception)
-    TimedOut,  ///< exceeded the wall-clock deadline on every attempt
-};
-
-/** Stable lower-case name for JSON/summary output. */
-const char *jobStateName(JobState state);
-
-/** What happened to one settled job. */
-struct JobStatus
-{
-    JobState state = JobState::Ok;
-    /** Exception message (empty when Ok). */
-    std::string error;
-    /** Total wall time across all attempts, in seconds. */
-    double wallSeconds = 0.0;
-    /** Attempts made (> 1 only after a timeout retry). */
-    unsigned attempts = 0;
-};
-
-/** Per-batch settings for mapSettled(). */
-struct SettleOptions
-{
-    /** Per-job wall-clock deadline in seconds (0 = none). Cancellation
-     *  is cooperative: the job must poll cancelRequested() /
-     *  throwIfCancelled() (the core's run loop does). */
-    double deadlineSeconds = 0.0;
-    /** Extra attempts after a timeout (failures never retry). */
-    unsigned timeoutRetries = 1;
-};
-
-/** Result slot of one mapSettled() item: the value when the job
- *  succeeded, plus its status either way. */
-template <typename R>
-struct Settled
-{
-    std::optional<R> value;
-    JobStatus status;
-
-    bool ok() const { return status.state == JobState::Ok; }
-};
-
-namespace settle_detail
-{
-
-/**
- * Run `body` with per-job isolation: ScopedThrowErrors (panic/fatal
- * throw), an optional deadline-armed cancellation flag, and retry on
- * timeout per `opts`. Never throws; the outcome lands in `status`.
- */
-void runSettled(const SettleOptions &opts, JobStatus &status,
-                const std::function<void()> &body);
-
-} // namespace settle_detail
-
 class JobPool
 {
   public:
-    /** @param jobs worker count; 0 selects defaultJobs(). */
+    /** @param jobs thread count; 0 selects defaultJobs(). */
     explicit JobPool(unsigned jobs = 0);
-    ~JobPool();
 
     JobPool(const JobPool &) = delete;
     JobPool &operator=(const JobPool &) = delete;
 
-    /** The worker count this pool runs with (>= 1). */
+    /** The thread count this pool runs with (>= 1). */
     unsigned jobs() const { return jobs_; }
 
     /**
@@ -134,17 +65,10 @@ class JobPool
     static unsigned defaultJobs();
 
     /**
-     * Enqueue one task. The returned future becomes ready when the
-     * task finishes; a thrown exception is delivered through get().
-     * With jobs() == 1 the task runs inline before submit returns.
-     */
-    std::future<void> submit(std::function<void()> fn);
-
-    /**
-     * Run fn over every item and return the results in item order,
-     * regardless of completion order. All jobs of the batch are
-     * waited for before returning; if any threw, the first exception
-     * (in submission order) is rethrown.
+     * Run fn over every item on up to jobs() threads and return the
+     * results in item order, regardless of completion order. If any
+     * job threw, the first exception in item order is rethrown once
+     * the whole batch has run.
      */
     template <typename Item, typename Fn>
     auto
@@ -153,27 +77,9 @@ class JobPool
     {
         using R = std::invoke_result_t<Fn &, const Item &>;
         std::vector<std::optional<R>> slots(items.size());
-        std::vector<std::future<void>> done;
-        done.reserve(items.size());
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            done.push_back(submit([&slots, &items, &fn, i] {
-                slots[i].emplace(fn(items[i]));
-            }));
-        }
-        // Drain every future before rethrowing so no worker can still
-        // be touching slots when the batch storage goes away.
-        std::exception_ptr first;
-        for (auto &f : done) {
-            try {
-                f.get();
-            } catch (...) {
-                if (!first)
-                    first = std::current_exception();
-            }
-        }
-        if (first)
-            std::rethrow_exception(first);
-
+        forEach(items.size(), [&](std::size_t i) {
+            slots[i].emplace(fn(items[i]));
+        });
         std::vector<R> out;
         out.reserve(slots.size());
         for (auto &s : slots)
@@ -181,60 +87,25 @@ class JobPool
         return out;
     }
 
-    /**
-     * Crash-resilient map: like map(), but each job is isolated — a
-     * job that panics, throws, or exceeds the deadline yields a slot
-     * with state Failed/TimedOut instead of poisoning the batch. The
-     * slot order matches the item order; output-ordering guarantees
-     * are the same as map()'s.
-     *
-     * A job that ignores its cancellation flag can still block the
-     * batch past its deadline — the deadline relies on the job
-     * polling (simulation runs do; see core::SmtCore::run).
-     */
-    template <typename Item, typename Fn>
-    auto
-    mapSettled(const std::vector<Item> &items, Fn fn,
-               const SettleOptions &opts = {})
-        -> std::vector<Settled<std::invoke_result_t<Fn &, const Item &>>>
-    {
-        using R = std::invoke_result_t<Fn &, const Item &>;
-        std::vector<Settled<R>> out(items.size());
-        std::vector<std::future<void>> done;
-        done.reserve(items.size());
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            done.push_back(submit([&out, &items, &fn, &opts, i] {
-                Settled<R> &slot = out[i];
-                settle_detail::runSettled(opts, slot.status, [&] {
-                    slot.value.emplace(fn(items[i]));
-                });
-                if (slot.status.state != JobState::Ok)
-                    slot.value.reset();
-            }));
-        }
-        for (auto &f : done)
-            f.get();  // the settle wrapper never throws
-        return out;
-    }
-
   private:
-    void workerLoop();
+    /**
+     * Call body(i) once for every i in [0, n), each under its job tag,
+     * on up to jobs() threads (the caller included). Returns after
+     * every call has finished; rethrows the lowest i's exception.
+     */
+    void forEach(std::size_t n,
+                 const std::function<void(std::size_t)> &body);
 
     /**
      * Record job `index`'s captured log output as complete and flush
-     * the contiguous prefix of completed buffers (in submission
-     * order) to stderr.
+     * the contiguous prefix of completed buffers (in index order) to
+     * stderr.
      */
     void completeOutput(long index, std::string &&buffered);
 
     unsigned jobs_;
-    std::vector<std::thread> workers_;
-    std::deque<std::packaged_task<void()>> queue_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool stopping_ = false;
-
-    std::atomic<long> submitted_{0};
+    /** Job index of the next batch's first item. */
+    std::atomic<long> nextIndex_{0};
     std::mutex outMutex_;
     std::map<long, std::string> outPending_;
     long outNext_ = 0;

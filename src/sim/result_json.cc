@@ -63,8 +63,8 @@ perfRecord(const WorkloadPerf &p)
         .field("forks", p.result.forks)
         .field("correlator_used", p.result.correlatorUsed)
         .field("outcome", std::string(outcomeName(p.result.outcome)));
-    if (p.result.faultsInjected) {
-        o.field("faults_injected", p.result.faultsInjected)
+    if (p.result.faultsInjected()) {
+        o.field("faults_injected", p.result.faultsInjected())
             .field("fault_summary", p.result.faultSummary());
     }
     if (p.result.sampledRegions) {
@@ -77,30 +77,12 @@ perfRecord(const WorkloadPerf &p)
     return o;
 }
 
-int
-outcomeSeverity(SimOutcome oc)
-{
-    switch (oc) {
-      case SimOutcome::Completed:
-        return 0;
-      case SimOutcome::CycleLimit:
-        return 1;
-      case SimOutcome::Watchdog:
-        return 2;
-      case SimOutcome::CheckerDivergence:
-        return 3;
-      case SimOutcome::Fault:
-        return 4;
-    }
-    return 4;
-}
-
 SimOutcome
 worstOutcome(const std::vector<WorkloadPerf> &runs)
 {
     SimOutcome worst = SimOutcome::Completed;
     for (const WorkloadPerf &p : runs)
-        if (outcomeSeverity(p.result.outcome) > outcomeSeverity(worst))
+        if (isWorseOutcome(p.result.outcome, worst))
             worst = p.result.outcome;
     return worst;
 }

@@ -23,6 +23,7 @@ namespace specslice::sim
 // identical alias is well-formed), so this header stands alone.
 using RunResult = core::RunResult;
 using SimOutcome = core::SimOutcome;
+using core::isWorseOutcome;
 using core::outcomeName;
 
 /**
@@ -30,7 +31,7 @@ using core::outcomeName;
  * specslice_run --json). History lives in bench/bench_common.hh next
  * to the benchSchemaVersion alias.
  */
-constexpr std::uint64_t resultSchemaVersion = 6;
+constexpr std::uint64_t resultSchemaVersion = 7;
 
 /** One workload's timed simulation, as recorded by a bench binary. */
 struct WorkloadPerf
@@ -70,11 +71,8 @@ struct DocMeta
     bool compare = false;  ///< adds speedup_pct from runs[0] vs [1]
 };
 
-/** Rank outcomes by severity so a multi-run document (and its exit
- *  code) reports the worst one. */
-int outcomeSeverity(SimOutcome oc);
-
-/** The worst outcome across a batch of runs. */
+/** The worst outcome across a batch of runs, which a multi-run
+ *  document (and its exit code) reports. */
 SimOutcome worstOutcome(const std::vector<WorkloadPerf> &runs);
 
 /** The specslice_run --json document for a finished batch of runs. */

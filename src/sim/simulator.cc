@@ -31,34 +31,14 @@ checkForcedByEnv()
     return forced;
 }
 
-/** Worse-outcome ordering for region aggregation. */
-int
-outcomeRank(SimOutcome o)
-{
-    switch (o) {
-      case SimOutcome::Completed:
-        return 0;
-      case SimOutcome::CycleLimit:
-        return 1;
-      case SimOutcome::Watchdog:
-        return 2;
-      case SimOutcome::CheckerDivergence:
-        return 3;
-      case SimOutcome::Fault:
-        return 4;
-    }
-    return 5;
-}
-
 /** Fold one region's result into the running aggregate. */
 void
 accumulate(RunResult &agg, RunResult &&r)
 {
-    if (outcomeRank(r.outcome) > outcomeRank(agg.outcome)) {
+    if (isWorseOutcome(r.outcome, agg.outcome)) {
         agg.outcome = r.outcome;
         agg.diagnosis = r.diagnosis;
     }
-    agg.faultsInjected += r.faultsInjected;
     for (std::size_t i = 0; i < fault::numSites; ++i)
         agg.faultsBySite[i] += r.faultsBySite[i];
     agg.cycles += r.cycles;
@@ -177,7 +157,6 @@ Simulator::runOne(const Workload &wl, const RunOptions &opts,
             inject_store = spec.period;
     }
 
-#ifndef SS_CHECK_DISABLED
     if (want_check) {
         check::RetireChecker::Config ccfg;
         ccfg.panicOnDivergence = opts.checkFatal &&
@@ -193,16 +172,6 @@ Simulator::runOne(const Workload &wl, const RunOptions &opts,
                 wl.program, wl.entry, wl.initMemory, ccfg);
         run_opts.checker = checker.get();
     }
-#else
-    if (want_check) {
-        static const bool warned = [] {
-            SS_WARN("retirement checking requested but this build has "
-                    "SS_CHECK_DISABLED; running unchecked");
-            return true;
-        }();
-        (void)warned;
-    }
-#endif
 
     // The core executes at fetch and so writes its image ahead of
     // retirement: the checker's copy above must come first.

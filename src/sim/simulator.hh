@@ -30,6 +30,7 @@ namespace specslice::sim
 using MachineConfig = core::CoreConfig;
 using RunResult = core::RunResult;
 using SimOutcome = core::SimOutcome;
+using core::isWorseOutcome;
 using core::outcomeName;
 /** The typed exception panic()/fatal() raise under ScopedThrowErrors
  *  (defined in common/failure.hh; aliased here as the sim-facade

@@ -520,6 +520,11 @@ TEST(Digest, LintFlagsStructuralProblems)
     d = sampleDigest();
     d.sections[1].ratios["ipc"] = -0.5;
     EXPECT_FALSE(check::lintDigest(d).empty());
+
+    // Only the two Table 1 machines can be built from a digest.
+    d = sampleDigest();
+    d.width = 5;
+    EXPECT_FALSE(check::lintDigest(d).empty());
 }
 
 TEST(Digest, ParserRejectsMalformedInput)

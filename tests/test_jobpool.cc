@@ -1,15 +1,19 @@
 /**
  * @file
- * JobPool tests: submission-order result delivery, exception capture
- * and rethrow, the jobs==1 inline degenerate case, SS_JOBS handling,
- * and the property the parallel experiment engine rests on — a sweep
- * of experiment rows produces identical statistics at any job count.
+ * JobPool tests: item-order result delivery, exception capture and
+ * rethrow, the jobs==1 inline degenerate case, SS_JOBS handling, job
+ * log tags, failing jobs under ScopedThrowErrors, and the property the
+ * parallel experiment engine rests on — a sweep of experiment rows
+ * produces identical statistics at any job count.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -50,17 +54,26 @@ TEST(JobPool, SingleJobRunsInlineOnSubmittingThread)
     EXPECT_EQ(out, (std::vector<int>{11, 12, 13}));
 }
 
-TEST(JobPool, SubmitRunsEverythingOnceEvenWhenOversubscribed)
+TEST(JobPool, MapRunsEveryItemOnceWhenOversubscribed)
 {
-    // More tasks than workers: all must run exactly once.
+    // More items than threads: each item runs exactly once, on at most
+    // jobs() threads (the caller's included).
     sim::JobPool pool(2);
-    std::atomic<int> ran{0};
-    std::vector<std::future<void>> done;
+    std::vector<int> items(64);
     for (int i = 0; i < 64; ++i)
-        done.push_back(pool.submit([&ran] { ++ran; }));
-    for (auto &f : done)
-        f.get();
-    EXPECT_EQ(ran.load(), 64);
+        items[i] = i;
+    std::vector<std::atomic<int>> runs(items.size());
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    pool.map(items, [&](int v) {
+        ++runs[v];
+        std::lock_guard<std::mutex> lock(mutex);
+        threads.insert(std::this_thread::get_id());
+        return v;
+    });
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        EXPECT_EQ(runs[i].load(), 1) << "item " << i;
+    EXPECT_LE(threads.size(), 2u);
 }
 
 TEST(JobPool, ExceptionPropagatesAndPoolStaysUsable)
@@ -68,18 +81,22 @@ TEST(JobPool, ExceptionPropagatesAndPoolStaysUsable)
     sim::JobPool pool(4);
     const std::vector<int> items = {0, 1, 2, 3, 4, 5, 6, 7};
 
+    // Every job runs; the first failure in item order is rethrown.
+    std::atomic<int> ran{0};
     try {
-        pool.map(items, [](int v) -> int {
-            if (v == 3)
-                throw std::runtime_error("boom");
+        pool.map(items, [&](int v) -> int {
+            ++ran;
+            if (v == 3 || v == 6)
+                throw std::runtime_error("boom " + std::to_string(v));
             return v;
         });
         FAIL() << "expected the job's exception to be rethrown";
     } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "boom");
+        EXPECT_STREQ(e.what(), "boom 3");
     }
+    EXPECT_EQ(ran.load(), 8);
 
-    // The failed batch must not poison the workers.
+    // The failed batch must not poison the pool.
     auto ok = pool.map(items, [](int v) { return v * 2; });
     ASSERT_EQ(ok.size(), items.size());
     for (std::size_t i = 0; i < items.size(); ++i)
@@ -160,85 +177,53 @@ TEST(JobPool, Figure11SweepIsIdenticalAcrossJobCounts)
     EXPECT_EQ(serial, parallel);
 }
 
-// ---------------------------------------------------------------
-// mapSettled: crash-resilient sweeps
-// ---------------------------------------------------------------
-
-TEST(JobPoolSettled, ThrowingJobIsIsolated)
+TEST(JobPool, LogTagsCountAcrossBatches)
 {
-    sim::JobPool pool(4);
-    const std::vector<int> items = {0, 1, 2, 3, 4, 5, 6, 7};
-    auto out = pool.mapSettled(items, [](int v) -> int {
-        if (v == 3)
-            throw std::runtime_error("boom");
-        return v * 2;
-    });
-    ASSERT_EQ(out.size(), items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i == 3) {
-            EXPECT_FALSE(out[i].ok());
-            EXPECT_EQ(out[i].status.state, sim::JobState::Failed);
-            EXPECT_EQ(out[i].status.error, "boom");
-            EXPECT_FALSE(out[i].value.has_value());
-        } else {
-            ASSERT_TRUE(out[i].ok()) << i;
-            EXPECT_EQ(*out[i].value, static_cast<int>(i) * 2);
-        }
-    }
+    sim::JobPool pool(2);
+    const std::vector<int> items = {0, 1};
+    testing::internal::CaptureStderr();
+    for (int batch = 0; batch < 2; ++batch)
+        pool.map(items, [&](int v) {
+            SS_INFORM("batch ", batch, " item ", v);
+            return v;
+        });
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "[j0] info: batch 0 item 0\n"
+              "[j1] info: batch 0 item 1\n"
+              "[j2] info: batch 1 item 0\n"
+              "[j3] info: batch 1 item 1\n");
 }
 
-TEST(JobPoolSettled, PanicBecomesCatchableSimError)
+// ---------------------------------------------------------------
+// Failing jobs: a sweep that must survive one installs
+// ScopedThrowErrors inside the job and catches the SimError there.
+// ---------------------------------------------------------------
+
+TEST(JobPool, PanicBecomesCatchableSimError)
 {
-    // SS_PANIC inside a settled job must land in the slot, not kill
-    // the process — that is the whole point of the throw-mode layer.
+    // SS_PANIC inside a throw-mode job must land in that job's result,
+    // not kill the process.
     sim::JobPool pool(2);
     const std::vector<int> items = {0, 1, 2};
-    auto out = pool.mapSettled(items, [](int v) -> int {
-        if (v == 1)
-            SS_PANIC("injected panic in job ", v);
-        return v;
+    auto out = pool.map(items, [](int v) -> std::string {
+        try {
+            ScopedThrowErrors throwing;
+            if (v == 1)
+                SS_PANIC("injected panic in job ", v);
+            return "ok";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimError::Kind::Panic);
+            return e.what();
+        }
     });
     ASSERT_EQ(out.size(), 3u);
-    EXPECT_TRUE(out[0].ok());
-    EXPECT_TRUE(out[2].ok());
-    EXPECT_FALSE(out[1].ok());
-    EXPECT_EQ(out[1].status.state, sim::JobState::Failed);
-    EXPECT_NE(out[1].status.error.find("panic"), std::string::npos);
-    EXPECT_NE(out[1].status.error.find("injected panic in job 1"),
-              std::string::npos);
+    EXPECT_EQ(out[0], "ok");
+    EXPECT_EQ(out[2], "ok");
+    EXPECT_NE(out[1].find("panic"), std::string::npos);
+    EXPECT_NE(out[1].find("injected panic in job 1"), std::string::npos);
 }
 
-TEST(JobPoolSettled, DeadlineCancelsCooperativeJobWithOneRetry)
-{
-    sim::JobPool pool(2);
-    sim::SettleOptions opts;
-    opts.deadlineSeconds = 0.05;
-    opts.timeoutRetries = 1;
-
-    const std::vector<int> items = {0, 1};
-    auto out = pool.mapSettled(
-        items,
-        [](int v) -> int {
-            if (v == 1) {
-                // Cooperative spin: polls its cancellation flag the
-                // way SmtCore::run does, forever.
-                for (;;)
-                    throwIfCancelled("settled test spin");
-            }
-            return v;
-        },
-        opts);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_TRUE(out[0].ok());
-    EXPECT_FALSE(out[1].ok());
-    EXPECT_EQ(out[1].status.state, sim::JobState::TimedOut);
-    EXPECT_EQ(out[1].status.attempts, 2u);  // one retry after timeout
-    EXPECT_NE(out[1].status.error.find("deadline exceeded"),
-              std::string::npos);
-    EXPECT_GE(out[1].status.wallSeconds, 0.05);
-}
-
-TEST(JobPoolSettled, SweepSurvivesOneFatalConfiguration)
+TEST(JobPool, SweepSurvivesOneFatalConfiguration)
 {
     // The acceptance shape: an 8-job sweep where one configuration
     // dies must complete the other seven and report the failure.
@@ -246,20 +231,28 @@ TEST(JobPoolSettled, SweepSurvivesOneFatalConfiguration)
     std::vector<int> items;
     for (int i = 0; i < 8; ++i)
         items.push_back(i);
-    auto out = pool.mapSettled(items, [](int v) -> int {
-        if (v == 5)
-            SS_FATAL("bad configuration ", v);
-        return v + 100;
+    auto out = pool.map(items, [](int v) -> std::optional<int> {
+        try {
+            ScopedThrowErrors throwing;
+            if (v == 5)
+                SS_FATAL("bad configuration ", v);
+            return v + 100;
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimError::Kind::Fatal);
+            EXPECT_NE(std::string(e.what()).find("fatal"),
+                      std::string::npos);
+            return std::nullopt;
+        }
     });
-    unsigned ok = 0, failed = 0;
-    for (const auto &slot : out)
-        slot.ok() ? ++ok : ++failed;
-    EXPECT_EQ(ok, 7u);
-    EXPECT_EQ(failed, 1u);
-    EXPECT_EQ(out[5].status.state, sim::JobState::Failed);
-    EXPECT_NE(out[5].status.error.find("fatal"), std::string::npos);
+    ASSERT_EQ(out.size(), items.size());
+    for (int i = 0; i < 8; ++i) {
+        if (i == 5)
+            EXPECT_FALSE(out[i].has_value());
+        else
+            EXPECT_EQ(out[i], i + 100);
+    }
 
-    // The pool stays usable after the failures.
+    // The pool stays usable after the failure.
     auto again = pool.map(items, [](int v) { return v; });
-    EXPECT_EQ(again.size(), items.size());
+    EXPECT_EQ(again, items);
 }

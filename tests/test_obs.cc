@@ -90,9 +90,6 @@ TEST(TraceSink, FlagParsingAndMask)
 
 TEST(TraceSink, CollectorReceivesPrefixedLines)
 {
-#ifdef SS_TRACE_DISABLED
-    GTEST_SKIP() << "SS_DTRACE compiled out in this build";
-#endif
     TraceGuard guard;
     auto &sink = obs::TraceSink::instance();
     std::string lines;
@@ -128,11 +125,8 @@ TEST(CorrelatorEvents, EveryBoundSlotHasCreateAndOneTerminal)
     ASSERT_GT(res.forks, 0u) << "no slices forked; nothing to check";
     ASSERT_EQ(events.dropped(), 0u) << "ring too small for this run";
 
-    // corr tracing must actually have fired alongside the events
-    // (unless trace points are compiled out of this build).
-#ifndef SS_TRACE_DISABLED
+    // corr tracing must actually have fired alongside the events.
     EXPECT_NE(trace_lines.find("[trace:corr] "), std::string::npos);
-#endif
 
     // Replay the stream per slot token: a slot must be created before
     // it binds, and exactly one terminal (used/killed) must close it.

@@ -84,7 +84,8 @@ TEST(SimulatorTest, BaselineIgnoresSlices)
 TEST(SimulatorTest, SampledFaultSummaryCoversEveryRegion)
 {
     // Each region's core counts its own firings; the aggregate's
-    // per-site summary must add up every region, like faultsInjected.
+    // per-site counts must add up every region, and faultsInjected()
+    // is their total.
     workloads::Params p;
     p.scale = 400'000;
     auto wl = workloads::buildVpr(p);
@@ -103,7 +104,7 @@ TEST(SimulatorTest, SampledFaultSummaryCoversEveryRegion)
 
     const sim::RunResult r = simr.run(wl, o, true);
     ASSERT_EQ(r.sampledRegions, 3u);
-    ASSERT_GT(r.faultsInjected, 0u);
+    ASSERT_GT(r.faultsInjected(), 0u);
 
     // "site=n,site=n": sum the counts.
     const std::string summary = r.faultSummary();
@@ -111,7 +112,7 @@ TEST(SimulatorTest, SampledFaultSummaryCoversEveryRegion)
     for (std::size_t pos = summary.find('='); pos != std::string::npos;
          pos = summary.find('=', pos + 1))
         summed += std::stoull(summary.substr(pos + 1));
-    EXPECT_EQ(summed, r.faultsInjected) << summary;
+    EXPECT_EQ(summed, r.faultsInjected()) << summary;
 }
 
 TEST(WorkloadPerfTest, InstsPerSecExcludesWarmupTime)

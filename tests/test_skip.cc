@@ -164,7 +164,7 @@ TEST_P(SkipEquivalenceInjected, MatchesSteppedRun)
         opts.faults = plan(GetParam());
         const sim::RunResult r = expectStepEquivalent(
             sim::MachineConfig::fourWide(), wl, opts);
-        EXPECT_GT(r.faultsInjected, 0u);
+        EXPECT_GT(r.faultsInjected(), 0u);
     }
 }
 

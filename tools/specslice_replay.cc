@@ -24,11 +24,12 @@
  * memory) and runs the full timing simulator in both configurations,
  * so the digest it produces is built from the exact same counter set
  * as the committed execution-mode corpus (sim::digestSection); with
- * --sim-golden the committed digest supplies the run parameters and
- * the live digest must diff clean against it. Before simulating, the
- * record stream itself is verified against a functional re-execution
- * (verifyTraceFidelity), so both halves of the file — the workload
- * sections and the records — are proven faithful.
+ * --sim-golden the committed digest, once it lints clean, supplies the
+ * run parameters and the live digest must diff clean against it.
+ * Before simulating, the record stream itself is verified against a
+ * functional re-execution (verifyTraceFidelity), so both halves of
+ * the file — the workload sections and the records — are proven
+ * faithful.
  *
  * Replay digests (.rdigest) reuse the digest container/diff rules:
  * integer counters exact, accuracy ratios within epsilon.
@@ -481,14 +482,21 @@ runSim(const Options &o)
                          o.simGolden.c_str(), err.c_str());
             return 1;
         }
+        // Lint first, as specslice_verify does: the run parameters
+        // below are taken from the digest on trust.
+        std::vector<std::string> problems = check::lintDigest(*parsed);
+        for (const std::string &msg : problems)
+            std::fprintf(stderr, "error: %s: lint: %s\n",
+                         o.simGolden.c_str(), msg.c_str());
+        if (!problems.empty())
+            return 1;
         golden = std::move(*parsed);
         haveGolden = true;
     }
 
     const std::uint64_t insts = haveGolden ? golden.insts : o.insts;
     const std::uint64_t warmup = haveGolden ? golden.warmup : o.warmup;
-    const unsigned width =
-        haveGolden ? std::max(golden.width, 4u) : 4u;
+    const unsigned width = haveGolden ? golden.width : 4u;
     const unsigned threads = haveGolden ? golden.threads : 4u;
 
     sim::MachineConfig cfg = width == 8

@@ -19,7 +19,7 @@
  *   2  usage error (unknown flag/workload/trace flag/inject spec)
  *   3  run did not complete (cycle limit / watchdog) without
  *      --allow-partial
- *   4  simulation error (panic/fatal/timeout); with --json a
+ *   4  simulation error (panic/fatal); with --json a
  *      machine-readable error document is still emitted on stdout
  */
 
@@ -389,6 +389,12 @@ main(int argc, char **argv)
                      "--compare --load-checkpoint\n");
         return 2;
     }
+    if (o.limit && o.compare) {
+        std::fprintf(stderr,
+                     "error: --limit cannot be combined with "
+                     "--compare (--limit runs only the limit study)\n");
+        return 2;
+    }
 
     // The workload must outlast the whole sampling span, not just one
     // measurement window (regions defaults to 1 so a full run keeps
@@ -457,15 +463,56 @@ main(int argc, char **argv)
     if (!o.chromeTracePath.empty())
         events = std::make_unique<obs::EventBuffer>();
 
-    // Crash resilience: intervals accumulate into a caller-owned sink
-    // (single-run paths only — --compare runs would race on it) and a
-    // crash-dump handler flushes whatever artifacts exist if a run
-    // dies through the non-throwing panic/fatal path.
+    // A failed single run keeps its partial intervals in a
+    // caller-owned sink (--compare runs would race on it).
     std::vector<obs::IntervalRecord> interval_live;
-    if (!o.compare)
+    if (!o.compare) {
+        opts.events = events.get();
         opts.intervalSink = &interval_live;
+    }
 
-    auto writePartialArtifacts = [&]() {
+    if (!o.json)
+        std::printf("%s on the %u-wide machine (%llu measured insts, "
+                    "%llu warm-up)\n",
+                    wl.name.c_str(), o.width,
+                    static_cast<unsigned long long>(o.insts),
+                    static_cast<unsigned long long>(o.warmup));
+
+    std::vector<bench::WorkloadPerf> runs;
+    try {
+        ScopedThrowErrors throwing;
+        if (o.limit) {
+            runs.push_back(timedRun("limit", machine, wl,
+                                    sim::limitOptions(wl, opts), false));
+        } else if (o.compare) {
+            // The two runs are independent (each gets its own
+            // simulator instance; wl is shared read-only), so they
+            // overlap on a multicore host. Throw-mode is per thread,
+            // so each job installs its own.
+            struct RunSpec
+            {
+                const char *tag;
+                bool slices;
+            };
+            const std::vector<RunSpec> specs = {{"baseline", false},
+                                                {"slices", true}};
+            sim::JobPool pool(o.jobs);
+            runs = pool.map(specs, [&](const RunSpec &s) {
+                ScopedThrowErrors job_throwing;
+                sim::Simulator m(cfg);
+                sim::RunOptions ro = opts;
+                if (s.slices)
+                    ro.events = events.get();
+                return timedRun(s.tag, m, wl, ro, s.slices);
+            });
+        } else {
+            runs.push_back(timedRun(o.slices ? "slices" : "baseline",
+                                    machine, wl, opts, o.slices));
+        }
+    } catch (const SimError &e) {
+        // A failed run still produces a machine-readable record: with
+        // --json an {"error": {...}} document goes to stdout, and the
+        // partial observability artifacts are written either way.
         if (!o.intervalsPath.empty() && !interval_live.empty()) {
             std::ofstream os(o.intervalsPath);
             if (os)
@@ -476,86 +523,17 @@ main(int argc, char **argv)
             if (os)
                 events->writeChromeTrace(os);
         }
-    };
-    ScopedCrashDump crash_dump(writePartialArtifacts);
-
-    // A failed run still produces a machine-readable record: with
-    // --json an {"error": {...}} document goes to stdout, and partial
-    // observability artifacts are flushed either way.
-    auto simFailure = [&](const std::string &kind,
-                          const std::string &message) -> int {
-        writePartialArtifacts();
+        const char *kind = SimError::kindName(e.kind());
         if (o.json)
-            std::printf("%s\n",
-                        sim::errorDocument(wl.name, o.seed, kind,
-                                           message)
-                            .c_str());
+            std::printf(
+                "%s\n",
+                sim::errorDocument(wl.name, o.seed, kind, e.what())
+                    .c_str());
         std::fprintf(stderr, "error: simulation failed (%s): %s\n",
-                     kind.c_str(), message.c_str());
+                     kind, e.what());
         return 4;
-    };
-
-    if (!o.json)
-        std::printf("%s on the %u-wide machine (%llu measured insts, "
-                    "%llu warm-up)\n",
-                    wl.name.c_str(), o.width,
-                    static_cast<unsigned long long>(o.insts),
-                    static_cast<unsigned long long>(o.warmup));
-
-    std::vector<bench::WorkloadPerf> runs;
-    sim::RunResult result;
-    if (o.limit) {
-        opts.events = events.get();
-        try {
-            ScopedThrowErrors throwing;
-            runs.push_back(timedRun("limit", machine, wl,
-                                    sim::limitOptions(wl, opts), false));
-        } catch (const SimError &e) {
-            return simFailure(SimError::kindName(e.kind()), e.what());
-        }
-        result = runs.back().result;
-    } else if (o.compare) {
-        // The two runs are independent (each gets its own simulator
-        // instance; wl is shared read-only), so they overlap on a
-        // multicore host. mapSettled isolates a failing configuration:
-        // the surviving run's numbers are still printed before the
-        // error is reported.
-        struct RunSpec
-        {
-            const char *tag;
-            bool slices;
-        };
-        const std::vector<RunSpec> specs = {{"baseline", false},
-                                            {"slices", true}};
-        sim::JobPool pool(o.jobs);
-        auto settled = pool.mapSettled(specs, [&](const RunSpec &s) {
-            sim::Simulator m(cfg);
-            sim::RunOptions ro = opts;
-            if (s.slices)
-                ro.events = events.get();
-            return timedRun(s.tag, m, wl, ro, s.slices);
-        });
-        for (auto &slot : settled) {
-            if (!slot.ok())
-                return simFailure(
-                    slot.status.state == sim::JobState::TimedOut
-                        ? "timeout"
-                        : "failed",
-                    slot.status.error);
-            runs.push_back(std::move(*slot.value));
-        }
-        result = runs.back().result;
-    } else {
-        opts.events = events.get();
-        try {
-            ScopedThrowErrors throwing;
-            runs.push_back(timedRun(o.slices ? "slices" : "baseline",
-                                    machine, wl, opts, o.slices));
-        } catch (const SimError &e) {
-            return simFailure(SimError::kindName(e.kind()), e.what());
-        }
-        result = runs.back().result;
     }
+    const sim::RunResult &result = runs.back().result;
 
     std::uint64_t checked = 0;
     for (const auto &p : runs)
@@ -589,7 +567,7 @@ main(int argc, char **argv)
         if (!plan.empty()) {
             for (const auto &p : runs)
                 std::printf("faults[%s]: %s\n", p.name.c_str(),
-                            p.result.faultsInjected
+                            p.result.faultsInjected()
                                 ? p.result.faultSummary().c_str()
                                 : "(armed, none fired)");
         }
@@ -609,25 +587,29 @@ main(int argc, char **argv)
                                        : "");
     }
 
+    // Write every artifact before failing on a path that could not
+    // be opened, so one bad path does not cost the other artifact.
+    std::string unopened;
     if (!o.intervalsPath.empty()) {
         std::ofstream os(o.intervalsPath);
-        if (!os)
-            SS_FATAL("cannot open --intervals file '", o.intervalsPath,
-                     "'");
-        obs::writeIntervalsCsv(os, result.intervals);
+        if (os)
+            obs::writeIntervalsCsv(os, result.intervals);
+        else
+            unopened = "--intervals file '" + o.intervalsPath + "'";
     }
-
     if (events) {
         std::ofstream os(o.chromeTracePath);
-        if (!os)
-            SS_FATAL("cannot open --chrome-trace file '",
-                     o.chromeTracePath, "'");
-        events->writeChromeTrace(os);
-        if (!o.json)
-            std::printf("chrome trace: %s (%zu events%s)\n",
-                        o.chromeTracePath.c_str(), events->size(),
-                        events->dropped() ? ", ring overflowed" : "");
+        if (os)
+            events->writeChromeTrace(os);
+        else if (unopened.empty())
+            unopened = "--chrome-trace file '" + o.chromeTracePath + "'";
     }
+    if (!unopened.empty())
+        SS_FATAL("cannot open ", unopened);
+    if (events && !o.json)
+        std::printf("chrome trace: %s (%zu events%s)\n",
+                    o.chromeTracePath.c_str(), events->size(),
+                    events->dropped() ? ", ring overflowed" : "");
 
     if (o.profile) {
         auto prob =

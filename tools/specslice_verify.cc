@@ -27,13 +27,15 @@
  * architectural state. The counter diff is skipped (perturbed stats
  * are the point).
  *
- * The sweep is crash-resilient: workloads run via JobPool::mapSettled,
- * so one panicking or deadline-exceeded configuration is reported in
- * the summary (state "error"/"timeout") while the rest complete.
- * Exits 0 only when every workload passes; 2 on usage errors.
+ * One failing workload does not stop the sweep: each job runs under
+ * ScopedThrowErrors, so a workload whose run panics, is fatal or
+ * throws is reported in the summary (state "error") while the rest
+ * complete. Exits 0 only when every workload passes; 2 on usage
+ * errors.
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +49,7 @@
 
 #include "bench_common.hh"
 #include "check/digest.hh"
+#include "common/failure.hh"
 #include "common/logging.hh"
 #include "fault/fault.hh"
 #include "sim/job_pool.hh"
@@ -82,7 +85,6 @@ struct Options
     bool check = true;
     bool verbose = false;
     bool json = false;            ///< sweep summary JSON on stdout
-    double deadline = 0.0;        ///< per-workload wall clock (s)
     fault::FaultPlan inject;      ///< plan applied to every workload
     /** Per-workload plans (--inject-workload NAME:SPEC); override the
      *  global plan for that workload. */
@@ -108,8 +110,6 @@ usage(int code)
         "                    --generate)\n"
         "  --inject-workload NAME:SPEC  per-workload plan (overrides\n"
         "                    --inject for NAME; repeatable)\n"
-        "  --deadline SECS   per-workload wall-clock deadline (one\n"
-        "                    retry on timeout; 0 = none)\n"
         "  --json            print the sweep summary as JSON on\n"
         "                    stdout\n"
         "  --insts N         measured instructions (generate; %llu)\n"
@@ -183,12 +183,6 @@ parseArgs(int argc, char **argv)
             }
             o.injectWorkload[v.substr(0, colon)] =
                 parsePlanOrDie(v.substr(colon + 1));
-        } else if (a == "--deadline") {
-            const char *v = next();
-            char *end = nullptr;
-            o.deadline = std::strtod(v, &end);
-            if (!end || *end != '\0' || o.deadline < 0.0)
-                usage(2);
         } else if (a == "--json") {
             o.json = true;
         } else if (a == "--insts") {
@@ -323,15 +317,14 @@ buildLiveRun(const std::string &name, const RunParams &p, bool check,
 
     auto absorb = [&](const char *config, const sim::RunResult &r) {
         live.digest.sections.push_back(sectionFrom(config, r));
-        if (static_cast<int>(r.outcome) >
-            static_cast<int>(live.worst))
+        if (sim::isWorseOutcome(r.outcome, live.worst))
             live.worst = r.outcome;
         if (r.checkDiverged && !live.diverged) {
             live.diverged = true;
             live.checkReport = r.checkReport;
         }
-        live.faultsInjected += r.faultsInjected;
-        if (r.faultsInjected) {
+        live.faultsInjected += r.faultsInjected();
+        if (r.faultsInjected()) {
             if (!live.faultSummary.empty())
                 live.faultSummary += "; ";
             live.faultSummary += config;
@@ -354,9 +347,11 @@ struct Outcome
 {
     std::string name;
     bool ok = false;
-    /** ok | mismatch | error | timeout (for --json). */
+    /** ok | mismatch | error (for --json). */
     std::string state = "mismatch";
     std::vector<std::string> messages;
+    /** Wall time of the workload's job, in seconds. */
+    double wallSeconds = 0.0;
 };
 
 Outcome
@@ -507,33 +502,25 @@ main(int argc, char **argv)
         std::filesystem::create_directories(o.dir);
 
     sim::JobPool pool(o.jobs);
-    sim::SettleOptions sopts;
-    sopts.deadlineSeconds = o.deadline;
-    auto settled = pool.mapSettled(
-        names,
-        [&](const std::string &name) {
-            return o.generate ? generateWorkload(name, o)
-                              : verifyWorkload(name, o);
-        },
-        sopts);
-
-    std::vector<Outcome> outcomes;
-    std::vector<sim::JobStatus> statuses;
-    for (std::size_t i = 0; i < settled.size(); ++i) {
-        if (settled[i].ok()) {
-            outcomes.push_back(std::move(*settled[i].value));
-        } else {
+    std::vector<Outcome> outcomes =
+        pool.map(names, [&](const std::string &name) {
+            const auto start = std::chrono::steady_clock::now();
             Outcome out;
-            out.name = names[i];
-            out.state = settled[i].status.state ==
-                                sim::JobState::TimedOut
-                            ? "timeout"
-                            : "error";
-            out.messages.push_back(settled[i].status.error);
-            outcomes.push_back(std::move(out));
-        }
-        statuses.push_back(settled[i].status);
-    }
+            try {
+                ScopedThrowErrors throwing;
+                out = o.generate ? generateWorkload(name, o)
+                                 : verifyWorkload(name, o);
+            } catch (const std::exception &e) {
+                out.name = name;
+                out.state = "error";
+                out.messages.push_back(e.what());
+            }
+            out.wallSeconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() -
+                                  start)
+                                  .count();
+            return out;
+        });
 
     bool failed = false;
     for (const Outcome &out : outcomes) {
@@ -593,15 +580,12 @@ main(int argc, char **argv)
 
     if (o.json) {
         std::vector<std::string> elems;
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            const Outcome &out = outcomes[i];
+        for (const Outcome &out : outcomes) {
             bench::JsonObject rec;
             rec.field("name", out.name)
                 .raw("ok", out.ok ? "true" : "false")
                 .field("state", out.state)
-                .field("wall_seconds", statuses[i].wallSeconds)
-                .field("attempts",
-                       std::uint64_t{statuses[i].attempts});
+                .field("wall_seconds", out.wallSeconds);
             std::vector<std::string> msgs;
             for (const std::string &m : out.messages)
                 msgs.push_back("\"" + bench::jsonEscape(m) + "\"");
