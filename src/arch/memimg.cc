@@ -20,44 +20,49 @@ MemoryImage::operator=(MemoryImage &&other) noexcept
     if (this != &other) {
         pages_ = std::move(other.pages_);
         other.pages_.clear();
-        cachedPageNum_ = std::exchange(other.cachedPageNum_, ~Addr{0});
-        cachedPage_ = std::exchange(other.cachedPage_, nullptr);
+        translations_ = other.translations_;
+        other.clearTranslations();
     }
     return *this;
+}
+
+void
+MemoryImage::clearTranslations()
+{
+    translations_.fill(Translation{});
 }
 
 const MemoryImage::Page *
 MemoryImage::findPage(Addr addr) const
 {
     Addr pnum = addr >> pageShift;
-    if (pnum == cachedPageNum_)
-        return cachedPage_;
-    auto it = pages_.find(pnum);
-    if (it == pages_.end())
+    Translation &t = translationFor(addr);
+    if (t.pageNum == pnum)
+        return t.page;
+    const std::unique_ptr<Page> *slot = pages_.find(pnum);
+    if (!slot)
         return nullptr;
-    cachedPageNum_ = pnum;
-    cachedPage_ = it->second.get();
-    return cachedPage_;
+    t = {pnum, slot->get()};
+    return t.page;
 }
 
 MemoryImage::Page &
 MemoryImage::touchPage(Addr addr)
 {
     Addr pnum = addr >> pageShift;
-    if (pnum == cachedPageNum_)
-        return *cachedPage_;
-    auto &slot = pages_[pnum];
+    Translation &t = translationFor(addr);
+    if (t.pageNum == pnum)
+        return *t.page;
+    std::unique_ptr<Page> &slot = pages_[pnum];
     if (!slot)
         slot = std::make_unique<Page>();  // value-initialised: zeroed
-    cachedPageNum_ = pnum;
-    cachedPage_ = slot.get();
+    t = {pnum, slot.get()};
     return *slot;
 }
 
 std::uint64_t
-MemoryImage::read(Addr addr, unsigned n) const
+MemoryImage::readSlow(Addr addr, unsigned n) const
 {
-    SS_ASSERT(n == 1 || n == 2 || n == 4 || n == 8, "bad access size");
     std::uint64_t value = 0;
     std::size_t off = addr & (pageSize - 1);
     if (off + n <= pageSize) {
@@ -80,10 +85,8 @@ MemoryImage::read(Addr addr, unsigned n) const
 }
 
 void
-MemoryImage::write(Addr addr, std::uint64_t value, unsigned n)
+MemoryImage::writeSlow(Addr addr, std::uint64_t value, unsigned n)
 {
-    SS_ASSERT(n == 1 || n == 2 || n == 4 || n == 8, "bad access size");
-    SS_ASSERT(!faults(addr), "functional write to the null page");
     std::size_t off = addr & (pageSize - 1);
     if (off + n <= pageSize) {
         Page &p = touchPage(addr);
@@ -102,9 +105,9 @@ MemoryImage
 MemoryImage::clone() const
 {
     MemoryImage copy;
-    copy.pages_.reserve(pages_.size());
-    for (const auto &[pnum, page] : pages_)
-        copy.pages_.emplace(pnum, std::make_unique<Page>(*page));
+    pages_.forEach([&copy](Addr pnum, const std::unique_ptr<Page> &page) {
+        copy.pages_[pnum] = std::make_unique<Page>(*page);
+    });
     return copy;
 }
 
@@ -113,8 +116,9 @@ MemoryImage::pageNumbers() const
 {
     std::vector<Addr> nums;
     nums.reserve(pages_.size());
-    for (const auto &[pnum, page] : pages_)
+    pages_.forEach([&nums](Addr pnum, const std::unique_ptr<Page> &) {
         nums.push_back(pnum);
+    });
     std::sort(nums.begin(), nums.end());
     return nums;
 }
@@ -122,21 +126,20 @@ MemoryImage::pageNumbers() const
 const std::uint8_t *
 MemoryImage::pageData(Addr page_num) const
 {
-    auto it = pages_.find(page_num);
-    return it != pages_.end() ? it->second->data() : nullptr;
+    const std::unique_ptr<Page> *slot = pages_.find(page_num);
+    return slot ? (*slot)->data() : nullptr;
 }
 
 void
 MemoryImage::importPage(Addr page_num, const std::uint8_t *data)
 {
     SS_ASSERT(page_num != 0, "cannot map the null page");
-    auto &slot = pages_[page_num];
+    std::unique_ptr<Page> &slot = pages_[page_num];
     if (!slot)
         slot = std::make_unique_for_overwrite<Page>();
     std::memcpy(slot->data(), data, pageSize);
     // The translation cache may point at a page this import replaced.
-    cachedPageNum_ = ~Addr{0};
-    cachedPage_ = nullptr;
+    clearTranslations();
 }
 
 std::uint64_t

@@ -12,11 +12,14 @@
 #define SPECSLICE_ARCH_MEMIMG_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/logging.hh"
+#include "common/open_hash.hh"
 #include "common/types.hh"
 
 namespace specslice::arch
@@ -42,10 +45,33 @@ class MemoryImage
     }
 
     /** Read n bytes (n in {1,2,4,8}), little-endian. */
-    std::uint64_t read(Addr addr, unsigned n) const;
+    std::uint64_t
+    read(Addr addr, unsigned n) const
+    {
+        SS_ASSERT(n == 1 || n == 2 || n == 4 || n == 8, "bad access size");
+        const std::size_t off = addr & (pageSize - 1);
+        const Translation &t = translationFor(addr);
+        if (t.pageNum == (addr >> pageShift) && off + n <= pageSize)
+            [[likely]]
+            return load(t.page->data() + off, n);
+        return readSlow(addr, n);
+    }
 
     /** Write n bytes (n in {1,2,4,8}), little-endian. */
-    void write(Addr addr, std::uint64_t value, unsigned n);
+    void
+    write(Addr addr, std::uint64_t value, unsigned n)
+    {
+        SS_ASSERT(n == 1 || n == 2 || n == 4 || n == 8, "bad access size");
+        SS_ASSERT(!faults(addr), "functional write to the null page");
+        const std::size_t off = addr & (pageSize - 1);
+        const Translation &t = translationFor(addr);
+        if (t.pageNum == (addr >> pageShift) && off + n <= pageSize)
+            [[likely]] {
+            store(t.page->data() + off, value, n);
+            return;
+        }
+        writeSlow(addr, value, n);
+    }
 
     std::uint64_t readQ(Addr addr) const { return read(addr, 8); }
     std::uint32_t
@@ -99,20 +125,100 @@ class MemoryImage
   private:
     using Page = std::array<std::uint8_t, pageSize>;
 
+    // The inline accesses copy the value's bytes straight out of (or
+    // into) the page, which is the little-endian layout only on a
+    // little-endian host.
+    static_assert(std::endian::native == std::endian::little,
+                  "MemoryImage's in-page accesses assume a "
+                  "little-endian host");
+
+    /** One translation-cache entry: a page number and its page. */
+    struct Translation
+    {
+        Addr pageNum = ~Addr{0};  ///< no page has this number
+        Page *page = nullptr;
+    };
+
+    /** Translation-cache entries, direct-mapped on the page number's
+     *  low bits. */
+    static constexpr std::size_t translationEntries = 64;
+
+    /** The entry addr's page maps to (it may hold another page). */
+    Translation &
+    translationFor(Addr addr) const
+    {
+        return translations_[(addr >> pageShift) &
+                             (translationEntries - 1)];
+    }
+
+    // A switch on n gives every memcpy a constant size, so each one
+    // compiles to a single load or store.
+    static std::uint64_t
+    load(const std::uint8_t *p, unsigned n)
+    {
+        switch (n) {
+          case 1:
+            return *p;
+          case 2: {
+            std::uint16_t v = 0;
+            std::memcpy(&v, p, sizeof(v));
+            return v;
+          }
+          case 4: {
+            std::uint32_t v = 0;
+            std::memcpy(&v, p, sizeof(v));
+            return v;
+          }
+          default: {
+            std::uint64_t v = 0;
+            std::memcpy(&v, p, sizeof(v));
+            return v;
+          }
+        }
+    }
+
+    static void
+    store(std::uint8_t *p, std::uint64_t value, unsigned n)
+    {
+        switch (n) {
+          case 1:
+            *p = static_cast<std::uint8_t>(value);
+            break;
+          case 2: {
+            const auto v = static_cast<std::uint16_t>(value);
+            std::memcpy(p, &v, sizeof(v));
+            break;
+          }
+          case 4: {
+            const auto v = static_cast<std::uint32_t>(value);
+            std::memcpy(p, &v, sizeof(v));
+            break;
+          }
+          default:
+            std::memcpy(p, &value, sizeof(value));
+            break;
+        }
+    }
+
+    /** Translation-cache misses and page-straddling accesses. */
+    std::uint64_t readSlow(Addr addr, unsigned n) const;
+    void writeSlow(Addr addr, std::uint64_t value, unsigned n);
+
     const Page *findPage(Addr addr) const;
     Page &touchPage(Addr addr);
+    void clearTranslations();
 
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
+    OpenHashMap<Addr, std::unique_ptr<Page>> pages_;
 
     /**
-     * One-entry translation cache. The simulated working sets walk
-     * small regions, so consecutive accesses overwhelmingly land on
-     * the same page; caching the last page skips the hash lookup.
-     * Pages are never deallocated while the image owns them, and a
-     * move clears the source's cache, so the pointer cannot dangle.
+     * Direct-mapped translation cache over pages_. The simulated
+     * working sets walk a few regions at a time, so most accesses hit
+     * a cached page and skip the hash lookup. Only allocated pages are
+     * cached. Pages are never freed while the image owns them, and a
+     * move or an importPage clears the cache, so an entry cannot
+     * dangle.
      */
-    mutable Addr cachedPageNum_ = ~Addr{0};
-    mutable Page *cachedPage_ = nullptr;
+    mutable std::array<Translation, translationEntries> translations_{};
 };
 
 } // namespace specslice::arch

@@ -75,11 +75,16 @@ struct DynInst : DynInstData
     std::unique_ptr<arch::RegFile> regCheckpointAfter;
 
     /** Reset to a fresh instruction in a recycled window slot,
-     *  keeping the dependents buffer's capacity. */
+     *  keeping the dependents buffer's capacity. Copies from a
+     *  constant rather than assigning DynInstData{}: GCC builds that
+     *  temporary on the stack with rep stos and reloads it with wide
+     *  loads the stores cannot forward to, while the constant sits in
+     *  read-only data that no pending store is writing. */
     void
     recycle()
     {
-        static_cast<DynInstData &>(*this) = DynInstData{};
+        static constexpr DynInstData fresh{};
+        static_cast<DynInstData &>(*this) = fresh;
         dependents.clear();
         regCheckpointAfter.reset();
     }

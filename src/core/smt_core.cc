@@ -917,11 +917,14 @@ SmtCore::retireStage()
     if (injector_.armed(fault::Site::SliceKill))
         applyInjectedSliceKills();
 
+    SeqNum bound = oldestInFlight();
+
     // Stop slices whose every branch-queue entry has been killed by a
     // retired (non-speculative) slice kill: none of their remaining
     // work can be consumed, so squash them to free the shared window.
     if (cfg_.terminateDeadSlices) {
-        SeqNum retired_bound = oldestInFlight() - 1;
+        const SeqNum retired_bound = bound - 1;
+        bool squashed = false;
         for (ThreadId tid = 1; tid < threads_.size(); ++tid) {
             ThreadCtx &t = threads_[tid];
             if (!t.isSlice || !t.active || t.fetchEnded)
@@ -933,12 +936,14 @@ SmtCore::retireStage()
             t.fetchEnded = true;
             ++s_.slicesTerminatedDead;
             releaseSliceThread(tid);
+            squashed = true;
         }
+        if (squashed)
+            bound = oldestInFlight();
     }
 
     // Reclaim correlator slots whose kills have retired, and prune the
     // store-undo log.
-    SeqNum bound = oldestInFlight();
     correlator_.retireUpTo(bound > 0 ? bound - 1 : 0);
     while (!storeUndoLog_.empty() && storeUndoLog_.front().seq < bound)
         storeUndoLog_.pop_front();

@@ -2,95 +2,13 @@
 
 #include "common/logging.hh"
 
-namespace specslice::isa
+namespace specslice::isa::opcodes_detail
 {
 
-namespace
+void
+badOpcode(std::size_t idx)
 {
-
-// Shorthand flags for table readability.
-constexpr bool Y = true;
-constexpr bool N = false;
-
-// One row per opcode, in enum order.
-//                         mnem        fu                    lat ld st cbr ubr ind call ret wRc rRa rRb rRc imm
-const OpTraits traitTable[] = {
-    {"add",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"sub",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"and",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"or",      FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"xor",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"sll",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"srl",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"sra",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmpeq",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmplt",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmple",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmpult",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"s4add",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"s8add",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmoveq",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, Y, N},
-    {"cmovne",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, Y, N},
-    {"cmovlt",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, Y, N},
-    {"addi",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"subi",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"andi",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"ori",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"xori",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"slli",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"srli",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"srai",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"cmpeqi",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"cmplti",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"cmplei",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"cmpulti", FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"ldi",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, N, N, N, Y},
-    {"mul",     FuClass::IntComplex, 7, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"div",     FuClass::IntComplex,20, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fadd",    FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fsub",    FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fmul",    FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fcmplt",  FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fcmple",  FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fcmpeq",  FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cvtif",   FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, N, N, N},
-    {"cvtfi",   FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, N, N, N},
-    {"ldq",     FuClass::MemPort,    3, Y, N, N, N, N, N, N, Y, N, Y, N, Y},
-    {"ldl",     FuClass::MemPort,    3, Y, N, N, N, N, N, N, Y, N, Y, N, Y},
-    {"ldbu",    FuClass::MemPort,    3, Y, N, N, N, N, N, N, Y, N, Y, N, Y},
-    {"stq",     FuClass::MemPort,    1, N, Y, N, N, N, N, N, N, Y, Y, N, Y},
-    {"stl",     FuClass::MemPort,    1, N, Y, N, N, N, N, N, N, Y, Y, N, Y},
-    {"stb",     FuClass::MemPort,    1, N, Y, N, N, N, N, N, N, Y, Y, N, Y},
-    {"prefetch",FuClass::MemPort,    3, Y, N, N, N, N, N, N, N, N, Y, N, Y},
-    {"beq",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"bne",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"blt",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"ble",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"bgt",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"bge",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"br",      FuClass::Branch,     1, N, N, N, Y, N, N, N, N, N, N, N, N},
-    {"call",    FuClass::Branch,     1, N, N, N, Y, N, Y, N, Y, N, N, N, N},
-    {"jmp",     FuClass::Branch,     1, N, N, N, N, Y, N, N, N, Y, N, N, N},
-    {"callr",   FuClass::Branch,     1, N, N, N, N, Y, Y, N, Y, N, Y, N, N},
-    {"ret",     FuClass::Branch,     1, N, N, N, N, Y, N, Y, N, Y, N, N, N},
-    {"nop",     FuClass::None,       1, N, N, N, N, N, N, N, N, N, N, N, N},
-    {"halt",    FuClass::None,       1, N, N, N, N, N, N, N, N, N, N, N, N},
-    {"slice_end",FuClass::None,      1, N, N, N, N, N, N, N, N, N, N, N, N},
-};
-
-static_assert(sizeof(traitTable) / sizeof(traitTable[0]) ==
-                  static_cast<std::size_t>(Opcode::NumOpcodes),
-              "trait table out of sync with Opcode enum");
-
-} // namespace
-
-const OpTraits &
-opTraits(Opcode op)
-{
-    auto idx = static_cast<std::size_t>(op);
-    SS_ASSERT(idx < static_cast<std::size_t>(Opcode::NumOpcodes),
-              "bad opcode ", idx);
-    return traitTable[idx];
+    SS_PANIC("bad opcode ", idx);
 }
 
-} // namespace specslice::isa
+} // namespace specslice::isa::opcodes_detail

@@ -457,6 +457,10 @@ PredictionCorrelator::onSliceDone(SeqNum fork_seq)
 void
 PredictionCorrelator::retireUpTo(SeqNum bound)
 {
+    // Baseline, limit and profiling runs never fork, so the branch
+    // queue stays empty and every stepped cycle returns here.
+    if (entries_.size() == 0)
+        return;
     toFree_.clear();
     entries_.forEach([&](Entry &e) {
         while (!e.slots.empty()) {

@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "arch/exec.hh"
+#include "common/rng.hh"
 
 using namespace specslice;
 using namespace specslice::isa;
@@ -303,4 +309,134 @@ TEST(MemImgTest, DoubleRoundTrip)
     arch::MemoryImage mem;
     mem.writeF(0x6000, 3.14159);
     EXPECT_DOUBLE_EQ(mem.readF(0x6000), 3.14159);
+}
+
+namespace
+{
+
+/** Byte-map reference for MemoryImage: absent bytes read zero. */
+struct ByteMapMemory
+{
+    std::map<Addr, std::uint8_t> bytes;
+
+    std::uint64_t
+    read(Addr addr, unsigned n) const
+    {
+        std::uint64_t value = 0;
+        for (unsigned i = 0; i < n; ++i) {
+            auto it = bytes.find(addr + i);
+            if (it != bytes.end())
+                value |= static_cast<std::uint64_t>(it->second) << (8 * i);
+        }
+        return value;
+    }
+
+    void
+    write(Addr addr, std::uint64_t value, unsigned n)
+    {
+        for (unsigned i = 0; i < n; ++i)
+            bytes[addr + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+
+    /** Page numbers holding at least one written byte, sorted. */
+    std::vector<Addr>
+    pages() const
+    {
+        std::vector<Addr> nums;
+        for (const auto &[addr, byte] : bytes) {
+            Addr pnum = addr >> arch::MemoryImage::pageShift;
+            if (nums.empty() || nums.back() != pnum)
+                nums.push_back(pnum);
+        }
+        return nums;
+    }
+};
+
+} // namespace
+
+// A seeded mix of 1-, 2-, 4- and 8-byte accesses checked against the
+// byte map, over more pages than the translation cache holds, that
+// share cache entries, straddle page ends and include never-written
+// pages; then clone, move and importPage on the result.
+TEST(MemImgTest, MatchesByteMapReference)
+{
+    constexpr Addr pageSize = arch::MemoryImage::pageSize;
+    // Page numbers 64 apart share a translation-cache entry: 80 such
+    // pages are written, and 10 more are only ever read.
+    std::vector<Addr> written, unwritten;
+    for (Addr i = 0; i < 80; ++i)
+        written.push_back((1 + 64 * i) * pageSize);
+    for (Addr i = 0; i < 10; ++i)
+        unwritten.push_back((33 + 64 * i) * pageSize);
+
+    Rng rng(7);
+    arch::MemoryImage mem;
+    ByteMapMemory ref;
+    for (unsigned step = 0; step < 200'000; ++step) {
+        const bool is_write = rng.chance(1, 2);
+        const std::vector<Addr> &pages =
+            is_write || rng.chance(3, 4) ? written : unwritten;
+        const Addr page = pages[rng.below(pages.size())];
+        const Addr off = rng.chance(1, 4) ? rng.range(4093, 4095)
+                                          : rng.below(pageSize);
+        const unsigned n = 1u << rng.below(4);
+        const Addr addr = page + off;
+        if (is_write) {
+            const std::uint64_t value = rng.next();
+            mem.write(addr, value, n);
+            ref.write(addr, value, n);
+        } else {
+            ASSERT_EQ(mem.read(addr, n), ref.read(addr, n))
+                << "step " << step << ": " << n << " bytes at 0x"
+                << std::hex << addr;
+        }
+    }
+    for (Addr page : unwritten)
+        EXPECT_EQ(mem.readQ(page + 64), 0u);
+
+    const std::vector<Addr> nums = mem.pageNumbers();
+    EXPECT_TRUE(std::is_sorted(nums.begin(), nums.end()));
+    EXPECT_EQ(nums, ref.pages());
+    EXPECT_EQ(mem.pageCount(), nums.size());
+
+    // Every page and its bytes, through the inline path.
+    auto matches = [&ref](const arch::MemoryImage &img) {
+        for (const auto &[addr, byte] : ref.bytes) {
+            if (img.readB(addr) != byte)
+                return false;
+        }
+        return true;
+    };
+
+    arch::MemoryImage copy = mem.clone();
+    EXPECT_EQ(copy.pageNumbers(), nums);
+    EXPECT_EQ(copy.contentHash(), mem.contentHash());
+    EXPECT_TRUE(matches(copy));
+    // The clone owns its own pages.
+    const Addr probe = written[3] + 100;
+    copy.writeQ(probe, ~ref.read(probe, 8));
+    EXPECT_EQ(mem.readQ(probe), ref.read(probe, 8));
+    EXPECT_NE(copy.contentHash(), mem.contentHash());
+
+    // A move leaves the source empty, cached translations included:
+    // the source just read every written page.
+    EXPECT_TRUE(matches(mem));
+    arch::MemoryImage moved = std::move(mem);
+    EXPECT_TRUE(matches(moved));
+    EXPECT_EQ(mem.pageCount(), 0u);
+    EXPECT_TRUE(mem.pageNumbers().empty());
+    for (Addr page : written)
+        EXPECT_EQ(mem.readQ(page + 8), 0u) << std::hex << page;
+
+    // importPage over a cached page: later reads see the new bytes.
+    const Addr target = written[5];
+    moved.readQ(target);
+    std::vector<std::uint8_t> fresh(pageSize);
+    for (std::size_t i = 0; i < pageSize; ++i)
+        fresh[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    moved.importPage(target / pageSize, fresh.data());
+    for (std::size_t i = 0; i < pageSize; ++i)
+        ref.bytes[target + i] = fresh[i];
+    EXPECT_TRUE(matches(moved));
+    EXPECT_EQ(moved.readQ(target + 4092), ref.read(target + 4092, 8));
 }
