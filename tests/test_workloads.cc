@@ -2,13 +2,15 @@
  * @file
  * Workload-suite tests, parameterized over all 12 benchmarks: each
  * builds, runs to its instruction budget on both machine widths, has
- * a plausible IPC, and (when it ships slices) forks them with highly
- * accurate predictions. Also checks the documented per-benchmark
- * shapes (parser has no slices, vortex's is prefetch-only, etc.).
+ * a plausible IPC, (when it ships slices) forks them with highly
+ * accurate predictions, and executes at least half its scale before
+ * halting. Also checks the documented per-benchmark shapes (parser
+ * has no slices, vortex's is prefetch-only, etc.).
  */
 
 #include <gtest/gtest.h>
 
+#include "arch/fastfwd.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
@@ -117,6 +119,33 @@ TEST_P(WorkloadSuite, DeterministicForFixedSeed)
     EXPECT_EQ(r1.cycles, r2.cycles);
     EXPECT_EQ(r1.mispredictions, r2.mispredictions);
     EXPECT_EQ(r1.forks, r2.forks);
+}
+
+// The tools build a workload at twice the instructions a run fetches
+// (warm-up plus measured), so every kernel must execute at least half
+// its scale, plus a few instructions of slack for the fetch window,
+// before it halts.
+TEST_P(WorkloadSuite, DynamicLengthCoversScale)
+{
+    for (std::uint64_t scale : {50'000u, 60'000u, 150'000u}) {
+        for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 203u,
+                                   925u}) {
+            workloads::Params p;
+            p.scale = scale;
+            p.seed = seed;
+            auto wl = workloads::buildWorkload(GetParam(), p);
+            arch::FastForward ff(wl.program);
+            ff.reset(wl.entry);
+            if (wl.initMemory)
+                wl.initMemory(ff.mem());
+            const std::uint64_t needed = scale / 2 + 4;
+            ff.advanceTo(needed);
+            EXPECT_GE(ff.executed(), needed)
+                << "scale " << scale << ", seed " << seed << ": stopped ("
+                << arch::ffStopName(ff.lastStop()) << ") after "
+                << ff.executed() << " instructions";
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
