@@ -65,7 +65,11 @@ namespace specslice::bench
  *       "timeout" state (--deadline is gone); "wall_seconds" times
  *       the whole verify job; the outcome "fault" is gone, and a
  *       failed specslice_run --compare reports error kind "panic" or
- *       "fatal" (was "failed")
+ *       "fatal" (was "failed"); later, the "faults_injected"/
+ *       "fault_summary" run fields, the top-level "inject" field and
+ *       the "checker_divergence" outcome went with --inject (no
+ *       bump: they only appeared under --inject, which is now a
+ *       usage error; a divergence is a fatal "error" document)
  *
  * The constant itself lives in sim/result_json.hh so specslice_run
  * --json stamps the same version.

@@ -53,12 +53,6 @@ BranchPredictorUnit::predictCond(Addr pc, int override_dir,
     } else {
         taken = yags_.predict(pc, ctx.ghist);
     }
-    // pred.flip: invert the direction before the speculative history
-    // shift, so the history tracks the (wrong) path the front end
-    // actually follows — recovery then works exactly as it would for
-    // a natural misprediction.
-    if (injector_ && injector_->fire(fault::Site::PredFlip))
-        taken = !taken;
     ++s_.condPredictions;
     ghist_.shift(taken);
     SS_DTRACE(Pred, "cond pc=0x", std::hex, pc, std::dec,
@@ -116,7 +110,7 @@ BranchPredictorUnit::warmCond(Addr pc, bool taken)
     // Mirror a correctly-predicted branch's lifecycle: train against
     // the history the prediction would have been made under, then
     // shift the outcome in — exactly predictCond + updateCond minus
-    // the stats and injector taps.
+    // the stats.
     yags_.update(pc, ghist_.value(), taken);
     ghist_.shift(taken);
 }

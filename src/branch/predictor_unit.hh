@@ -18,7 +18,6 @@
 #include "branch/yags.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "fault/fault.hh"
 
 namespace specslice::branch
 {
@@ -117,12 +116,6 @@ class BranchPredictorUnit
 
     const StatGroup &stats() const { return stats_; }
 
-    /**
-     * Attach a fault injector (null detaches). Tap point: `pred.flip`
-     * inverts the direction predictCond() hands the front end.
-     */
-    void setInjector(fault::Injector *inj) { injector_ = inj; }
-
   private:
     /** Handles into stats_, registered once at construction. */
     struct Handles
@@ -140,7 +133,6 @@ class BranchPredictorUnit
     YagsPredictor yags_;
     CascadedIndirectPredictor indirect_;
     ReturnAddressStack ras_;
-    fault::Injector *injector_ = nullptr;
     StatGroup stats_;
     Handles s_;
 };

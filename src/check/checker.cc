@@ -73,15 +73,6 @@ RetireChecker::onRetire(const RetireRecord &observed)
 
     RetireRecord rec = observed;
     rec.index = ++checked_;
-
-    // Mutation hooks: corrupt the *observed* values, never the core,
-    // so the injected-fault tests prove detection without perturbing
-    // the simulation under test.
-    if (rec.wroteReg && ++regWrites_ == cfg_.injectRegFaultAt)
-        rec.value ^= 0x1;
-    if (rec.isStore && ++stores_ == cfg_.injectStoreFaultAt)
-        rec.storeData ^= 0x1;
-
     history_.push_back(rec);
     while (history_.size() > cfg_.historyDepth)
         history_.pop_front();

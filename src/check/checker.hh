@@ -78,18 +78,10 @@ struct CheckerConfig
 {
     /** Retired-instruction ring kept for the divergence report. */
     unsigned historyDepth = 16;
-    /** SS_FATAL with the full report at the first divergence
-     *  (the default wired through sim::Simulator); tests latch
-     *  instead and inspect divergence(). */
-    bool panicOnDivergence = false;
-    /**
-     * Mutation-style self-test hooks: corrupt the observed value
-     * of the Nth (1-based) register-writing / storing retirement
-     * before comparison, so a healthy checker must report a
-     * divergence at exactly that instruction. 0 = off.
-     */
-    std::uint64_t injectRegFaultAt = 0;
-    std::uint64_t injectStoreFaultAt = 0;
+    /** SS_FATAL with the full report at the first divergence. The
+     *  unit tests turn it off to latch the divergence and inspect
+     *  divergence(). */
+    bool panicOnDivergence = true;
 };
 
 /**
@@ -157,8 +149,6 @@ class RetireChecker
 
     // Checking state.
     std::uint64_t checked_ = 0;
-    std::uint64_t regWrites_ = 0;  ///< reg-writing retirements seen
-    std::uint64_t stores_ = 0;     ///< store retirements seen
     RingQueue<RetireRecord> history_;
     Divergence div_;
 };

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "core/config.hh"
+
 namespace specslice::check
 {
 
@@ -208,8 +210,8 @@ lintDigest(const Digest &d)
         bad("insts must be > 0");
     if (d.width != 4 && d.width != 8)
         bad("width must be 4 or 8 (the Table 1 machines)");
-    if (d.threads == 0)
-        bad("threads must be > 0");
+    if (d.threads == 0 || d.threads > core::maxThreads)
+        bad("threads must be in 1.." + std::to_string(core::maxThreads));
 
     for (const char *req : {"baseline", "slices"}) {
         if (!d.findSection(req))

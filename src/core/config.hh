@@ -16,9 +16,14 @@
 namespace specslice::core
 {
 
+/** The most SMT contexts a core may have. ThreadId is eight bits and
+ *  the per-thread loops count with it, so the bound must stay well
+ *  below 256; SmtCore, the digest lint and the tools all check it. */
+inline constexpr unsigned maxThreads = 64;
+
 struct CoreConfig
 {
-    /** SMT hardware contexts (1 main + idle helpers). */
+    /** SMT hardware contexts (1 main + idle helpers), 1..maxThreads. */
     unsigned numThreads = 4;
 
     unsigned fetchWidth = 4;

@@ -381,11 +381,6 @@ SmtCore::forkSlice(DynInst &fork_inst, int slice_idx)
     st.forkSeq = fork_inst.seq;
     st.loopIters = 0;
     st.fetchEnded = false;
-    st.killAtCycle = 0;
-    // slice.kill injection: arm a forced termination of this slice a
-    // fixed delay after the fork (applied at retire time).
-    if (injector_.enabled() && injector_.fire(fault::Site::SliceKill))
-        st.killAtCycle = cycle_ + injector_.arg(fault::Site::SliceKill);
     st.onWrongPath = false;
     st.fetchPc = desc.slicePc;
     st.funcPc = desc.slicePc;

@@ -23,8 +23,6 @@ outcomeName(SimOutcome outcome)
         return "cycle_limit";
       case SimOutcome::Watchdog:
         return "watchdog";
-      case SimOutcome::CheckerDivergence:
-        return "checker_divergence";
     }
     return "unknown";
 }
@@ -37,10 +35,6 @@ isWorseOutcome(SimOutcome a, SimOutcome b)
 
 namespace
 {
-
-/** Far beyond any legitimate stall (worst-case memory chains are a
- *  few thousand cycles), far below the 50x cycle budget. */
-constexpr Cycle defaultWatchdogCycles = 250'000;
 
 /** Warm-up plus measured instructions. A budget past 2^64 is a caller
  *  error: wrapping would end the run after a handful of
@@ -130,7 +124,9 @@ SmtCore::SmtCore(const CoreConfig &cfg, const isa::Program &program,
       stats_("core"),
       s_(stats_)
 {
-    SS_ASSERT(cfg.numThreads >= 1, "need at least the main thread");
+    if (cfg.numThreads < 1 || cfg.numThreads > maxThreads)
+        SS_FATAL("numThreads ", cfg.numThreads, " out of range (valid: 1..",
+                 maxThreads, ")");
     threads_.resize(cfg.numThreads);
 }
 
@@ -157,8 +153,6 @@ SmtCore::nextCoreEvent() const
             continue;
         if (t.fetchStallUntil > cycle_)
             next = std::min(next, t.fetchStallUntil);
-        if (t.killAtCycle != 0)
-            next = std::min(next, t.killAtCycle);
     }
     return next;
 }
@@ -238,15 +232,6 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
     events_ = opts.events;
     checker_ = opts.checker;
     correlator_.setEventSink(events_);
-
-    // Fault injection: one deterministic per-run instance. Units get a
-    // null pointer when no plan is armed, so disabled runs pay exactly
-    // one null check per tap.
-    injector_ = fault::Injector(opts.faults);
-    fault::Injector *inj = injector_.enabled() ? &injector_ : nullptr;
-    hierarchy_.setInjector(inj);
-    bpu_.setInjector(inj);
-    correlator_.setInjector(inj);
     if (profileEnabled_) {
         // One bucket per static instruction avoids rehash-and-move
         // churn as the profile fills in.
@@ -307,11 +292,7 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
     if (iv_cycles)
         restartIntervals(iv, iv_cycles);
 
-    const Cycle watchdog =
-        opts.watchdogEnabled
-            ? (opts.watchdogCycles ? opts.watchdogCycles
-                                   : defaultWatchdogCycles)
-            : 0;
+    const Cycle watchdog = opts.watchdogCycles;
     Cycle last_progress = cycle_;
     std::uint64_t last_retired = mainRetired_;
 
@@ -400,7 +381,6 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
     RunResult res;
     res.outcome = outcome;
     res.diagnosis = std::move(diagnosis);
-    res.faultsBySite = injector_.firedCounts();
     if (opts.intervalSink)
         res.intervals = *opts.intervalSink;
     else
@@ -876,7 +856,7 @@ SmtCore::retireStage()
                 break;
             SS_ASSERT(!d->wrongPath, "wrong-path inst at retire");
             // The head retires or the write buffer refuses it; both
-            // are activity (each retry taps the injector again).
+            // are activity.
             cycleActive_ = true;
 
             if (d->si->isStore() && !d->sliceThread && !d->fx.fault) {
@@ -912,11 +892,6 @@ SmtCore::retireStage()
             releaseSliceThread(tid);
     }
 
-    // slice.kill injection: forcibly terminate slices whose armed
-    // kill cycle has arrived.
-    if (injector_.armed(fault::Site::SliceKill))
-        applyInjectedSliceKills();
-
     SeqNum bound = oldestInFlight();
 
     // Stop slices whose every branch-queue entry has been killed by a
@@ -947,28 +922,6 @@ SmtCore::retireStage()
     correlator_.retireUpTo(bound > 0 ? bound - 1 : 0);
     while (!storeUndoLog_.empty() && storeUndoLog_.front().seq < bound)
         storeUndoLog_.pop_front();
-}
-
-void
-SmtCore::applyInjectedSliceKills()
-{
-    // Same termination sequence as a dead-slice stop: discard the
-    // slice's in-flight work and its not-yet-computed correlator
-    // slots, then release the thread. Slices never store, so no
-    // architectural state is touched — the checker must stay green.
-    for (ThreadId tid = 1; tid < threads_.size(); ++tid) {
-        ThreadCtx &t = threads_[tid];
-        if (!t.isSlice || !t.active || t.fetchEnded ||
-            t.killAtCycle == 0 || cycle_ < t.killAtCycle)
-            continue;
-        squashThread(tid, invalidSeqNum, false);
-        correlator_.squashSlice(t.forkSeq, invalidSeqNum);
-        t.fetchEnded = true;
-        t.killAtCycle = 0;
-        SS_DTRACE(Slice, "injected kill tid=", int{tid},
-                  " forkSeq=", t.forkSeq, " cyc=", cycle_);
-        releaseSliceThread(tid);
-    }
 }
 
 std::string
@@ -1058,11 +1011,6 @@ SmtCore::diagnoseStall(Cycle stalled_for)
                   live_slices, ready_.size(),
                   correlator_.liveEntries());
     d += buf;
-    if (injector_.enabled()) {
-        d += "\n  injection: ";
-        std::string fired = fault::summarize(injector_.firedCounts());
-        d += fired.empty() ? "(armed, none fired)" : fired;
-    }
     return d;
 }
 

@@ -33,7 +33,6 @@
 #include "core/config.hh"
 #include "core/dyninst.hh"
 #include "core/perfect.hh"
-#include "fault/fault.hh"
 #include "isa/program.hh"
 #include "mem/hierarchy.hh"
 #include "obs/events.hh"
@@ -66,17 +65,16 @@ struct PcProfile
 
 /**
  * How a simulation run ended. Anything but Completed means the
- * reported stats cover a truncated or perturbed run; tools surface
- * the outcome in --stats/--json and exit non-zero unless explicitly
- * told a partial result is acceptable. Declared from best to worst
- * (see isWorseOutcome).
+ * reported stats cover a truncated run; tools surface the outcome in
+ * --stats/--json and exit non-zero unless explicitly told a partial
+ * result is acceptable. Declared from best to worst (see
+ * isWorseOutcome).
  */
 enum class SimOutcome
 {
-    Completed,          ///< budget retired or program halted
-    CycleLimit,         ///< hard cycle limit hit before the budget
-    Watchdog,           ///< no forward progress for watchdogCycles
-    CheckerDivergence,  ///< retirement checker latched a divergence
+    Completed,   ///< budget retired or program halted
+    CycleLimit,  ///< hard cycle limit hit before the budget
+    Watchdog,    ///< no forward progress for watchdogCycles
 };
 
 /** Stable lower-case name for JSON/stats output. */
@@ -102,7 +100,7 @@ Cycle defaultCycleLimit(std::uint64_t max_main_instructions,
 
 /**
  * What SmtCore::run reads for one detailed run. sim::RunOptions extends
- * it with the checker flags, sampling knobs and checkpoint paths that
+ * it with the checker flag, sampling knobs and checkpoint paths that
  * sim::Simulator interprets before it calls the core.
  */
 struct RunOptions
@@ -114,13 +112,12 @@ struct RunOptions
     /**
      * Forward-progress watchdog: if the main thread retires nothing
      * for this many cycles the run terminates with SimOutcome::Watchdog
-     * and a structured diagnosis in RunResult::diagnosis.
-     * 0 = default (250k cycles, far beyond any legitimate stall).
+     * and a structured diagnosis in RunResult::diagnosis (0 = off).
+     * The default is far beyond any legitimate stall (worst-case
+     * memory chains are a few thousand cycles) and far below the 50x
+     * cycle budget.
      */
-    Cycle watchdogCycles = 0;
-    bool watchdogEnabled = true;
-    /** Fault-injection plan for this run (empty = no injection). */
-    fault::FaultPlan faults;
+    Cycle watchdogCycles = 250'000;
     /**
      * When set, the interval time-series is accumulated directly into
      * this caller-owned vector instead of run()-local storage, so the
@@ -180,13 +177,10 @@ struct RunOptions
 /** Aggregated results of a run. */
 struct RunResult
 {
-    /** How the run ended (sim::Simulator upgrades Completed to
-     *  CheckerDivergence when a divergence was latched). */
+    /** How the run ended. */
     SimOutcome outcome = SimOutcome::Completed;
     /** Watchdog stall diagnosis (empty unless outcome == Watchdog). */
     std::string diagnosis;
-    /** Injected-fault firings per site (all 0 when injection is off). */
-    fault::SiteCounts faultsBySite{};
     Cycle cycles = 0;
     std::uint64_t mainRetired = 0;
     std::uint64_t mainFetched = 0;       ///< correct + wrong path
@@ -237,13 +231,9 @@ struct RunResult
 
     // Retirement-checker outcome (RunOptions.check runs only).
     /** Main-thread retirements the checker compared (warm-up included;
-     *  0 when checking was off). */
+     *  0 when checking was off). A divergence never returns: it is
+     *  fatal at the divergence point. */
     std::uint64_t checkedRetired = 0;
-    /** A divergence was latched (only reachable with checkFatal off —
-     *  fatal mode aborts at the divergence point). */
-    bool checkDiverged = false;
-    /** First-divergence report (empty unless checkDiverged). */
-    std::string checkReport;
 
     double
     ipc() const
@@ -251,23 +241,6 @@ struct RunResult
         return cycles ? static_cast<double>(mainRetired) /
                             static_cast<double>(cycles)
                       : 0.0;
-    }
-
-    /** Total injected-fault firings (0 when injection is off). */
-    std::uint64_t
-    faultsInjected() const
-    {
-        std::uint64_t total = 0;
-        for (std::uint64_t n : faultsBySite)
-            total += n;
-        return total;
-    }
-
-    /** Per-site firing counts, "site=n,site=n" ("" when none). */
-    std::string
-    faultSummary() const
-    {
-        return fault::summarize(faultsBySite);
     }
 
     PcProfile profile;
@@ -305,8 +278,6 @@ class SmtCore
         int sliceIdx = -1;
         SeqNum forkSeq = invalidSeqNum;
         unsigned loopIters = 0;
-        /** slice.kill injection: cycle at which to kill (0 = none). */
-        Cycle killAtCycle = 0;
     };
 
     struct StoreUndo
@@ -351,12 +322,10 @@ class SmtCore
     void handleLateResult(
         const slice::PredictionCorrelator::LateResult &late);
     SeqNum oldestInFlight() const;
-    /** Earliest cycle at which a completion, a ready instruction, a
-     *  fetch-stall expiry or an injected slice kill can make a stage
-     *  act (noEvent when none is scheduled). */
+    /** Earliest cycle at which a completion, a ready instruction or a
+     *  fetch-stall expiry can make a stage act (noEvent when none is
+     *  scheduled). */
     Cycle nextCoreEvent() const;
-    /** Kill slice threads whose injected killAtCycle has passed. */
-    void applyInjectedSliceKills();
     /** Structured no-forward-progress report for the watchdog. */
     std::string diagnoseStall(Cycle stalled_for);
     void resetStats();
@@ -390,9 +359,6 @@ class SmtCore
     slice::SliceTable sliceTable_;
     slice::PredictionCorrelator correlator_;
     PerfectSpec perfect_;
-    /** Per-run fault-injection state (inactive when the plan is
-     *  empty; pointers handed to the units only when enabled). */
-    fault::Injector injector_;
     bool profileEnabled_ = false;
     /** Structured-event sink for this run (null = off). */
     obs::EventBuffer *events_ = nullptr;

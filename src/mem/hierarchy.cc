@@ -74,7 +74,7 @@ MemoryHierarchy::launchPrefetches(Addr miss_addr, Cycle now)
 void
 MemoryHierarchy::warmData(Addr addr, bool is_store)
 {
-    // Mirrors accessDataTimed structurally — L1 probe, pvBuf probe
+    // Mirrors accessData structurally — L1 probe, pvBuf probe
     // with promotion, prefetcher training, L2 fill only on a true
     // miss — with no stats, latency, or bandwidth accounting. The
     // structural fidelity matters: an L1 hit must not refresh the
@@ -153,20 +153,6 @@ MemoryHierarchy::warmPrefetches(Addr miss_addr)
 AccessResult
 MemoryHierarchy::accessData(Addr addr, bool is_store, bool is_slice_thread,
                             Cycle now)
-{
-    AccessResult res = accessDataTimed(addr, is_store, is_slice_thread,
-                                       now);
-    // mem.latency: stretch this access. Applied on top of the real
-    // timing so cache/prefetcher state is exactly what an uninjected
-    // run would have — only the scheduler-visible latency changes.
-    if (injector_ && injector_->fire(fault::Site::MemLatency))
-        res.latency += injector_->arg(fault::Site::MemLatency);
-    return res;
-}
-
-AccessResult
-MemoryHierarchy::accessDataTimed(Addr addr, bool is_store,
-                                 bool is_slice_thread, Cycle now)
 {
     AccessResult res;
     bool is_main = !is_slice_thread;
@@ -375,11 +361,6 @@ MemoryHierarchy::accessStore(Addr addr, Cycle now)
 bool
 MemoryHierarchy::retireStore(Addr addr, Cycle now)
 {
-    // mem.wbstall: reject the write-back outright; retirement retries
-    // next cycle. With @p1 nothing ever retires past the first store
-    // miss — the watchdog's livelock generator.
-    if (injector_ && injector_->fire(fault::Site::MemWbStall))
-        return false;
     // Store hits were already handled at execute; misses retire into
     // the write buffer so they never stall the pipeline.
     if (l1d_.peek(addr))

@@ -15,7 +15,6 @@
 #include "common/open_hash.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "fault/fault.hh"
 #include "mem/cache.hh"
 #include "mem/stream_prefetcher.hh"
 #include "mem/victim_buffer.hh"
@@ -124,13 +123,6 @@ class MemoryHierarchy
      */
     void warmInst(Addr pc);
 
-    /**
-     * Attach a fault injector (null detaches). Tap points:
-     * `mem.latency` adds cycles to a data access, `mem.wbstall`
-     * rejects a store write-back at retirement.
-     */
-    void setInjector(fault::Injector *inj) { injector_ = inj; }
-
     /** Fills still in flight at `now` (watchdog diagnosis). */
     std::size_t outstandingFills(Cycle now) const;
 
@@ -145,9 +137,6 @@ class MemoryHierarchy
     const MemConfig &config() const { return cfg_; }
 
   private:
-    /** accessData() minus the injection tap. */
-    AccessResult accessDataTimed(Addr addr, bool is_store,
-                                 bool is_slice_thread, Cycle now);
     /** launchPrefetches() for warmData(): trains the stream
      *  prefetcher and fills the pvBuf, but costs no bandwidth. */
     void warmPrefetches(Addr miss_addr);
@@ -207,7 +196,6 @@ class MemoryHierarchy
     /** tick() sweeps expired pendingFills_ once the map outgrows
      *  this (twice its size after the last sweep, at least 256). */
     std::size_t sweepAt_ = 256;
-    fault::Injector *injector_ = nullptr;
     StatGroup stats_;
     Handles s_;
 };

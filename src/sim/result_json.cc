@@ -63,10 +63,6 @@ perfRecord(const WorkloadPerf &p)
         .field("forks", p.result.forks)
         .field("correlator_used", p.result.correlatorUsed)
         .field("outcome", std::string(outcomeName(p.result.outcome)));
-    if (p.result.faultsInjected()) {
-        o.field("faults_injected", p.result.faultsInjected())
-            .field("fault_summary", p.result.faultSummary());
-    }
     if (p.result.sampledRegions) {
         o.field("fast_forwarded", p.result.fastForwarded)
             .field("sampled_regions",
@@ -110,8 +106,6 @@ perfDocument(const DocMeta &meta, const std::vector<WorkloadPerf> &runs)
         .field("seed", meta.seed)
         .field("outcome", std::string(outcomeName(worst)))
         .raw("runs", jsonArray(elems));
-    if (!meta.injectDescription.empty())
-        doc.field("inject", meta.injectDescription);
     if (result.sampledRegions)
         doc.field("fast_forwarded", result.fastForwarded)
             .field("sampled_regions",

@@ -66,8 +66,6 @@ struct DocMeta
     std::uint64_t insts = 0;
     std::uint64_t warmup = 0;
     std::uint64_t seed = 1;
-    /** FaultPlan::describe() of the armed plan ("" = no inject). */
-    std::string injectDescription;
     bool compare = false;  ///< adds speedup_pct from runs[0] vs [1]
 };
 

@@ -39,8 +39,6 @@ accumulate(RunResult &agg, RunResult &&r)
         agg.outcome = r.outcome;
         agg.diagnosis = r.diagnosis;
     }
-    for (std::size_t i = 0; i < fault::numSites; ++i)
-        agg.faultsBySite[i] += r.faultsBySite[i];
     agg.cycles += r.cycles;
     agg.mainRetired += r.mainRetired;
     agg.mainFetched += r.mainFetched;
@@ -70,10 +68,6 @@ accumulate(RunResult &agg, RunResult &&r)
     agg.intervals.insert(agg.intervals.end(), r.intervals.begin(),
                          r.intervals.end());
     agg.checkedRetired += r.checkedRetired;
-    if (r.checkDiverged && !agg.checkDiverged) {
-        agg.checkDiverged = true;
-        agg.checkReport = std::move(r.checkReport);
-    }
     for (const auto &[pc, c] : r.profile.perPc) {
         auto &dst = agg.profile.perPc[pc];
         dst.branchExec += c.branchExec;
@@ -144,32 +138,14 @@ Simulator::runOne(const Workload &wl, const RunOptions &opts,
                                        : &region->instWarmth;
     }
     std::unique_ptr<check::RetireChecker> checker;
-    bool want_check = opts.check || checkForcedByEnv();
-
-    // The check.* injection sites corrupt the Nth observed register
-    // writeback / store before comparison (@nN, one-shot semantics).
-    std::uint64_t inject_reg = 0;
-    std::uint64_t inject_store = 0;
-    for (const fault::FaultSpec &spec : opts.faults.specs) {
-        if (spec.site == fault::Site::CheckReg)
-            inject_reg = spec.period;
-        else if (spec.site == fault::Site::CheckStore)
-            inject_store = spec.period;
-    }
-
-    if (want_check) {
-        check::RetireChecker::Config ccfg;
-        ccfg.panicOnDivergence = opts.checkFatal &&
-                                 inject_reg == 0 && inject_store == 0;
-        ccfg.injectRegFaultAt = inject_reg;
-        ccfg.injectStoreFaultAt = inject_store;
+    if (opts.check || checkForcedByEnv()) {
         if (region)
             checker = std::make_unique<check::RetireChecker>(
                 wl.program, region->pc, region->regs,
-                region->mem.clone(), ccfg);
+                region->mem.clone());
         else
             checker = std::make_unique<check::RetireChecker>(
-                wl.program, wl.entry, wl.initMemory, ccfg);
+                wl.program, wl.entry, wl.initMemory);
         run_opts.checker = checker.get();
     }
 
@@ -188,25 +164,8 @@ Simulator::runOne(const Workload &wl, const RunOptions &opts,
         }
     }
     RunResult res = machine.run(entry, run_opts);
-
-    if (checker) {
+    if (checker)
         res.checkedRetired = checker->checkedCount();
-        res.checkDiverged = checker->diverged();
-        if (checker->diverged()) {
-            res.checkReport = checker->report();
-            res.outcome = SimOutcome::CheckerDivergence;
-            // panicOnDivergence aborts at the divergence point; ending
-            // up here means the caller opted into latching (fault
-            // injection or checkFatal=false) — still fail loudly when
-            // a *real* run was supposed to be fatal.
-            if (opts.checkFatal && inject_reg == 0 &&
-                inject_store == 0)
-                SS_FATAL("workload '", wl.name,
-                         "' diverged from the architectural "
-                         "reference:\n",
-                         res.checkReport);
-        }
-    }
     return res;
 }
 

@@ -39,7 +39,7 @@ using SimError = specslice::SimError;
 
 /**
  * Options for one Simulator::run: what the core reads (the base), plus
- * the checker flags, sampling knobs and checkpoint paths the simulator
+ * the checker flag, sampling knobs and checkpoint paths the simulator
  * interprets. runOne hands the core only its own half.
  */
 struct RunOptions : core::RunOptions
@@ -50,12 +50,9 @@ struct RunOptions : core::RunOptions
 
     // ---- checking (the simulator builds one checker per run) ----
     /** Co-simulate with the retirement checker (also forced on for
-     *  every run by SS_CHECK=1 in the environment). */
+     *  every run by SS_CHECK=1 in the environment). A divergence is
+     *  an SS_FATAL carrying the first-divergence report. */
     bool check = false;
-    /** SS_FATAL with the first-divergence report the moment a
-     *  divergence is detected. When false the divergence is latched
-     *  into RunResult instead (used by the injected-fault tests). */
-    bool checkFatal = true;
 
     // ---- sampling (the simulator owns the fast-forward engine and
     //      region orchestration) ----

@@ -163,11 +163,6 @@ std::uint64_t
 PredictionCorrelator::onPgiFetch(const PgiSpec &spec, SeqNum fork_seq,
                                  SeqNum pgi_seq)
 {
-    // corr.drop: lose this activation before any slot exists. The
-    // consumer branch falls back to the traditional predictor, same
-    // as a capacity drop.
-    if (injector_ && injector_->fire(fault::Site::CorrDrop))
-        return 0;
     Entry *e = findEntry(fork_seq, spec.problemBranchPc);
     if (!e) {
         ++s_.pgiFetchNoEntry;

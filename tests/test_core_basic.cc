@@ -3,7 +3,8 @@
  * Basic single-thread pipeline tests: programs run to completion,
  * retire the right instruction counts, and produce correct
  * architectural results; branch mispredictions cost cycles; cache
- * misses cost cycles.
+ * misses cost cycles. Also how a run ends: the cycle limit, the
+ * forward-progress watchdog on a real livelock, and the outcome names.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include "core/smt_core.hh"
 #include "isa/assembler.hh"
 #include "isa/program.hh"
+#include "sim/simulator.hh"
+#include "workloads/workloads.hh"
 
 using namespace specslice;
 
@@ -312,4 +315,124 @@ TEST(CoreBasic, LongWarmupRunCompletesWithinDefaultLimit)
     auto res = machine.run(codeBase, o);
     EXPECT_EQ(res.outcome, core::SimOutcome::Completed);
     EXPECT_EQ(res.mainRetired, 1'000u);
+}
+
+TEST(CoreBasic, MoreContextsThanTheMaximumAreFatal)
+{
+    // ThreadId is eight bits, so the per-thread loops cannot count past
+    // 255 contexts; the core takes at most core::maxThreads.
+    isa::Assembler as(codeBase);
+    as.halt();
+    isa::Program prog;
+    prog.addSection(as.finish());
+    arch::MemoryImage mem;
+    core::CoreConfig cfg = core::CoreConfig::fourWide();
+
+    ScopedThrowErrors throwing;
+    cfg.numThreads = 65;
+    EXPECT_THROW(core::SmtCore(cfg, prog, mem).run(codeBase, quickOpts()),
+                 SimError);
+    cfg.numThreads = 0;
+    EXPECT_THROW(core::SmtCore(cfg, prog, mem), SimError);
+
+    cfg.numThreads = core::maxThreads;
+    core::SmtCore widest(cfg, prog, mem);
+    EXPECT_EQ(widest.run(codeBase, quickOpts()).mainRetired, 1u);
+}
+
+namespace
+{
+
+sim::Workload
+vprWorkload()
+{
+    workloads::Params p;
+    p.scale = 80'000;
+    return workloads::buildVpr(p);
+}
+
+/** A machine whose retirement livelocks on vpr's first store: the
+ *  one-set L1D evicts the store's line before it retires, and a write
+ *  buffer with no entries refuses it for ever. */
+sim::MachineConfig
+livelockingMachine()
+{
+    sim::MachineConfig cfg = sim::MachineConfig::fourWide();
+    cfg.memory.l1dSize = 2 * 64;
+    cfg.memory.writeBufEntries = 0;
+    return cfg;
+}
+
+} // namespace
+
+TEST(Watchdog, FiresOnLivelockWithDiagnosis)
+{
+    sim::Workload wl = vprWorkload();
+    sim::Simulator machine(livelockingMachine());
+    sim::RunOptions opts;
+    opts.maxMainInstructions = 15'000;
+    opts.watchdogCycles = 5'000;
+    sim::RunResult r = machine.run(wl, opts, true);
+
+    EXPECT_EQ(r.outcome, sim::SimOutcome::Watchdog);
+    EXPECT_LT(r.mainRetired, 15'000u);
+    ASSERT_FALSE(r.diagnosis.empty());
+    // The diagnosis names the stall duration, the ROB head (the stuck
+    // store) and the write buffer that refuses it.
+    EXPECT_NE(r.diagnosis.find("retired nothing for 5000 cycles"),
+              std::string::npos)
+        << r.diagnosis;
+    EXPECT_NE(r.diagnosis.find("rob head"), std::string::npos);
+    EXPECT_NE(r.diagnosis.find("[stq "), std::string::npos)
+        << r.diagnosis;
+    EXPECT_NE(r.diagnosis.find("write buffer 0/0, retire_wb_stalls="),
+              std::string::npos)
+        << r.diagnosis;
+}
+
+TEST(Watchdog, DisabledWatchdogFallsThroughToCycleLimit)
+{
+    sim::Workload wl = vprWorkload();
+    sim::Simulator machine(livelockingMachine());
+    sim::RunOptions opts;
+    opts.maxMainInstructions = 15'000;
+    opts.watchdogCycles = 0;
+    opts.maxCycles = 30'000;
+    sim::RunResult r = machine.run(wl, opts, true);
+    EXPECT_EQ(r.outcome, sim::SimOutcome::CycleLimit);
+    EXPECT_TRUE(r.diagnosis.empty());
+}
+
+TEST(Watchdog, CleanRunCompletesUntouched)
+{
+    sim::Workload wl = vprWorkload();
+    sim::Simulator machine(sim::MachineConfig::fourWide());
+    sim::RunOptions opts;
+    opts.maxMainInstructions = 15'000;
+    opts.watchdogCycles = 5'000;
+    sim::RunResult r = machine.run(wl, opts, true);
+    EXPECT_EQ(r.outcome, sim::SimOutcome::Completed);
+    EXPECT_GE(r.mainRetired + 1, 15'000u);
+}
+
+TEST(CycleLimit, TinyLimitYieldsCycleLimitOutcome)
+{
+    sim::Workload wl = vprWorkload();
+    sim::Simulator machine(sim::MachineConfig::fourWide());
+    sim::RunOptions opts;
+    opts.maxMainInstructions = 1'000'000;  // unreachable
+    opts.maxCycles = 2'000;
+    sim::RunResult r = machine.run(wl, opts, true);
+    EXPECT_EQ(r.outcome, sim::SimOutcome::CycleLimit);
+    EXPECT_LE(r.cycles, 2'000u);
+}
+
+TEST(Outcome, NamesAreStable)
+{
+    EXPECT_STREQ(sim::outcomeName(sim::SimOutcome::Completed),
+                 "completed");
+    EXPECT_STREQ(sim::outcomeName(sim::SimOutcome::CycleLimit),
+                 "cycle_limit");
+    EXPECT_STREQ(sim::outcomeName(sim::SimOutcome::Watchdog),
+                 "watchdog");
 }

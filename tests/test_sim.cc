@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "fault/fault.hh"
 #include "sim/experiments.hh"
 #include "sim/result_json.hh"
 #include "sim/simulator.hh"
@@ -79,40 +78,6 @@ TEST(SimulatorTest, BaselineIgnoresSlices)
     auto r = simr.runBaseline(wl, o);
     EXPECT_EQ(r.forks, 0u);
     EXPECT_EQ(r.sliceFetched, 0u);
-}
-
-TEST(SimulatorTest, SampledFaultSummaryCoversEveryRegion)
-{
-    // Each region's core counts its own firings; the aggregate's
-    // per-site counts must add up every region, and faultsInjected()
-    // is their total.
-    workloads::Params p;
-    p.scale = 400'000;
-    auto wl = workloads::buildVpr(p);
-    sim::Simulator simr(sim::MachineConfig::fourWide());
-    sim::RunOptions o;
-    o.maxMainInstructions = 10'000;
-    o.warmupInstructions = 4'000;
-    o.fastForwardInstructions = 20'000;
-    o.sampleRegions = 3;
-    o.sampleStride = 20'000;
-    std::string err;
-    ASSERT_TRUE(fault::FaultPlan::parse(
-        "mem.latency:+200@p0.05,pred.flip@p0.01", o.faults, err))
-        << err;
-    o.faults.seed = 1;
-
-    const sim::RunResult r = simr.run(wl, o, true);
-    ASSERT_EQ(r.sampledRegions, 3u);
-    ASSERT_GT(r.faultsInjected(), 0u);
-
-    // "site=n,site=n": sum the counts.
-    const std::string summary = r.faultSummary();
-    std::uint64_t summed = 0;
-    for (std::size_t pos = summary.find('='); pos != std::string::npos;
-         pos = summary.find('=', pos + 1))
-        summed += std::stoull(summary.substr(pos + 1));
-    EXPECT_EQ(summed, r.faultsInjected()) << summary;
 }
 
 TEST(WorkloadPerfTest, InstsPerSecExcludesWarmupTime)

@@ -6,7 +6,7 @@
  *   specslice_run --workload vpr --insts 200000 --warmup 50000
  *   specslice_run --workload mcf --width 8 --no-slices --stats
  *   specslice_run --workload twolf --limit        # constrained limit
- *   specslice_run --workload gcc --check --inject slice.kill@n5
+ *   specslice_run --workload gcc --check   # co-simulate the reference
  *   specslice_run --workload vpr --disasm         # dump the code
  *   specslice_run --workload gcc --fastforward 1000000 --sample 4
  *   specslice_run --workload gcc --fastforward 1000000 \
@@ -15,12 +15,12 @@
  *
  * Exit codes (scripts and CI depend on these):
  *   0  run completed (or --allow-partial was given)
- *   1  retirement checker latched a divergence
- *   2  usage error (unknown flag/workload/trace flag/inject spec)
+ *   2  usage error (unknown flag/workload/trace flag)
  *   3  run did not complete (cycle limit / watchdog) without
  *      --allow-partial
- *   4  simulation error (panic/fatal); with --json a
- *      machine-readable error document is still emitted on stdout
+ *   4  simulation error (panic/fatal, including a --check
+ *      divergence); with --json a machine-readable error document is
+ *      still emitted on stdout
  */
 
 #include <algorithm>
@@ -35,7 +35,6 @@
 
 #include "bench_common.hh"
 #include "common/failure.hh"
-#include "fault/fault.hh"
 #include "obs/events.hh"
 #include "obs/interval.hh"
 #include "obs/trace.hh"
@@ -77,9 +76,7 @@ struct Options
     bool coldIcache = false;         // no I-side warmth replay
     std::string saveCheckpoint;      // write state after fast-forward
     std::string loadCheckpoint;      // resume from a saved state
-    std::string inject;         // --inject fault spec (adds to SS_INJECT)
-    Cycle watchdog = 0;         // --watchdog threshold (0: default)
-    bool noWatchdog = false;
+    Cycle watchdog = core::RunOptions().watchdogCycles;  // 0: off
     Cycle maxCycles = 0;        // --max-cycles (0: 50x inst budget)
     bool allowPartial = false;  // exit 0 even on a truncated run
     std::string trace;          // --trace flag list (adds to SS_TRACE)
@@ -101,9 +98,8 @@ usage(int code)
         "  --width 4|8       Table 1 machine width (default 4)\n"
         "  --insts N         measured instructions (default 300000)\n"
         "  --warmup N        warm-up instructions (default 100000)\n"
-        "  --seed N          workload construction seed (also seeds\n"
-        "                    fault injection)\n"
-        "  --threads N       SMT contexts, 1..64 (default 4)\n"
+        "  --seed N          workload construction seed\n"
+        "  --threads N       SMT contexts, 1..%u (default 4)\n"
         "  --bias N          ICOUNT main-thread fetch bias\n"
         "  --no-slices       baseline run (helper threads idle)\n"
         "  --fastforward N   functionally execute N instructions (from\n"
@@ -132,13 +128,9 @@ usage(int code)
         "  --compare         run baseline and slices, print speedup\n"
         "  --jobs N          simulations run in parallel for --compare\n"
         "                    (default: SS_JOBS or the core count)\n"
-        "  --inject SPEC     seeded deterministic fault injection\n"
-        "                    (merged with SS_INJECT from the\n"
-        "                    environment; --help-inject for grammar)\n"
         "  --watchdog N      forward-progress watchdog: terminate when\n"
         "                    the main thread retires nothing for N\n"
-        "                    cycles (default 250000)\n"
-        "  --no-watchdog     disable the forward-progress watchdog\n"
+        "                    cycles (default 250000, 0 = off)\n"
         "  --max-cycles N    hard cycle limit (default 50x --insts)\n"
         "  --allow-partial   exit 0 even when the run was cut short by\n"
         "                    the watchdog or cycle limit\n"
@@ -155,9 +147,10 @@ usage(int code)
         "                    trace JSON (chrome://tracing, Perfetto)\n"
         "  --disasm          print the program and slice disassembly\n"
         "  --list            list available workloads\n"
-        "exit codes: 0 completed, 1 checker divergence, 2 usage,\n"
-        "            3 incomplete run (no --allow-partial), 4 sim "
-        "error\n");
+        "exit codes: 0 completed, 2 usage, 3 incomplete run (no\n"
+        "            --allow-partial), 4 sim error (a --check\n"
+        "            divergence included)\n",
+        core::maxThreads);
     std::exit(code);
 }
 
@@ -221,18 +214,8 @@ parseArgs(int argc, char **argv)
             if (o.jobs == 0 || o.jobs > 4096)
                 usage(2);
         }
-        else if (a == "--inject")
-            o.inject = next();
-        else if (a.rfind("--inject=", 0) == 0)
-            o.inject = a.substr(9);
-        else if (a == "--help-inject") {
-            std::printf("%s", fault::FaultPlan::grammarHelp().c_str());
-            std::exit(0);
-        }
         else if (a == "--watchdog")
             o.watchdog = bench::countOption(a, next());
-        else if (a == "--no-watchdog")
-            o.noWatchdog = true;
         else if (a == "--max-cycles")
             o.maxCycles = bench::countOption(a, next());
         else if (a == "--allow-partial")
@@ -339,11 +322,11 @@ main(int argc, char **argv)
                      o.width);
         return 2;
     }
-    if (o.threads == 0 || o.threads > 64) {
+    if (o.threads == 0 || o.threads > core::maxThreads) {
         std::fprintf(stderr,
                      "error: --threads %u out of range (valid: "
-                     "1..64)\n",
-                     o.threads);
+                     "1..%u)\n",
+                     o.threads, core::maxThreads);
         return 2;
     }
 
@@ -361,25 +344,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-
-    // Injection spec: SS_INJECT from the environment plus --inject,
-    // merged (duplicate sites are rejected by the parser, so the two
-    // sources cannot silently override each other).
-    std::string inject_spec;
-    if (const char *env = std::getenv("SS_INJECT"))
-        inject_spec = env;
-    if (!o.inject.empty())
-        inject_spec += (inject_spec.empty() ? "" : ",") + o.inject;
-    fault::FaultPlan plan;
-    {
-        std::string perr;
-        if (!fault::FaultPlan::parse(inject_spec, plan, perr)) {
-            std::fprintf(stderr, "error: %s\n%s", perr.c_str(),
-                         fault::FaultPlan::grammarHelp().c_str());
-            return 2;
-        }
-    }
-    plan.seed = o.seed;
 
     if (!o.saveCheckpoint.empty() && o.compare) {
         std::fprintf(stderr,
@@ -441,8 +405,6 @@ main(int argc, char **argv)
     opts.warmupInstructions = o.warmup;
     opts.maxCycles = o.maxCycles;
     opts.watchdogCycles = o.watchdog;
-    opts.watchdogEnabled = !o.noWatchdog;
-    opts.faults = plan;
     opts.profile = o.profile;
     opts.check = o.check;
     opts.fastForwardInstructions = o.fastforward;
@@ -547,7 +509,6 @@ main(int argc, char **argv)
         meta.insts = o.insts;
         meta.warmup = o.warmup;
         meta.seed = o.seed;
-        meta.injectDescription = plan.empty() ? "" : plan.describe();
         meta.compare = o.compare;
         std::printf("%s\n", sim::perfDocument(meta, runs).c_str());
     } else {
@@ -564,23 +525,10 @@ main(int argc, char **argv)
             std::printf("speedup: %+.1f%%\n",
                         sim::speedupPct(runs[0].result,
                                         runs[1].result));
-        if (!plan.empty()) {
-            for (const auto &p : runs)
-                std::printf("faults[%s]: %s\n", p.name.c_str(),
-                            p.result.faultsInjected()
-                                ? p.result.faultSummary().c_str()
-                                : "(armed, none fired)");
-        }
-        if (checked) {
-            if (worst == sim::SimOutcome::CheckerDivergence)
-                std::printf("checker: DIVERGED after %llu matched "
-                            "retirements\n",
-                            static_cast<unsigned long long>(checked));
-            else
-                std::printf("checker: %llu retirements matched the "
-                            "architectural reference\n",
-                            static_cast<unsigned long long>(checked));
-        }
+        if (checked)
+            std::printf("checker: %llu retirements matched the "
+                        "architectural reference\n",
+                        static_cast<unsigned long long>(checked));
         if (worst != sim::SimOutcome::Completed)
             std::printf("outcome: %s%s\n", sim::outcomeName(worst),
                         o.allowPartial ? " (partial result accepted)"
@@ -649,8 +597,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (worst == sim::SimOutcome::CheckerDivergence)
-        return 1;
     if (worst != sim::SimOutcome::Completed && !o.allowPartial)
         return 3;
     return 0;

@@ -7,25 +7,15 @@
  *
  *   specslice_verify --golden golden/            # regression check
  *   specslice_verify --generate golden/          # refresh the corpus
- *   specslice_verify --golden golden/ --jobs 8 --workloads vpr,mcf
- *   specslice_verify --golden golden/ --inject slice.kill@n3 --json
+ *   specslice_verify --golden golden/ --jobs 8 --workloads vpr,mcf --json
  *
  * Verification reads the run parameters (insts/warmup/seed/width/
  * threads) out of each digest, so the committed corpus — not the
  * invoker — defines the regression workload. Comparison rules:
  * integer counters must match exactly; cycle-derived ratios compare
  * within a relative epsilon (decimal round-trip). Any retirement-
- * checker divergence fails the workload with a first-divergence
- * report.
- *
- * With --inject the gate flips into fault-tolerance mode: each
- * workload runs under the injection plan with the checker
- * co-simulating, and PASSES only when (a) the checker reports zero
- * divergences, (b) the run completes (no watchdog/cycle-limit
- * truncation), and (c) the stats digest actually differs from the
- * golden one — i.e. the faults perturbed timing without corrupting
- * architectural state. The counter diff is skipped (perturbed stats
- * are the point).
+ * checker divergence is fatal to the workload's run and fails the
+ * workload (state "error") with a first-divergence report.
  *
  * One failing workload does not stop the sweep: each job runs under
  * ScopedThrowErrors, so a workload whose run panics, is fatal or
@@ -41,7 +31,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -51,7 +40,6 @@
 #include "check/digest.hh"
 #include "common/failure.hh"
 #include "common/logging.hh"
-#include "fault/fault.hh"
 #include "sim/job_pool.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -84,11 +72,7 @@ struct Options
     unsigned jobs = 0;  ///< 0 = SS_JOBS or hardware concurrency
     bool check = true;
     bool verbose = false;
-    bool json = false;            ///< sweep summary JSON on stdout
-    fault::FaultPlan inject;      ///< plan applied to every workload
-    /** Per-workload plans (--inject-workload NAME:SPEC); override the
-     *  global plan for that workload. */
-    std::map<std::string, fault::FaultPlan> injectWorkload;
+    bool json = false;  ///< sweep summary JSON on stdout
 };
 
 [[noreturn]] void
@@ -103,13 +87,6 @@ usage(int code)
         "  --workloads A,B   restrict to these workloads (default all;\n"
         "                    a restricted verify skips the coverage\n"
         "                    check)\n"
-        "  --inject SPEC     fault-tolerance mode: run every workload\n"
-        "                    under this injection plan; pass = checker\n"
-        "                    clean + run completed + stats perturbed\n"
-        "                    (counter diff skipped; not with\n"
-        "                    --generate)\n"
-        "  --inject-workload NAME:SPEC  per-workload plan (overrides\n"
-        "                    --inject for NAME; repeatable)\n"
         "  --json            print the sweep summary as JSON on\n"
         "                    stdout\n"
         "  --insts N         measured instructions (generate; %llu)\n"
@@ -123,27 +100,15 @@ usage(int code)
         "                    starts (default warmup+insts)\n"
         "  --seed N          workload seed (generate; 1)\n"
         "  --width 4|8       machine width (generate; 4)\n"
-        "  --threads N       SMT contexts (generate; 4)\n"
+        "  --threads N       SMT contexts, 1..%u (generate; 4)\n"
         "  --jobs N          parallel workload jobs (default SS_JOBS\n"
         "                    or the core count)\n"
         "  --no-check        skip retirement-checker co-simulation\n"
         "  --verbose         per-workload detail\n",
         static_cast<unsigned long long>(RunParams{}.insts),
-        static_cast<unsigned long long>(RunParams{}.warmup));
+        static_cast<unsigned long long>(RunParams{}.warmup),
+        core::maxThreads);
     std::exit(code);
-}
-
-fault::FaultPlan
-parsePlanOrDie(const std::string &spec)
-{
-    fault::FaultPlan plan;
-    std::string err;
-    if (!fault::FaultPlan::parse(spec, plan, err)) {
-        std::fprintf(stderr, "error: %s\n%s", err.c_str(),
-                     fault::FaultPlan::grammarHelp().c_str());
-        std::exit(2);
-    }
-    return plan;
 }
 
 Options
@@ -169,20 +134,6 @@ parseArgs(int argc, char **argv)
             while (std::getline(ss, name, ','))
                 if (!name.empty())
                     o.workloads.push_back(name);
-        } else if (a == "--inject") {
-            o.inject = parsePlanOrDie(next());
-        } else if (a == "--inject-workload") {
-            std::string v = next();
-            auto colon = v.find(':');
-            if (colon == std::string::npos || colon == 0) {
-                std::fprintf(stderr,
-                             "error: --inject-workload wants "
-                             "NAME:SPEC, got '%s'\n",
-                             v.c_str());
-                std::exit(2);
-            }
-            o.injectWorkload[v.substr(0, colon)] =
-                parsePlanOrDie(v.substr(colon + 1));
         } else if (a == "--json") {
             o.json = true;
         } else if (a == "--insts") {
@@ -207,8 +158,14 @@ parseArgs(int argc, char **argv)
                 usage(2);
         } else if (a == "--threads") {
             o.params.threads = bench::countOption<unsigned>(a, next());
-            if (o.params.threads == 0)
-                usage(2);
+            if (o.params.threads == 0 ||
+                o.params.threads > core::maxThreads) {
+                std::fprintf(stderr,
+                             "error: --threads %u out of range (valid: "
+                             "1..%u)\n",
+                             o.params.threads, core::maxThreads);
+                std::exit(2);
+            }
         } else if (a == "--jobs") {
             o.jobs = bench::countOption<unsigned>(a, next());
             if (o.jobs == 0 || o.jobs > 4096)
@@ -227,23 +184,7 @@ parseArgs(int argc, char **argv)
             usage(2);
         }
     }
-    if (o.generate &&
-        (!o.inject.empty() || !o.injectWorkload.empty())) {
-        std::fprintf(stderr,
-                     "error: --inject cannot be combined with "
-                     "--generate (the corpus must be built from "
-                     "unperturbed runs)\n");
-        std::exit(2);
-    }
     return o;
-}
-
-/** The injection plan for one workload ({} when injection is off). */
-const fault::FaultPlan &
-planFor(const std::string &name, const Options &o)
-{
-    auto it = o.injectWorkload.find(name);
-    return it != o.injectWorkload.end() ? it->second : o.inject;
 }
 
 /** One config's digest section from a finished run. The counter set
@@ -255,21 +196,9 @@ sectionFrom(const std::string &config, const sim::RunResult &r)
     return sim::digestSection(config, r);
 }
 
-/** A live two-config run: the digest plus robustness telemetry. */
-struct LiveRun
-{
-    check::Digest digest;
-    sim::SimOutcome worst = sim::SimOutcome::Completed;
-    bool diverged = false;
-    std::string checkReport;
-    std::uint64_t faultsInjected = 0;
-    std::string faultSummary;
-};
-
 /** Run one workload in both configurations and digest the results. */
-LiveRun
-buildLiveRun(const std::string &name, const RunParams &p, bool check,
-             const fault::FaultPlan &plan)
+check::Digest
+liveDigest(const std::string &name, const RunParams &p, bool check)
 {
     // The workload must outlast the whole sampling span; with no
     // sampling this reduces to the historical (insts + warmup) * 2.
@@ -295,46 +224,24 @@ buildLiveRun(const std::string &name, const RunParams &p, bool check,
     opts.maxMainInstructions = p.insts;
     opts.warmupInstructions = p.warmup;
     opts.check = check;
-    opts.faults = plan;
-    opts.faults.seed = p.seed;
-    // Under injection, a divergence must latch into the result (and
-    // fail the workload with a report) instead of killing the sweep.
-    opts.checkFatal = plan.empty();
     opts.fastForwardInstructions = p.fastforward;
     opts.sampleRegions = p.regions;
     opts.sampleStride = p.stride;
 
-    LiveRun live;
-    live.digest.workload = name;
-    live.digest.insts = p.insts;
-    live.digest.warmup = p.warmup;
-    live.digest.seed = p.seed;
-    live.digest.width = p.width;
-    live.digest.threads = p.threads;
-    live.digest.fastforward = p.fastforward;
-    live.digest.regions = p.regions;
-    live.digest.stride = p.stride;
-
-    auto absorb = [&](const char *config, const sim::RunResult &r) {
-        live.digest.sections.push_back(sectionFrom(config, r));
-        if (sim::isWorseOutcome(r.outcome, live.worst))
-            live.worst = r.outcome;
-        if (r.checkDiverged && !live.diverged) {
-            live.diverged = true;
-            live.checkReport = r.checkReport;
-        }
-        live.faultsInjected += r.faultsInjected();
-        if (r.faultsInjected()) {
-            if (!live.faultSummary.empty())
-                live.faultSummary += "; ";
-            live.faultSummary += config;
-            live.faultSummary += ": ";
-            live.faultSummary += r.faultSummary();
-        }
-    };
-    absorb("baseline", machine.runBaseline(wl, opts));
-    absorb("slices", machine.run(wl, opts, true));
-    return live;
+    check::Digest d;
+    d.workload = name;
+    d.insts = p.insts;
+    d.warmup = p.warmup;
+    d.seed = p.seed;
+    d.width = p.width;
+    d.threads = p.threads;
+    d.fastforward = p.fastforward;
+    d.regions = p.regions;
+    d.stride = p.stride;
+    d.sections.push_back(
+        sectionFrom("baseline", machine.runBaseline(wl, opts)));
+    d.sections.push_back(sectionFrom("slices", machine.run(wl, opts, true)));
+    return d;
 }
 
 std::filesystem::path
@@ -388,49 +295,10 @@ verifyWorkload(const std::string &name, const Options &o)
     p.regions = static_cast<unsigned>(golden->regions);
     p.stride = golden->stride;
 
-    const fault::FaultPlan &plan = planFor(name, o);
-    LiveRun live = buildLiveRun(name, p, o.check, plan);
-
-    if (plan.empty()) {
-        out.messages = check::diffDigests(*golden, live.digest);
-        out.ok = out.messages.empty();
-        if (out.ok)
-            out.state = "ok";
-        return out;
-    }
-
-    // Fault-tolerance mode: stats are expected to differ; the pass
-    // criteria are architectural cleanliness and forward progress.
-    if (live.diverged)
-        out.messages.push_back(
-            "checker diverged under injection '" + plan.describe() +
-            "':\n" + live.checkReport);
-    if (live.worst != sim::SimOutcome::Completed)
-        out.messages.push_back(
-            std::string("run did not complete under injection: "
-                        "outcome ") +
-            sim::outcomeName(live.worst));
-    bool perturbed = !check::diffDigests(*golden, live.digest).empty();
-    if (live.faultsInjected > 0 && !perturbed)
-        out.messages.push_back(
-            "injection '" + plan.describe() + "' fired " +
-            std::to_string(live.faultsInjected) +
-            " times but did not perturb the stats digest (identical "
-            "to golden — fault has no observable effect here)");
+    out.messages = check::diffDigests(*golden, liveDigest(name, p, o.check));
     out.ok = out.messages.empty();
-    if (out.ok) {
+    if (out.ok)
         out.state = "ok";
-        if (live.faultsInjected == 0)
-            out.messages.push_back(
-                "injection '" + plan.describe() +
-                "' armed but never fired (site not exercised by this "
-                "workload); digest matches golden");
-        else
-            out.messages.push_back(
-                "checker clean under '" + plan.describe() + "' (" +
-                std::to_string(live.faultsInjected) +
-                " faults fired: " + live.faultSummary + ")");
-    }
     return out;
 }
 
@@ -439,8 +307,7 @@ generateWorkload(const std::string &name, const Options &o)
 {
     Outcome out;
     out.name = name;
-    check::Digest d =
-        buildLiveRun(name, o.params, o.check, fault::FaultPlan{}).digest;
+    check::Digest d = liveDigest(name, o.params, o.check);
     for (std::string &msg : check::lintDigest(d)) {
         // A digest that fails its own lint must never reach golden/.
         out.messages.push_back("generated digest fails lint: " +
@@ -484,15 +351,6 @@ main(int argc, char **argv)
         if (!known(n)) {
             std::fprintf(stderr,
                          "error: unknown workload '%s' (valid: %s)\n",
-                         n.c_str(), valid.c_str());
-            return 2;
-        }
-    }
-    for (const auto &[n, plan] : o.injectWorkload) {
-        if (!known(n)) {
-            std::fprintf(stderr,
-                         "error: --inject-workload names unknown "
-                         "workload '%s' (valid: %s)\n",
                          n.c_str(), valid.c_str());
             return 2;
         }
@@ -598,10 +456,8 @@ main(int argc, char **argv)
         bench::JsonObject doc;
         doc.field("schema_version", bench::benchSchemaVersion)
             .field("mode",
-                   std::string(o.generate ? "generate" : "verify"));
-        if (!o.inject.empty())
-            doc.field("inject", o.inject.describe());
-        doc.field("check", std::uint64_t{o.check ? 1u : 0u})
+                   std::string(o.generate ? "generate" : "verify"))
+            .field("check", std::uint64_t{o.check ? 1u : 0u})
             .raw("workloads", bench::jsonArray(elems))
             .raw("coverage_errors", bench::jsonArray(cov))
             .field("ok_count", std::uint64_t{ok_count})
