@@ -69,7 +69,11 @@ namespace specslice::bench
  *       "fault_summary" run fields, the top-level "inject" field and
  *       the "checker_divergence" outcome went with --inject (no
  *       bump: they only appeared under --inject, which is now a
- *       usage error; a divergence is a fatal "error" document)
+ *       usage error; a divergence is a fatal "error" document);
+ *       later, BENCH_fastforward.json records gained the report-only
+ *       "warm_ns_per_access", "checkpoint_save_ms" and
+ *       "checkpoint_load_ms" columns (no bump: additive, and only in
+ *       that file)
  *
  * The constant itself lives in sim/result_json.hh so specslice_run
  * --json stamps the same version.

@@ -7,6 +7,10 @@
  *      arch::FastForward functional engine retire? The design target
  *      is >= 50M insts/s — two orders of magnitude above the timing
  *      model — so fast-forwarding to paper-scale regions is cheap.
+ *      Alongside it, what a sampled region pays before its first
+ *      detailed cycle: replaying the engine's data-access log into
+ *      cold caches (ns per access), and saving and loading its
+ *      checkpoint through a file (ms). These are report-only.
  *
  *   2. Accuracy: does a sampled run (fast-forward past the timing
  *      warm-up, then a few short measured regions spread across the
@@ -28,15 +32,20 @@
  *   SS_BENCH_WORKLOADS  restrict the sweep (smoke tests)
  */
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "arch/checkpoint.hh"
 #include "arch/fastfwd.hh"
 #include "bench_common.hh"
+#include "mem/hierarchy.hh"
 #include "sim/job_pool.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -69,6 +78,9 @@ struct Row
     std::string name;
     double ffInstsPerSec = 0.0;
     std::uint64_t ffExecuted = 0;
+    double warmNsPerAccess = 0.0;
+    double checkpointSaveMs = 0.0;
+    double checkpointLoadMs = 0.0;
     double fullIpc = 0.0;
     double sampledIpc = 0.0;
     double relErr = 0.0;
@@ -139,6 +151,40 @@ main(int argc, char **argv)
         row.ffExecuted = ff.executed();
         row.ffInstsPerSec =
             dt > 0.0 ? static_cast<double>(ff.executed()) / dt : 0.0;
+
+        // Region start-up: the cache-warming replay every sampled
+        // region runs, and the checkpoint round trip.
+        const std::vector<arch::MemWarmthRecord> log = ff.memWarmth();
+        mem::MemoryHierarchy hierarchy(
+            sim::MachineConfig::fourWide().memory);
+        t0 = now();
+        for (const arch::MemWarmthRecord &m : log)
+            hierarchy.warmData(m.addr, m.isStore);
+        dt = now() - t0;
+        if (!log.empty())
+            row.warmNsPerAccess =
+                dt * 1e9 / static_cast<double>(log.size());
+
+        const std::string ckpt =
+            (std::filesystem::temp_directory_path() /
+             ("ss_bench_ff_" + name + "_" +
+              std::to_string(::getpid()) + ".ckpt"))
+                .string();
+        std::string err;
+        const arch::Checkpoint saved = ff.makeCheckpoint();
+        t0 = now();
+        const bool saved_ok = arch::saveCheckpointFile(saved, ckpt, err);
+        row.checkpointSaveMs = (now() - t0) * 1e3;
+        t0 = now();
+        const bool loaded_ok =
+            saved_ok && arch::loadCheckpointFile(ckpt, err).has_value();
+        row.checkpointLoadMs = (now() - t0) * 1e3;
+        std::filesystem::remove(ckpt);
+        if (!loaded_ok) {
+            std::fprintf(stderr, "error: %s checkpoint round trip: %s\n",
+                         name.c_str(), err.c_str());
+            return 1;
+        }
         rows.push_back(std::move(row));
     }
 
@@ -197,17 +243,19 @@ main(int argc, char **argv)
                 "sampled-vs-full IPC (%u regions, epsilon %.3f)\n",
                 static_cast<unsigned long long>(ffInsts), regions,
                 epsilon);
-    std::printf("%-10s %14s %9s %9s %8s %7s %8s\n", "workload",
-                "ff insts/s", "full IPC", "smp IPC", "rel err", "ok",
-                "speedup");
+    std::printf("%-10s %14s %8s %8s %8s %9s %9s %8s %7s %8s\n",
+                "workload", "ff insts/s", "warm ns", "save ms", "load ms",
+                "full IPC", "smp IPC", "rel err", "ok", "speedup");
     double minFf = -1.0;
     double maxErr = 0.0;
     bool allWithin = true;
     for (const Row &r : done) {
         double speedup =
             r.sampledWall > 0.0 ? r.fullWall / r.sampledWall : 0.0;
-        std::printf("%-10s %14.3e %9.3f %9.3f %7.1f%% %7s %7.2fx\n",
-                    r.name.c_str(), r.ffInstsPerSec, r.fullIpc,
+        std::printf("%-10s %14.3e %8.1f %8.1f %8.1f %9.3f %9.3f %7.1f%% "
+                    "%7s %7.2fx\n",
+                    r.name.c_str(), r.ffInstsPerSec, r.warmNsPerAccess,
+                    r.checkpointSaveMs, r.checkpointLoadMs, r.fullIpc,
                     r.sampledIpc, r.relErr * 100.0,
                     r.withinEpsilon ? "yes" : "NO", speedup);
         if (minFf < 0.0 || r.ffInstsPerSec < minFf)
@@ -225,6 +273,9 @@ main(int argc, char **argv)
         o.field("name", r.name)
             .field("ff_insts_per_sec", r.ffInstsPerSec)
             .field("ff_executed", r.ffExecuted)
+            .field("warm_ns_per_access", r.warmNsPerAccess)
+            .field("checkpoint_save_ms", r.checkpointSaveMs)
+            .field("checkpoint_load_ms", r.checkpointLoadMs)
             .field("full_ipc", r.fullIpc)
             .field("sampled_ipc", r.sampledIpc)
             .field("ipc_rel_err", r.relErr)
