@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <utility>
 
 #include "arch/exec.hh"
 #include "common/bitutils.hh"
@@ -223,14 +224,14 @@ FastForward::makeCheckpoint() const
 }
 
 void
-FastForward::restore(const Checkpoint &ckpt)
+FastForward::restore(Checkpoint &&ckpt)
 {
     if (ckpt.programFingerprint != fingerprint_)
         SS_FATAL("checkpoint/program mismatch: checkpoint fingerprint ",
                  ckpt.programFingerprint, " vs program ", fingerprint_,
                  " (wrong workload, scale, or seed?)");
     regs_ = ckpt.regs;
-    mem_ = ckpt.mem.clone();
+    mem_ = std::move(ckpt.mem);
     pc_ = ckpt.pc;
     executed_ = ckpt.instCount;
     last_ = FfStop::Budget;

@@ -122,11 +122,12 @@ class FastForward
     Checkpoint makeCheckpoint() const;
 
     /**
-     * Resume from a checkpoint. Fatal if the checkpoint's program
-     * fingerprint does not match this engine's program — restoring
-     * into the wrong workload must never proceed silently.
+     * Resume from a checkpoint, taking its memory image rather than
+     * copying it. Fatal if the checkpoint's program fingerprint does
+     * not match this engine's program — restoring into the wrong
+     * workload must never proceed silently.
      */
-    void restore(const Checkpoint &ckpt);
+    void restore(Checkpoint &&ckpt);
 
     /** This program's fingerprint (cached at construction). */
     std::uint64_t programFingerprint() const { return fingerprint_; }

@@ -86,7 +86,7 @@ MemoryHierarchy::warmData(Addr addr, bool is_store)
             line->dirty = true;
         return;
     }
-    if (auto *entry = pvBuf_.lookup(addr, 0)) {
+    if (auto *entry = pvBuf_.lookup(addr)) {
         Addr promoted = entry->lineAddr;
         bool was_prefetch = entry->fromPrefetch;
         pvBuf_.remove(promoted);
@@ -116,7 +116,7 @@ MemoryHierarchy::warmInst(Addr pc)
     // warmPrefetches).
     if (l1i_.access(pc, true))
         return;
-    if (auto *entry = pvBuf_.lookup(pc, 0)) {
+    if (auto *entry = pvBuf_.lookup(pc)) {
         pvBuf_.remove(entry->lineAddr);
         l1i_.fill(pc, false, false);
         return;
@@ -192,7 +192,7 @@ MemoryHierarchy::accessData(Addr addr, bool is_store, bool is_slice_thread,
     }
 
     // Parallel prefetch/victim buffer probe.
-    if (auto *entry = pvBuf_.lookup(addr, now)) {
+    if (auto *entry = pvBuf_.lookup(addr)) {
         Cycle ready = std::max(entry->readyAt, now);
         res.pvBufHit = true;
         res.latency = cfg_.l1Latency + (ready - now);
@@ -270,7 +270,7 @@ MemoryHierarchy::accessInst(Addr pc, Cycle now)
         return cfg_.l1Latency;
 
     // The unified prefetch/victim buffer is checked on all accesses.
-    if (auto *entry = pvBuf_.lookup(pc, now)) {
+    if (auto *entry = pvBuf_.lookup(pc)) {
         Cycle ready = std::max(entry->readyAt, now);
         Cycle lat = cfg_.l1Latency + (ready - now);
         pvBuf_.remove(entry->lineAddr);
@@ -325,7 +325,7 @@ MemoryHierarchy::accessStore(Addr addr, Cycle now)
         ++s_.l1dHits;
         return res;
     }
-    if (auto *entry = pvBuf_.lookup(addr, now)) {
+    if (auto *entry = pvBuf_.lookup(addr)) {
         res.pvBufHit = true;
         Addr promoted = entry->lineAddr;
         pvBuf_.remove(promoted);

@@ -184,7 +184,17 @@ Simulator::runSampled(const Workload &wl, const RunOptions &opts,
                                              err);
         if (!ckpt)
             SS_FATAL("workload '", wl.name, "': ", err);
-        ff.restore(*ckpt);  // fatal on program-fingerprint mismatch
+        ff.restore(std::move(*ckpt));  // fatal on fingerprint mismatch
+        // The engine cannot run backwards: fast-forwarding to a point
+        // before the checkpoint would silently measure a later region.
+        if (opts.fastForwardInstructions != 0 &&
+            ff.executed() > opts.fastForwardInstructions)
+            SS_FATAL("workload '", wl.name, "': checkpoint '",
+                     opts.restoreCheckpoint, "' is at instruction ",
+                     ff.executed(), ", past the requested fast-forward "
+                     "to ", opts.fastForwardInstructions,
+                     "; fast-forward to 0 (start at the checkpoint) or "
+                     "to at least ", ff.executed());
     } else if (wl.initMemory) {
         wl.initMemory(ff.mem());
     }

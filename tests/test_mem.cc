@@ -109,10 +109,10 @@ TEST(VictimBufferTest, InsertLookupRemove)
 {
     PrefetchVictimBuffer vb(4, 64);
     vb.insert(0x1000, false, 0);
-    EXPECT_NE(vb.lookup(0x1020, 1), nullptr);  // same line
-    EXPECT_EQ(vb.lookup(0x2000, 1), nullptr);
+    EXPECT_NE(vb.lookup(0x1020), nullptr);  // same line
+    EXPECT_EQ(vb.lookup(0x2000), nullptr);
     vb.remove(0x1000);
-    EXPECT_EQ(vb.lookup(0x1000, 2), nullptr);
+    EXPECT_EQ(vb.lookup(0x1000), nullptr);
 }
 
 TEST(VictimBufferTest, LruReplacementWhenFull)
@@ -120,7 +120,7 @@ TEST(VictimBufferTest, LruReplacementWhenFull)
     PrefetchVictimBuffer vb(2, 64);
     vb.insert(0x1000, false, 0);
     vb.insert(0x2000, false, 0);
-    vb.lookup(0x1000, 1);          // touch 0x1000
+    vb.lookup(0x1000);          // touch 0x1000
     vb.insert(0x3000, false, 0);   // evicts 0x2000
     EXPECT_NE(vb.peek(0x1000), nullptr);
     EXPECT_EQ(vb.peek(0x2000), nullptr);
@@ -132,10 +132,176 @@ TEST(VictimBufferTest, PrefetchReadyTime)
 {
     PrefetchVictimBuffer vb(4, 64);
     vb.insert(0x1000, true, 150);
-    auto *e = vb.lookup(0x1000, 100);
+    auto *e = vb.lookup(0x1000);
     ASSERT_NE(e, nullptr);
     EXPECT_TRUE(e->fromPrefetch);
     EXPECT_EQ(e->readyAt, 150u);
+}
+
+namespace
+{
+
+/** The prefetch/victim buffer as a linear search: a recency stamp per
+ *  entry from one clock, renewed by lookup and by a refreshing insert,
+ *  and smallest-stamp eviction when no entry is free. */
+class LinearVictimBuffer
+{
+  public:
+    struct Entry
+    {
+        Addr lineAddr = 0;
+        bool valid = false;
+        bool fromPrefetch = false;
+        Cycle readyAt = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    LinearVictimBuffer(unsigned entries, unsigned line_size)
+        : lineSize_(line_size), entries_(entries)
+    {
+    }
+
+    Entry *
+    lookup(Addr addr)
+    {
+        Entry *e = find(addr & ~Addr{lineSize_ - 1});
+        if (e)
+            e->stamp = ++clock_;
+        return e;
+    }
+
+    const Entry *
+    peek(Addr addr)
+    {
+        return find(addr & ~Addr{lineSize_ - 1});
+    }
+
+    void
+    insert(Addr line_addr, bool from_prefetch, Cycle ready_at)
+    {
+        if (Entry *e = find(line_addr)) {
+            e->stamp = ++clock_;
+            return;
+        }
+        Entry *victim = nullptr;
+        for (Entry &e : entries_) {
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (!victim || e.stamp < victim->stamp)
+                victim = &e;
+        }
+        *victim = {line_addr, true, from_prefetch, ready_at, ++clock_};
+    }
+
+    void
+    remove(Addr line_addr)
+    {
+        if (Entry *e = find(line_addr))
+            e->valid = false;
+    }
+
+    unsigned
+    population() const
+    {
+        return static_cast<unsigned>(
+            std::count_if(entries_.begin(), entries_.end(),
+                          [](const Entry &e) { return e.valid; }));
+    }
+
+  private:
+    Entry *
+    find(Addr line)
+    {
+        for (Entry &e : entries_)
+            if (e.valid && e.lineAddr == line)
+                return &e;
+        return nullptr;
+    }
+
+    unsigned lineSize_;
+    std::uint64_t clock_ = 0;
+    std::vector<Entry> entries_;
+};
+
+/** Same hit or miss, and on a hit the same line and payload. */
+template <typename A, typename B>
+::testing::AssertionResult
+sameEntry(const A *a, const B *b)
+{
+    if (!a != !b)
+        return ::testing::AssertionFailure()
+               << "indexed " << (a ? "hit" : "miss") << ", linear "
+               << (b ? "hit" : "miss");
+    if (a && (a->lineAddr != b->lineAddr ||
+              a->fromPrefetch != b->fromPrefetch ||
+              a->readyAt != b->readyAt))
+        return ::testing::AssertionFailure()
+               << "indexed line 0x" << std::hex << a->lineAddr
+               << ", linear line 0x" << b->lineAddr;
+    return ::testing::AssertionSuccess();
+}
+
+/** Drive both buffers with the same seeded random operations over
+ *  pool, comparing every result and the population after each. */
+void
+matchLinearReference(unsigned capacity, const std::vector<Addr> &pool,
+                     std::uint64_t seed)
+{
+    constexpr unsigned lineSize = 64;
+    PrefetchVictimBuffer indexed(capacity, lineSize);
+    LinearVictimBuffer linear(capacity, lineSize);
+    Rng rng(seed);
+    for (unsigned op = 0; op < 100'000; ++op) {
+        const Addr line = pool[rng.below(pool.size())];
+        const Addr addr = line + rng.below(lineSize);
+        const std::uint64_t kind = rng.below(20);
+        if (kind < 8) {
+            const bool from_prefetch = rng.chance(1, 2);
+            const Cycle ready_at = rng.below(1'000);
+            indexed.insert(line, from_prefetch, ready_at);
+            linear.insert(line, from_prefetch, ready_at);
+        } else if (kind < 13) {
+            ASSERT_TRUE(sameEntry(indexed.lookup(addr), linear.lookup(addr)))
+                << "lookup, capacity " << capacity << ", op " << op;
+        } else if (kind < 17) {
+            ASSERT_TRUE(sameEntry(indexed.peek(addr), linear.peek(addr)))
+                << "peek, capacity " << capacity << ", op " << op;
+        } else {
+            indexed.remove(line);
+            linear.remove(line);
+        }
+        ASSERT_EQ(indexed.population(), linear.population())
+            << "capacity " << capacity << ", op " << op;
+    }
+    for (Addr line : pool)
+        ASSERT_TRUE(sameEntry(indexed.peek(line), linear.peek(line)))
+            << "final peek, capacity " << capacity;
+}
+
+} // namespace
+
+TEST(VictimBufferTest, MatchesLinearReference)
+{
+    for (unsigned capacity : {1u, 2u, 3u, 8u, 64u}) {
+        // Lines scattered over 1MB, three per entry: the buffer fills,
+        // evicts, refreshes and frees slots throughout.
+        Rng pick(capacity);
+        std::set<Addr> scattered;
+        while (scattered.size() < 3 * capacity)
+            scattered.insert(0x100000 + pick.below(1 << 14) * 64);
+        matchLinearReference(
+            capacity, {scattered.begin(), scattered.end()}, capacity);
+
+        // Lines 2^40 bytes apart share every low-order line-number
+        // bit, so they all hash to one index bucket: every probe and
+        // every backward-shift deletion walks one long chain.
+        std::vector<Addr> colliding;
+        for (Addr k = 1; k <= 3 * capacity; ++k)
+            colliding.push_back(k << 40);
+        matchLinearReference(capacity, colliding, 1'000 + capacity);
+    }
 }
 
 TEST(WriteBufferTest, CoalescesAndDrains)

@@ -120,7 +120,9 @@ usage(int code)
         "  --load-checkpoint FILE  restore state instead of executing\n"
         "                    from entry (same workload flags required;\n"
         "                    --fastforward N is absolute, so reaching\n"
-        "                    a checkpoint taken at N costs nothing)\n"
+        "                    a checkpoint taken at N costs nothing;\n"
+        "                    N below the checkpoint's position is an\n"
+        "                    error, and N = 0 starts at the checkpoint)\n"
         "  --check           co-simulate the in-order architectural\n"
         "                    reference; divergence is fatal with a\n"
         "                    first-divergence report (SS_CHECK=1 in\n"
