@@ -1,35 +1,13 @@
 #include "arch/exec.hh"
 
-#include <cstring>
-
 #include "common/bitutils.hh"
 #include "common/logging.hh"
+#include "isa/semantics.hh"
 
 namespace specslice::arch
 {
 
 using isa::Opcode;
-
-namespace
-{
-
-double
-asDouble(std::uint64_t bits_)
-{
-    double v;
-    std::memcpy(&v, &bits_, sizeof(v));
-    return v;
-}
-
-std::uint64_t
-asBits(double v)
-{
-    std::uint64_t bits_;
-    std::memcpy(&bits_, &v, sizeof(bits_));
-    return bits_;
-}
-
-} // namespace
 
 ExecResult
 execute(const isa::Instruction &inst, Addr pc, RegFile &regs,
@@ -38,11 +16,10 @@ execute(const isa::Instruction &inst, Addr pc, RegFile &regs,
     ExecResult res;
     res.nextPc = pc + isa::instBytes;
 
+    const isa::OpTraits &t = inst.traits();
     const std::uint64_t a = regs.read(inst.ra);
     const std::uint64_t b = regs.read(inst.rb);
-    const auto sa = static_cast<std::int64_t>(a);
-    const auto sb = static_cast<std::int64_t>(b);
-    const std::int64_t imm = inst.imm;
+    const auto imm = static_cast<std::uint64_t>(inst.imm);
 
     auto writeRc = [&](std::uint64_t v) {
         regs.write(inst.rc, v);
@@ -51,130 +28,52 @@ execute(const isa::Instruction &inst, Addr pc, RegFile &regs,
     };
 
     switch (inst.op) {
-      // Integer ALU, register form.
-      case Opcode::Add: writeRc(a + b); break;
-      case Opcode::Sub: writeRc(a - b); break;
-      case Opcode::And: writeRc(a & b); break;
-      case Opcode::Or:  writeRc(a | b); break;
-      case Opcode::Xor: writeRc(a ^ b); break;
-      case Opcode::Sll: writeRc(a << (b & 63)); break;
-      case Opcode::Srl: writeRc(a >> (b & 63)); break;
-      case Opcode::Sra:
-        writeRc(static_cast<std::uint64_t>(sa >> (b & 63)));
+#define SS_EXEC_VALUE(name)                                           \
+      case Opcode::name:                                              \
+        if (isa::condition<Opcode::name>(a))                          \
+            writeRc(isa::result<Opcode::name>(                        \
+                a, isa::opTraits(Opcode::name).hasImm ? imm : b));    \
         break;
-      case Opcode::CmpEq:  writeRc(a == b ? 1 : 0); break;
-      case Opcode::CmpLt:  writeRc(sa < sb ? 1 : 0); break;
-      case Opcode::CmpLe:  writeRc(sa <= sb ? 1 : 0); break;
-      case Opcode::CmpUlt: writeRc(a < b ? 1 : 0); break;
-      case Opcode::S4Add:  writeRc((a << 2) + b); break;
-      case Opcode::S8Add:  writeRc((a << 3) + b); break;
-      case Opcode::CmovEq:
-        if (a == 0)
-            writeRc(b);
-        break;
-      case Opcode::CmovNe:
-        if (a != 0)
-            writeRc(b);
-        break;
-      case Opcode::CmovLt:
-        if (sa < 0)
-            writeRc(b);
-        break;
-
-      // Integer ALU, immediate form.
-      case Opcode::AddI: writeRc(a + imm); break;
-      case Opcode::SubI: writeRc(a - imm); break;
-      case Opcode::AndI: writeRc(a & static_cast<std::uint64_t>(imm)); break;
-      case Opcode::OrI:  writeRc(a | static_cast<std::uint64_t>(imm)); break;
-      case Opcode::XorI: writeRc(a ^ static_cast<std::uint64_t>(imm)); break;
-      case Opcode::SllI: writeRc(a << (imm & 63)); break;
-      case Opcode::SrlI: writeRc(a >> (imm & 63)); break;
-      case Opcode::SraI:
-        writeRc(static_cast<std::uint64_t>(sa >> (imm & 63)));
-        break;
-      case Opcode::CmpEqI:  writeRc(sa == imm ? 1 : 0); break;
-      case Opcode::CmpLtI:  writeRc(sa < imm ? 1 : 0); break;
-      case Opcode::CmpLeI:  writeRc(sa <= imm ? 1 : 0); break;
-      case Opcode::CmpUltI:
-        writeRc(a < static_cast<std::uint64_t>(imm) ? 1 : 0);
-        break;
-      case Opcode::Ldi: writeRc(static_cast<std::uint64_t>(imm)); break;
-
-      // Complex integer.
-      case Opcode::Mul: writeRc(a * b); break;
-      case Opcode::Div:
-        writeRc(sb == 0 ? 0 : static_cast<std::uint64_t>(sa / sb));
-        break;
-
-      // Floating point.
-      case Opcode::FAdd: writeRc(asBits(asDouble(a) + asDouble(b))); break;
-      case Opcode::FSub: writeRc(asBits(asDouble(a) - asDouble(b))); break;
-      case Opcode::FMul: writeRc(asBits(asDouble(a) * asDouble(b))); break;
-      case Opcode::FCmpLt: writeRc(asDouble(a) < asDouble(b) ? 1 : 0); break;
-      case Opcode::FCmpLe: writeRc(asDouble(a) <= asDouble(b) ? 1 : 0); break;
-      case Opcode::FCmpEq: writeRc(asDouble(a) == asDouble(b) ? 1 : 0); break;
-      case Opcode::CvtIF: writeRc(asBits(static_cast<double>(sa))); break;
-      case Opcode::CvtFI:
-        writeRc(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(asDouble(a))));
-        break;
+      SS_ISA_VALUE_OPCODES(SS_EXEC_VALUE)
+#undef SS_EXEC_VALUE
 
       // Memory.
       case Opcode::Ldq:
       case Opcode::Ldl:
       case Opcode::Ldbu:
-      case Opcode::Prefetch: {
-        Addr ea = b + static_cast<std::uint64_t>(imm);
-        res.memAddr = ea;
-        if (MemoryImage::faults(ea)) {
+      case Opcode::Prefetch:
+        res.memAddr = isa::effectiveAddress(b, inst.imm);
+        if (MemoryImage::faults(res.memAddr))
             res.fault = true;
-            break;
-        }
-        if (inst.op == Opcode::Ldq)
-            writeRc(mem.readQ(ea));
-        else if (inst.op == Opcode::Ldl)
-            writeRc(static_cast<std::uint64_t>(
-                signExtend(mem.readL(ea), 32)));
-        else if (inst.op == Opcode::Ldbu)
-            writeRc(mem.readB(ea));
-        // Prefetch reads no destination and never faults further.
+        else if (t.writesRc)  // a prefetch reads nothing
+            writeRc(isa::loadResult(t, mem.read(res.memAddr, t.memBytes)));
         break;
-      }
       case Opcode::Stq:
       case Opcode::Stl:
-      case Opcode::Stb: {
-        Addr ea = b + static_cast<std::uint64_t>(imm);
-        res.memAddr = ea;
-        if (!allow_stores || MemoryImage::faults(ea)) {
+      case Opcode::Stb:
+        res.memAddr = isa::effectiveAddress(b, inst.imm);
+        if (!allow_stores || MemoryImage::faults(res.memAddr)) {
             res.fault = true;
             break;
         }
-        if (inst.op == Opcode::Stq) {
-            mem.writeQ(ea, a);
-            res.value = a;
-        } else if (inst.op == Opcode::Stl) {
-            mem.writeL(ea, static_cast<std::uint32_t>(a));
-            res.value = static_cast<std::uint32_t>(a);
-        } else {
-            mem.writeB(ea, static_cast<std::uint8_t>(a));
-            res.value = static_cast<std::uint8_t>(a);
-        }
+        mem.write(res.memAddr, a, t.memBytes);
+        res.value = a & mask(8 * t.memBytes);
         break;
-      }
 
       // Control.
-      case Opcode::Beq: res.taken = (sa == 0); break;
-      case Opcode::Bne: res.taken = (sa != 0); break;
-      case Opcode::Blt: res.taken = (sa < 0); break;
-      case Opcode::Ble: res.taken = (sa <= 0); break;
-      case Opcode::Bgt: res.taken = (sa > 0); break;
-      case Opcode::Bge: res.taken = (sa >= 0); break;
+#define SS_EXEC_COND_BRANCH(name)                                     \
+      case Opcode::name:                                              \
+        res.taken = isa::condition<Opcode::name>(a);                  \
+        break;
+      SS_ISA_COND_BRANCH_OPCODES(SS_EXEC_COND_BRANCH)
+#undef SS_EXEC_COND_BRANCH
       case Opcode::Br:  res.taken = true; break;
       case Opcode::Call:
         res.taken = true;
         writeRc(pc + isa::instBytes);
         break;
       case Opcode::Jmp:
+      case Opcode::Ret:
         res.taken = true;
         res.nextPc = a;
         break;
@@ -182,10 +81,6 @@ execute(const isa::Instruction &inst, Addr pc, RegFile &regs,
         res.taken = true;
         res.nextPc = b;
         writeRc(pc + isa::instBytes);
-        break;
-      case Opcode::Ret:
-        res.taken = true;
-        res.nextPc = a;
         break;
 
       // Misc.

@@ -1,8 +1,9 @@
 /**
  * @file
- * The functional executor: computes the architectural effect of one zsr
- * instruction. The timing model (src/core) decides *when* results
- * become visible; this module decides *what* they are.
+ * The functional executor: applies one zsr instruction's architectural
+ * effect, as isa/semantics.hh defines it, to registers and memory. The
+ * timing model (src/core) decides *when* results become visible; this
+ * module decides *what* they are.
  */
 
 #ifndef SPECSLICE_ARCH_EXEC_HH

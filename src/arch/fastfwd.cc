@@ -1,39 +1,17 @@
 #include "arch/fastfwd.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <iterator>
 #include <utility>
 
 #include "arch/exec.hh"
-#include "common/bitutils.hh"
 #include "common/logging.hh"
+#include "isa/semantics.hh"
 
 namespace specslice::arch
 {
 
 using isa::Opcode;
-
-namespace
-{
-
-double
-asDouble(std::uint64_t bits_)
-{
-    double v;
-    std::memcpy(&v, &bits_, sizeof(v));
-    return v;
-}
-
-std::uint64_t
-asBits(double v)
-{
-    std::uint64_t bits_;
-    std::memcpy(&bits_, &v, sizeof(bits_));
-    return bits_;
-}
-
-} // namespace
 
 const char *
 ffStopName(FfStop stop)
@@ -252,9 +230,8 @@ FastForward::restore(Checkpoint &&ckpt)
  * compiled either as direct-threaded code (GNU computed goto: each
  * handler ends in its own indirect jump, so the branch predictor
  * learns per-handler successor patterns) or as a switch in a loop on
- * other compilers. Semantics mirror arch::execute case by case; the
- * test suite locks the two together by comparing final state against
- * arch::trace on every workload.
+ * other compilers. Each handler specialises isa/semantics.hh's
+ * definition of its opcode, as arch::execute does.
  *
  * Counting follows Tracer rules exactly: a halting or faulting
  * instruction is counted, the instruction at an unmapped PC is not,
@@ -294,14 +271,10 @@ FastForward::restore(Checkpoint &&ckpt)
 #define SS_FF_NEXT() goto dispatch
 #endif
 
-// exec.cc's operand shorthands, against the pre-decoded record.
+// Operand shorthands, against the pre-decoded record.
 #define D code[idx]
 #define RA regs.read(D.ra)
 #define RB regs.read(D.rb)
-#define SA static_cast<std::int64_t>(RA)
-#define SB static_cast<std::int64_t>(RB)
-#define SIMM static_cast<std::int64_t>(D.imm)
-#define UIMM static_cast<std::uint64_t>(SIMM)
 #define WR(v) regs.write(D.rc, (v))
 #define STEP()                                                        \
     do {                                                              \
@@ -349,12 +322,41 @@ FastForward::restore(Checkpoint &&ckpt)
         SS_FF_NEXT();                                                 \
     } while (0)
 
-#define EA (RB + UIMM)
-#define LOADFAULT(ea)                                                 \
-    if (MemoryImage::faults(ea)) {                                    \
-        ++n;                                                          \
-        SS_FF_STOP(FfStop::Fault, pcOf(idx));                         \
+// A value opcode: rc = its result from ra and rb or the immediate,
+// unless it is a conditional move whose condition fails.
+#define VALUE(name)                                                   \
+    SS_FF_CASE(name)                                                  \
+    {                                                                 \
+        constexpr bool imm_ = isa::opTraits(Opcode::name).hasImm;     \
+        if (isa::condition<Opcode::name>(RA))                         \
+            WR(isa::result<Opcode::name>(                             \
+                RA, imm_ ? static_cast<std::uint64_t>(D.imm) : RB));  \
+        STEP();                                                       \
     }
+
+// A load, store or prefetch (a load without a destination): the
+// null-page check, then the access at the opcode's width. A prefetch's
+// line would land in the cache, so it warms like a load.
+#define MEMORY(name)                                                  \
+    SS_FF_CASE(name)                                                  \
+    {                                                                 \
+        constexpr const isa::OpTraits &t_ =                           \
+            isa::opTraits(Opcode::name);                              \
+        const Addr ea_ = isa::effectiveAddress(RB, D.imm);            \
+        if (MemoryImage::faults(ea_)) {                               \
+            ++n;                                                      \
+            SS_FF_STOP(FfStop::Fault, pcOf(idx));                     \
+        }                                                             \
+        recordMem(ea_, t_.isStore);                                   \
+        if constexpr (t_.isStore)                                     \
+            mem.write(ea_, RA, t_.memBytes);                          \
+        else if constexpr (t_.writesRc)                               \
+            WR(isa::loadResult(t_, mem.read(ea_, t_.memBytes)));      \
+        STEP();                                                       \
+    }
+
+#define COND_BRANCH(name)                                             \
+    SS_FF_CASE(name) CBR(isa::condition<Opcode::name>(RA))
 
 FfStop
 FastForward::run(std::uint64_t max_insts)
@@ -410,183 +412,13 @@ FastForward::run(std::uint64_t max_insts)
     switch (static_cast<Opcode>(code[idx].op))
 #endif
     {
-        // Integer ALU, register form.
-        SS_FF_CASE(Add) { WR(RA + RB); STEP(); }
-        SS_FF_CASE(Sub) { WR(RA - RB); STEP(); }
-        SS_FF_CASE(And) { WR(RA & RB); STEP(); }
-        SS_FF_CASE(Or)  { WR(RA | RB); STEP(); }
-        SS_FF_CASE(Xor) { WR(RA ^ RB); STEP(); }
-        SS_FF_CASE(Sll) { WR(RA << (RB & 63)); STEP(); }
-        SS_FF_CASE(Srl) { WR(RA >> (RB & 63)); STEP(); }
-        SS_FF_CASE(Sra)
-        {
-            WR(static_cast<std::uint64_t>(SA >> (RB & 63)));
-            STEP();
-        }
-        SS_FF_CASE(CmpEq)  { WR(RA == RB ? 1 : 0); STEP(); }
-        SS_FF_CASE(CmpLt)  { WR(SA < SB ? 1 : 0); STEP(); }
-        SS_FF_CASE(CmpLe)  { WR(SA <= SB ? 1 : 0); STEP(); }
-        SS_FF_CASE(CmpUlt) { WR(RA < RB ? 1 : 0); STEP(); }
-        SS_FF_CASE(S4Add)  { WR((RA << 2) + RB); STEP(); }
-        SS_FF_CASE(S8Add)  { WR((RA << 3) + RB); STEP(); }
-        SS_FF_CASE(CmovEq)
-        {
-            if (RA == 0)
-                WR(RB);
-            STEP();
-        }
-        SS_FF_CASE(CmovNe)
-        {
-            if (RA != 0)
-                WR(RB);
-            STEP();
-        }
-        SS_FF_CASE(CmovLt)
-        {
-            if (SA < 0)
-                WR(RB);
-            STEP();
-        }
-
-        // Integer ALU, immediate form.
-        SS_FF_CASE(AddI) { WR(RA + SIMM); STEP(); }
-        SS_FF_CASE(SubI) { WR(RA - SIMM); STEP(); }
-        SS_FF_CASE(AndI) { WR(RA & UIMM); STEP(); }
-        SS_FF_CASE(OrI)  { WR(RA | UIMM); STEP(); }
-        SS_FF_CASE(XorI) { WR(RA ^ UIMM); STEP(); }
-        SS_FF_CASE(SllI) { WR(RA << (SIMM & 63)); STEP(); }
-        SS_FF_CASE(SrlI) { WR(RA >> (SIMM & 63)); STEP(); }
-        SS_FF_CASE(SraI)
-        {
-            WR(static_cast<std::uint64_t>(SA >> (SIMM & 63)));
-            STEP();
-        }
-        SS_FF_CASE(CmpEqI)  { WR(SA == SIMM ? 1 : 0); STEP(); }
-        SS_FF_CASE(CmpLtI)  { WR(SA < SIMM ? 1 : 0); STEP(); }
-        SS_FF_CASE(CmpLeI)  { WR(SA <= SIMM ? 1 : 0); STEP(); }
-        SS_FF_CASE(CmpUltI) { WR(RA < UIMM ? 1 : 0); STEP(); }
-        SS_FF_CASE(Ldi)     { WR(UIMM); STEP(); }
-
-        // Complex integer.
-        SS_FF_CASE(Mul) { WR(RA * RB); STEP(); }
-        SS_FF_CASE(Div)
-        {
-            const std::int64_t sb = SB;
-            WR(sb == 0 ? 0 : static_cast<std::uint64_t>(SA / sb));
-            STEP();
-        }
-
-        // Floating point.
-        SS_FF_CASE(FAdd)
-        {
-            WR(asBits(asDouble(RA) + asDouble(RB)));
-            STEP();
-        }
-        SS_FF_CASE(FSub)
-        {
-            WR(asBits(asDouble(RA) - asDouble(RB)));
-            STEP();
-        }
-        SS_FF_CASE(FMul)
-        {
-            WR(asBits(asDouble(RA) * asDouble(RB)));
-            STEP();
-        }
-        SS_FF_CASE(FCmpLt)
-        {
-            WR(asDouble(RA) < asDouble(RB) ? 1 : 0);
-            STEP();
-        }
-        SS_FF_CASE(FCmpLe)
-        {
-            WR(asDouble(RA) <= asDouble(RB) ? 1 : 0);
-            STEP();
-        }
-        SS_FF_CASE(FCmpEq)
-        {
-            WR(asDouble(RA) == asDouble(RB) ? 1 : 0);
-            STEP();
-        }
-        SS_FF_CASE(CvtIF)
-        {
-            WR(asBits(static_cast<double>(SA)));
-            STEP();
-        }
-        SS_FF_CASE(CvtFI)
-        {
-            WR(static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(asDouble(RA))));
-            STEP();
-        }
-
-        // Memory.
-        SS_FF_CASE(Ldq)
-        {
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, false);
-            WR(mem.readQ(ea));
-            STEP();
-        }
-        SS_FF_CASE(Ldl)
-        {
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, false);
-            WR(static_cast<std::uint64_t>(
-                signExtend(mem.readL(ea), 32)));
-            STEP();
-        }
-        SS_FF_CASE(Ldbu)
-        {
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, false);
-            WR(mem.readB(ea));
-            STEP();
-        }
-        SS_FF_CASE(Prefetch)
-        {
-            // Like exec.cc: the null-page check still applies, the
-            // access itself is dropped — and the line it names would
-            // land in the cache, so it warms like a load.
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, false);
-            STEP();
-        }
-        SS_FF_CASE(Stq)
-        {
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, true);
-            mem.writeQ(ea, RA);
-            STEP();
-        }
-        SS_FF_CASE(Stl)
-        {
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, true);
-            mem.writeL(ea, static_cast<std::uint32_t>(RA));
-            STEP();
-        }
-        SS_FF_CASE(Stb)
-        {
-            const Addr ea = EA;
-            LOADFAULT(ea);
-            recordMem(ea, true);
-            mem.writeB(ea, static_cast<std::uint8_t>(RA));
-            STEP();
-        }
+        SS_ISA_VALUE_OPCODES(VALUE)
+        MEMORY(Ldq) MEMORY(Ldl) MEMORY(Ldbu)
+        MEMORY(Stq) MEMORY(Stl) MEMORY(Stb)
+        MEMORY(Prefetch)
 
         // Control.
-        SS_FF_CASE(Beq) CBR(SA == 0)
-        SS_FF_CASE(Bne) CBR(SA != 0)
-        SS_FF_CASE(Blt) CBR(SA < 0)
-        SS_FF_CASE(Ble) CBR(SA <= 0)
-        SS_FF_CASE(Bgt) CBR(SA > 0)
-        SS_FF_CASE(Bge) CBR(SA >= 0)
+        SS_ISA_COND_BRANCH_OPCODES(COND_BRANCH)
         SS_FF_CASE(Br)  { TAKE(D.targetIdx); }
         SS_FF_CASE(Call)
         {
@@ -637,17 +469,14 @@ FastForward::run(std::uint64_t max_insts)
 #undef D
 #undef RA
 #undef RB
-#undef SA
-#undef SB
-#undef SIMM
-#undef UIMM
 #undef WR
 #undef STEP
 #undef TAKE
 #undef CBR
 #undef GOIND
-#undef EA
-#undef LOADFAULT
+#undef VALUE
+#undef MEMORY
+#undef COND_BRANCH
 
 Addr
 FastForward::staticTargetOf(std::uint32_t idx) const

@@ -1,11 +1,12 @@
 /**
  * @file
  * The functional fast-forward engine: a pre-decoded, threaded-dispatch
- * interpreter for the zsr ISA. It executes the same architectural
- * semantics as arch::execute (and is regression-tested bit-identical
- * to arch::trace), but skips per-step ExecResult construction, trait
- * lookups, and program.fetch hashing by resolving every static
- * instruction to a dense decode record once up front. This is the raw
+ * interpreter for the zsr ISA. Its handlers specialise the same
+ * isa/semantics.hh definitions arch::execute uses (and it is tested
+ * bit-identical to arch::trace on the kernels and on every opcode),
+ * but it skips per-step ExecResult construction, trait lookups, and
+ * program.fetch hashing by resolving every static instruction to a
+ * dense decode record once up front. This is the raw
  * speed lever the paper-scale experiments sit on: the timing core
  * retires ~0.5M insts/sec, the fast-forward engine targets >=50M, so
  * 100M-instruction regions become reachable by skipping to them

@@ -171,21 +171,4 @@ MemoryImage::contentHash() const
     return hash;
 }
 
-void
-MemoryImage::writeF(Addr addr, double v)
-{
-    std::uint64_t bits_;
-    std::memcpy(&bits_, &v, sizeof(bits_));
-    writeQ(addr, bits_);
-}
-
-double
-MemoryImage::readF(Addr addr) const
-{
-    std::uint64_t bits_ = readQ(addr);
-    double v;
-    std::memcpy(&v, &bits_, sizeof(v));
-    return v;
-}
-
 } // namespace specslice::arch

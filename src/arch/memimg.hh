@@ -21,6 +21,7 @@
 #include "common/logging.hh"
 #include "common/open_hash.hh"
 #include "common/types.hh"
+#include "isa/semantics.hh"
 
 namespace specslice::arch
 {
@@ -90,9 +91,9 @@ class MemoryImage
     void writeB(Addr addr, std::uint8_t v) { write(addr, v, 1); }
 
     /** Store an IEEE double's bit pattern. */
-    void writeF(Addr addr, double v);
+    void writeF(Addr addr, double v) { writeQ(addr, isa::asBits(v)); }
     /** Load an IEEE double from its bit pattern. */
-    double readF(Addr addr) const;
+    double readF(Addr addr) const { return isa::asDouble(readQ(addr)); }
 
     /** Number of pages currently allocated. */
     std::size_t pageCount() const { return pages_.size(); }

@@ -10,10 +10,10 @@
 
 #include <array>
 #include <cstdint>
-#include <cstring>
 
 #include "common/types.hh"
 #include "isa/opcodes.hh"
+#include "isa/semantics.hh"
 
 namespace specslice::arch
 {
@@ -37,23 +37,10 @@ class RegFile
     }
 
     /** Read a register as an IEEE double bit pattern. */
-    double
-    readF(RegIndex r) const
-    {
-        std::uint64_t bits_ = read(r);
-        double v;
-        std::memcpy(&v, &bits_, sizeof(v));
-        return v;
-    }
+    double readF(RegIndex r) const { return isa::asDouble(read(r)); }
 
     /** Write an IEEE double's bit pattern to a register. */
-    void
-    writeF(RegIndex r, double v)
-    {
-        std::uint64_t bits_;
-        std::memcpy(&bits_, &v, sizeof(bits_));
-        write(r, bits_);
-    }
+    void writeF(RegIndex r, double v) { write(r, isa::asBits(v)); }
 
     void reset() { regs_.fill(0); }
 

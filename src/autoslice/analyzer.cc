@@ -14,7 +14,6 @@ namespace
 {
 
 using isa::Instruction;
-using isa::Opcode;
 
 /** Compact per-instruction trace record kept in the window. */
 struct Rec
@@ -25,25 +24,6 @@ struct Rec
     unsigned memSize;   ///< access bytes (mem ops)
     bool wroteReg;
 };
-
-unsigned
-accessSize(Opcode op)
-{
-    switch (op) {
-      case Opcode::Ldq:
-      case Opcode::Stq:
-      case Opcode::Prefetch:
-        return 8;
-      case Opcode::Ldl:
-      case Opcode::Stl:
-        return 4;
-      case Opcode::Ldbu:
-      case Opcode::Stb:
-        return 1;
-      default:
-        return 0;
-    }
-}
 
 /** Source registers of an instruction (excluding the zero reg). */
 void
@@ -208,7 +188,7 @@ analyzeProblemInstruction(const isa::Program &program, Addr entry_pc,
         r.pc = ev.pc;
         r.inst = ev.inst;
         r.memAddr = ev.result.memAddr;
-        r.memSize = accessSize(ev.inst->op);
+        r.memSize = ev.inst->traits().memBytes;
         r.wroteReg = ev.inst->traits().writesRc &&
                      ev.inst->rc != isa::regZero;
         window.push_back(r);

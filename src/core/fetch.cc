@@ -11,6 +11,7 @@
 #include "core/smt_core.hh"
 
 #include "common/logging.hh"
+#include "isa/semantics.hh"
 #include "obs/trace.hh"
 
 namespace specslice::core
@@ -144,11 +145,9 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
     if (!t.onWrongPath) {
         if (si->isStore() && !t.isSlice) {
             // Capture the old value for the reversal undo log.
-            Addr ea = t.regs.read(si->rb) +
-                      static_cast<std::uint64_t>(si->imm);
-            unsigned size = si->op == isa::Opcode::Stq   ? 8
-                            : si->op == isa::Opcode::Stl ? 4
-                                                         : 1;
+            const Addr ea =
+                isa::effectiveAddress(t.regs.read(si->rb), si->imm);
+            const unsigned size = si->traits().memBytes;
             if (!arch::MemoryImage::faults(ea))
                 storeUndoLog_.push_back(
                     {di.seq, ea, size, mem_.read(ea, size)});
@@ -416,29 +415,17 @@ SmtCore::adjustSliceLoad(ThreadCtx &t, DynInst &di)
     // reconstruct it from the store-undo log: the oldest in-flight
     // main-thread store to this address that is younger than the fork
     // recorded exactly that value.
-    if (di.fx.fault || di.fx.memAddr == invalidAddr)
-        return;
+    const isa::OpTraits &load = di.si->traits();
+    if (di.fx.fault || !load.writesRc)
+        return;  // a prefetch has no value
     for (const StoreUndo &u : storeUndoLog_) {
         if (u.seq <= t.forkSeq)
             continue;
         if (u.addr != di.fx.memAddr)
             continue;
-        std::uint64_t v = u.oldValue;
-        switch (di.si->op) {
-          case isa::Opcode::Ldq:
-            break;
-          case isa::Opcode::Ldl:
-            if (u.size < 4)
-                return;  // partial overlap: keep the raw value
-            v = static_cast<std::uint64_t>(
-                signExtend(v & 0xffffffffu, 32));
-            break;
-          case isa::Opcode::Ldbu:
-            v &= 0xff;
-            break;
-          default:
-            return;  // prefetch: value unused
-        }
+        if (u.size < load.memBytes)
+            return;  // partial overlap: keep the raw value
+        const std::uint64_t v = isa::loadResult(load, u.oldValue);
         t.regs.write(di.si->rc, v);
         di.fx.value = v;
         ++s_.sliceLoadsForkAdjusted;

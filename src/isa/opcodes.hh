@@ -104,6 +104,8 @@ struct OpTraits
     std::uint8_t latency;    ///< execute latency in cycles
     bool isLoad;
     bool isStore;
+    std::uint8_t memBytes;   ///< bytes a load/store accesses, else 0
+    bool signExtends;        ///< a load sign-extends (else zero-extends)
     bool isCondBranch;
     bool isUncondDirect;     ///< br / call
     bool isIndirect;         ///< jmp / callr / ret
@@ -123,70 +125,72 @@ namespace opcodes_detail
 inline constexpr bool Y = true;
 inline constexpr bool N = false;
 
-// One row per opcode, in enum order.
-//                         mnem        fu                    lat ld st cbr ubr ind call ret wRc rRa rRb rRc imm
+using enum FuClass;
+
+// One row per opcode, in enum order. by = memBytes, sx = signExtends.
+//    mnem        fu        lat ld st by sx cbr ubr ind call ret wRc rRa rRb rRc imm
 inline constexpr OpTraits traitTable[] = {
-    {"add",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"sub",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"and",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"or",      FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"xor",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"sll",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"srl",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"sra",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmpeq",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmplt",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmple",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmpult",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"s4add",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"s8add",   FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cmoveq",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, Y, N},
-    {"cmovne",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, Y, N},
-    {"cmovlt",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, Y, Y, N},
-    {"addi",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"subi",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"andi",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"ori",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"xori",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"slli",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"srli",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"srai",    FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"cmpeqi",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"cmplti",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"cmplei",  FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"cmpulti", FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, Y, N, N, Y},
-    {"ldi",     FuClass::IntAlu,     1, N, N, N, N, N, N, N, Y, N, N, N, Y},
-    {"mul",     FuClass::IntComplex, 7, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"div",     FuClass::IntComplex,20, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fadd",    FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fsub",    FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fmul",    FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fcmplt",  FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fcmple",  FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"fcmpeq",  FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, Y, N, N},
-    {"cvtif",   FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, N, N, N},
-    {"cvtfi",   FuClass::FpAlu,      4, N, N, N, N, N, N, N, Y, Y, N, N, N},
-    {"ldq",     FuClass::MemPort,    3, Y, N, N, N, N, N, N, Y, N, Y, N, Y},
-    {"ldl",     FuClass::MemPort,    3, Y, N, N, N, N, N, N, Y, N, Y, N, Y},
-    {"ldbu",    FuClass::MemPort,    3, Y, N, N, N, N, N, N, Y, N, Y, N, Y},
-    {"stq",     FuClass::MemPort,    1, N, Y, N, N, N, N, N, N, Y, Y, N, Y},
-    {"stl",     FuClass::MemPort,    1, N, Y, N, N, N, N, N, N, Y, Y, N, Y},
-    {"stb",     FuClass::MemPort,    1, N, Y, N, N, N, N, N, N, Y, Y, N, Y},
-    {"prefetch",FuClass::MemPort,    3, Y, N, N, N, N, N, N, N, N, Y, N, Y},
-    {"beq",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"bne",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"blt",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"ble",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"bgt",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"bge",     FuClass::Branch,     1, N, N, Y, N, N, N, N, N, Y, N, N, N},
-    {"br",      FuClass::Branch,     1, N, N, N, Y, N, N, N, N, N, N, N, N},
-    {"call",    FuClass::Branch,     1, N, N, N, Y, N, Y, N, Y, N, N, N, N},
-    {"jmp",     FuClass::Branch,     1, N, N, N, N, Y, N, N, N, Y, N, N, N},
-    {"callr",   FuClass::Branch,     1, N, N, N, N, Y, Y, N, Y, N, Y, N, N},
-    {"ret",     FuClass::Branch,     1, N, N, N, N, Y, N, Y, N, Y, N, N, N},
-    {"nop",     FuClass::None,       1, N, N, N, N, N, N, N, N, N, N, N, N},
-    {"halt",    FuClass::None,       1, N, N, N, N, N, N, N, N, N, N, N, N},
-    {"slice_end",FuClass::None,      1, N, N, N, N, N, N, N, N, N, N, N, N},
+    {"add",      IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"sub",      IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"and",      IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"or",       IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"xor",      IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"sll",      IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"srl",      IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"sra",      IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"cmpeq",    IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"cmplt",    IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"cmple",    IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"cmpult",   IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"s4add",    IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"s8add",    IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"cmoveq",   IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, Y, N},
+    {"cmovne",   IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, Y, N},
+    {"cmovlt",   IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, Y, Y, N},
+    {"addi",     IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, Y},
+    {"subi",     IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, Y},
+    {"andi",     IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, Y},
+    {"ori",      IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, Y},
+    {"xori",     IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, Y},
+    {"slli",     IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, Y},
+    {"srli",     IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, Y},
+    {"srai",     IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, Y},
+    {"cmpeqi",   IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, Y},
+    {"cmplti",   IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, Y},
+    {"cmplei",   IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, Y},
+    {"cmpulti",  IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, Y},
+    {"ldi",      IntAlu,     1, N, N, 0, N, N, N, N, N, N, Y, N, N, N, Y},
+    {"mul",      IntComplex, 7, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"div",      IntComplex,20, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"fadd",     FpAlu,      4, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"fsub",     FpAlu,      4, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"fmul",     FpAlu,      4, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"fcmplt",   FpAlu,      4, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"fcmple",   FpAlu,      4, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"fcmpeq",   FpAlu,      4, N, N, 0, N, N, N, N, N, N, Y, Y, Y, N, N},
+    {"cvtif",    FpAlu,      4, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, N},
+    {"cvtfi",    FpAlu,      4, N, N, 0, N, N, N, N, N, N, Y, Y, N, N, N},
+    {"ldq",      MemPort,    3, Y, N, 8, N, N, N, N, N, N, Y, N, Y, N, Y},
+    {"ldl",      MemPort,    3, Y, N, 4, Y, N, N, N, N, N, Y, N, Y, N, Y},
+    {"ldbu",     MemPort,    3, Y, N, 1, N, N, N, N, N, N, Y, N, Y, N, Y},
+    {"stq",      MemPort,    1, N, Y, 8, N, N, N, N, N, N, N, Y, Y, N, Y},
+    {"stl",      MemPort,    1, N, Y, 4, N, N, N, N, N, N, N, Y, Y, N, Y},
+    {"stb",      MemPort,    1, N, Y, 1, N, N, N, N, N, N, N, Y, Y, N, Y},
+    {"prefetch", MemPort,    3, Y, N, 8, N, N, N, N, N, N, N, N, Y, N, Y},
+    {"beq",      Branch,     1, N, N, 0, N, Y, N, N, N, N, N, Y, N, N, N},
+    {"bne",      Branch,     1, N, N, 0, N, Y, N, N, N, N, N, Y, N, N, N},
+    {"blt",      Branch,     1, N, N, 0, N, Y, N, N, N, N, N, Y, N, N, N},
+    {"ble",      Branch,     1, N, N, 0, N, Y, N, N, N, N, N, Y, N, N, N},
+    {"bgt",      Branch,     1, N, N, 0, N, Y, N, N, N, N, N, Y, N, N, N},
+    {"bge",      Branch,     1, N, N, 0, N, Y, N, N, N, N, N, Y, N, N, N},
+    {"br",       Branch,     1, N, N, 0, N, N, Y, N, N, N, N, N, N, N, N},
+    {"call",     Branch,     1, N, N, 0, N, N, Y, N, Y, N, Y, N, N, N, N},
+    {"jmp",      Branch,     1, N, N, 0, N, N, N, Y, N, N, N, Y, N, N, N},
+    {"callr",    Branch,     1, N, N, 0, N, N, N, Y, Y, N, Y, N, Y, N, N},
+    {"ret",      Branch,     1, N, N, 0, N, N, N, Y, N, Y, N, Y, N, N, N},
+    {"nop",      None,       1, N, N, 0, N, N, N, N, N, N, N, N, N, N, N},
+    {"halt",     None,       1, N, N, 0, N, N, N, N, N, N, N, N, N, N, N},
+    {"slice_end",None,       1, N, N, 0, N, N, N, N, N, N, N, N, N, N, N},
 };
 
 static_assert(sizeof(traitTable) / sizeof(traitTable[0]) ==
@@ -200,7 +204,7 @@ static_assert(sizeof(traitTable) / sizeof(traitTable[0]) ==
 } // namespace opcodes_detail
 
 /** @return the static traits of op. */
-inline const OpTraits &
+constexpr const OpTraits &
 opTraits(Opcode op)
 {
     auto idx = static_cast<std::size_t>(op);

@@ -8,7 +8,8 @@ namespace specslice::mem
 
 StreamPrefetcher::StreamPrefetcher(unsigned streams, unsigned line_size,
                                    unsigned degree, bool sequential)
-    : lineSize_(line_size), degree_(degree), sequential_(sequential)
+    : lineShift_(floorLog2(line_size)), degree_(degree),
+      sequential_(sequential)
 {
     SS_ASSERT(isPowerOf2(line_size), "line size must be a power of two");
     streams_.resize(streams);
@@ -18,16 +19,14 @@ const std::vector<Addr> &
 StreamPrefetcher::onMiss(Addr addr)
 {
     out_.clear();
-    Addr line = lineOf(addr);
-    auto line_num = static_cast<std::int64_t>(line / lineSize_);
+    const auto line_num = static_cast<std::int64_t>(addr >> lineShift_);
 
     // Look for a stream this miss continues (distance of one line,
     // either direction, or continuing a confirmed stride).
     for (Stream &s : streams_) {
         if (!s.valid)
             continue;
-        auto last_num = static_cast<std::int64_t>(s.lastLine / lineSize_);
-        std::int64_t delta = line_num - last_num;
+        std::int64_t delta = line_num - s.lastLine;
         if (delta == 0)
             return out_;  // repeated miss on same line; nothing new
         bool continues =
@@ -35,7 +34,7 @@ StreamPrefetcher::onMiss(Addr addr)
             (s.stride == 0 && (delta == 1 || delta == -1));
         if (continues) {
             s.stride = delta;
-            s.lastLine = line;
+            s.lastLine = line_num;
             s.confidence = s.confidence < 4 ? s.confidence + 1 : 4;
             s.lru = ++lruClock_;
             // Confirmed stream: run ahead by 'degree' lines.
@@ -43,7 +42,7 @@ StreamPrefetcher::onMiss(Addr addr)
                 std::int64_t target =
                     line_num + s.stride * static_cast<std::int64_t>(d);
                 if (target >= 0)
-                    out_.push_back(static_cast<Addr>(target) * lineSize_);
+                    out_.push_back(static_cast<Addr>(target) << lineShift_);
             }
             return out_;
         }
@@ -61,13 +60,13 @@ StreamPrefetcher::onMiss(Addr addr)
             victim = &s;
     }
     victim->valid = true;
-    victim->lastLine = line;
+    victim->lastLine = line_num;
     victim->stride = 0;
     victim->confidence = 0;
     victim->lru = ++lruClock_;
 
     if (sequential_)
-        out_.push_back(line + lineSize_);
+        out_.push_back((static_cast<Addr>(line_num) + 1) << lineShift_);
     return out_;
 }
 

@@ -40,18 +40,13 @@ class StreamPrefetcher
     struct Stream
     {
         bool valid = false;
-        Addr lastLine = 0;
+        std::int64_t lastLine = 0;  ///< line number (address >> shift)
         std::int64_t stride = 0;   ///< in lines; 0 = not yet confirmed
         unsigned confidence = 0;
         std::uint64_t lru = 0;
     };
 
-    Addr lineOf(Addr addr) const
-    {
-        return addr & ~static_cast<Addr>(lineSize_ - 1);
-    }
-
-    unsigned lineSize_;
+    unsigned lineShift_;  ///< log2 of the line size
     unsigned degree_;
     bool sequential_;
     std::uint64_t lruClock_ = 0;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -85,6 +86,42 @@ TEST_F(ExecFixture, DivByZeroYieldsZeroNotFault)
     EXPECT_EQ(regs.read(3), 0u);
 }
 
+TEST_F(ExecFixture, DivOverflowWrapsToMin)
+{
+    constexpr std::uint64_t int64Min = std::uint64_t{1} << 63;
+    regs.write(1, int64Min);
+    regs.write(2, ~std::uint64_t{0});
+    auto r = run(rform(Opcode::Div, 3, 1, 2));  // INT64_MIN / -1
+    EXPECT_FALSE(r.fault);
+    EXPECT_EQ(regs.read(3), int64Min);
+    regs.write(1, static_cast<std::uint64_t>(-7));
+    run(rform(Opcode::Div, 3, 1, 2));
+    EXPECT_EQ(static_cast<std::int64_t>(regs.read(3)), 7);
+    regs.write(2, 2);
+    run(rform(Opcode::Div, 3, 1, 2));  // truncates toward zero
+    EXPECT_EQ(static_cast<std::int64_t>(regs.read(3)), -3);
+}
+
+TEST_F(ExecFixture, CvtFIOutOfRangeGivesMin)
+{
+    constexpr std::uint64_t int64Min = std::uint64_t{1} << 63;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::pair<double, std::uint64_t> cases[] = {
+        {nan, int64Min},    {-nan, int64Min},   {1e300, int64Min},
+        {-1e300, int64Min}, {inf, int64Min},    {-inf, int64Min},
+        {0x1p63, int64Min}, {-0x1p63, int64Min},
+        {0x1p63 - 1024, 0x7ffffffffffffc00},
+        {-1.9, ~std::uint64_t{0}}, {1.9, 1}, {-0.0, 0},
+    };
+    for (const auto &[in, want] : cases) {
+        regs.writeF(1, in);
+        auto r = run(rform(Opcode::CvtFI, 2, 1, regZero));
+        EXPECT_FALSE(r.fault);
+        EXPECT_EQ(regs.read(2), want) << in;
+    }
+}
+
 TEST_F(ExecFixture, SignedArithmeticAndShifts)
 {
     regs.write(1, static_cast<std::uint64_t>(-8));
@@ -152,6 +189,42 @@ TEST_F(ExecFixture, FloatingPoint)
     EXPECT_DOUBLE_EQ(regs.readF(5), -3.0);
     run(rform(Opcode::CvtFI, 6, 5, regZero));
     EXPECT_EQ(static_cast<std::int64_t>(regs.read(6)), -3);
+}
+
+// A NaN result is the first NaN operand, quieted, whatever order the
+// compiler gives a commutative operation's operands; an invalid
+// operation on two numbers gives the default NaN.
+TEST_F(ExecFixture, FpNaNResultsAreDefined)
+{
+    constexpr std::uint64_t quietA = 0xfff8000000000123;
+    constexpr std::uint64_t signallingB = 0x7ff0000000000456;
+    constexpr std::uint64_t quietB = signallingB | (std::uint64_t{1} << 51);
+    constexpr std::uint64_t defaultNaN = 0xfff8000000000000;
+    regs.write(1, quietA);
+    regs.write(2, signallingB);
+    regs.writeF(3, 1.0);
+    regs.writeF(4, std::numeric_limits<double>::infinity());
+    const struct
+    {
+        Opcode op;
+        RegIndex ra, rb;
+        std::uint64_t want;
+    } cases[] = {
+        {Opcode::FAdd, 1, 2, quietA},
+        {Opcode::FAdd, 2, 1, quietB},
+        {Opcode::FMul, 2, 1, quietB},
+        {Opcode::FMul, 1, 2, quietA},
+        {Opcode::FSub, 3, 2, quietB},
+        {Opcode::FAdd, 2, 3, quietB},
+        {Opcode::FSub, 4, 4, defaultNaN},
+        {Opcode::FMul, 4, regZero, defaultNaN},  // inf * 0
+    };
+    for (const auto &c : cases) {
+        run(rform(c.op, 5, c.ra, c.rb));
+        EXPECT_EQ(regs.read(5), c.want)
+            << opTraits(c.op).mnemonic << " r" << int{c.ra} << ", r"
+            << int{c.rb};
+    }
 }
 
 TEST_F(ExecFixture, LoadsAndStores)

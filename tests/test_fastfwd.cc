@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+#include <utility>
+
 #include "arch/fastfwd.hh"
 #include "arch/memimg.hh"
 #include "arch/tracer.hh"
@@ -178,6 +182,43 @@ TEST(FastForwardTest, NullLoadFaults)
     EXPECT_EQ(ff.pc(), codeBase + isa::instBytes)
         << "fault must report the faulting instruction's PC";
     EXPECT_FALSE(ff.runnable());
+}
+
+// ExecFixture.DivOverflowWrapsToMin and CvtFIOutOfRangeGivesMin,
+// through the fast-forward handlers.
+TEST(FastForwardTest, DivOverflowAndOutOfRangeCvtFIAreDefined)
+{
+    constexpr std::uint64_t int64Min = std::uint64_t{1} << 63;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::pair<double, std::uint64_t> cvts[] = {
+        {nan, int64Min},    {-nan, int64Min},   {1e300, int64Min},
+        {-1e300, int64Min}, {inf, int64Min},    {-inf, int64Min},
+        {0x1p63, int64Min}, {-0x1p63, int64Min},
+        {0x1p63 - 1024, 0x7ffffffffffffc00},
+        {-1.9, ~std::uint64_t{0}}, {1.9, 1}, {-0.0, 0},
+    };
+    isa::Assembler as(codeBase);
+    as.ldi64(1, int64Min);
+    as.ldi(2, -1);
+    as.div(3, 1, 2);
+    RegIndex r = 4;
+    for (const auto &[in, want] : cvts) {
+        as.ldi64(r, std::bit_cast<std::uint64_t>(in));
+        as.cvtfi(r, r);
+        ++r;
+    }
+    as.halt();
+    isa::Program prog;
+    prog.addSection(as.finish());
+
+    arch::FastForward ff(prog);
+    ff.reset(codeBase);
+    ASSERT_EQ(ff.advance(1000), arch::FfStop::Halted);
+    EXPECT_EQ(ff.regs().read(3), int64Min);
+    r = 4;
+    for (const auto &[in, want] : cvts)
+        EXPECT_EQ(ff.regs().read(r++), want) << in;
 }
 
 TEST(FastForwardTest, UnmappedPcStops)
