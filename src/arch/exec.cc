@@ -43,7 +43,7 @@ execute(const isa::Instruction &inst, Addr pc, RegFile &regs,
       case Opcode::Ldbu:
       case Opcode::Prefetch:
         res.memAddr = isa::effectiveAddress(b, inst.imm);
-        if (MemoryImage::faults(res.memAddr))
+        if (MemoryImage::faults(res.memAddr, t.memBytes))
             res.fault = true;
         else if (t.writesRc)  // a prefetch reads nothing
             writeRc(isa::loadResult(t, mem.read(res.memAddr, t.memBytes)));
@@ -52,7 +52,7 @@ execute(const isa::Instruction &inst, Addr pc, RegFile &regs,
       case Opcode::Stl:
       case Opcode::Stb:
         res.memAddr = isa::effectiveAddress(b, inst.imm);
-        if (!allow_stores || MemoryImage::faults(res.memAddr)) {
+        if (!allow_stores || MemoryImage::faults(res.memAddr, t.memBytes)) {
             res.fault = true;
             break;
         }

@@ -335,7 +335,7 @@ FastForward::restore(Checkpoint &&ckpt)
     }
 
 // A load, store or prefetch (a load without a destination): the
-// null-page check, then the access at the opcode's width. A prefetch's
+// fault check, then the access at the opcode's width. A prefetch's
 // line would land in the cache, so it warms like a load.
 #define MEMORY(name)                                                  \
     SS_FF_CASE(name)                                                  \
@@ -343,7 +343,7 @@ FastForward::restore(Checkpoint &&ckpt)
         constexpr const isa::OpTraits &t_ =                           \
             isa::opTraits(Opcode::name);                              \
         const Addr ea_ = isa::effectiveAddress(RB, D.imm);            \
-        if (MemoryImage::faults(ea_)) {                               \
+        if (MemoryImage::faults(ea_, t_.memBytes)) {                  \
             ++n;                                                      \
             SS_FF_STOP(FfStop::Fault, pcOf(idx));                     \
         }                                                             \

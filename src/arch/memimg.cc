@@ -53,6 +53,7 @@ MemoryImage::touchPage(Addr addr)
     Translation &t = translationFor(addr);
     if (t.pageNum == pnum)
         return *t.page;
+    SS_ASSERT(pnum != 0, "cannot map the null page");
     std::unique_ptr<Page> &slot = pages_[pnum];
     if (!slot)
         slot = std::make_unique<Page>();  // value-initialised: zeroed

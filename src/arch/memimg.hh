@@ -38,11 +38,17 @@ class MemoryImage
     static constexpr unsigned pageShift = 12;
     static constexpr std::size_t pageSize = std::size_t{1} << pageShift;
 
-    /** @return true if addr lives on the (always unmapped) null page. */
+    /**
+     * @return true if an n-byte access at addr touches the (always
+     * unmapped) null page or runs past the top of the address space,
+     * where it would wrap onto the null page.
+     */
     static bool
-    faults(Addr addr)
+    faults(Addr addr, unsigned n)
     {
-        return addr < pageSize;
+        // Valid starts are [pageSize, 2^64 - n]; the subtraction moves
+        // them to [0, 2^64 - n - pageSize] and everything else above.
+        return addr - pageSize > Addr{0} - pageSize - n;
     }
 
     /** Read n bytes (n in {1,2,4,8}), little-endian. */
@@ -63,7 +69,7 @@ class MemoryImage
     write(Addr addr, std::uint64_t value, unsigned n)
     {
         SS_ASSERT(n == 1 || n == 2 || n == 4 || n == 8, "bad access size");
-        SS_ASSERT(!faults(addr), "functional write to the null page");
+        SS_ASSERT(!faults(addr, n), "functional write to the null page");
         const std::size_t off = addr & (pageSize - 1);
         const Translation &t = translationFor(addr);
         if (t.pageNum == (addr >> pageShift) && off + n <= pageSize)

@@ -148,7 +148,7 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
             const Addr ea =
                 isa::effectiveAddress(t.regs.read(si->rb), si->imm);
             const unsigned size = si->traits().memBytes;
-            if (!arch::MemoryImage::faults(ea))
+            if (!arch::MemoryImage::faults(ea, size))
                 storeUndoLog_.push_back(
                     {di.seq, ea, size, mem_.read(ea, size)});
         }
@@ -245,12 +245,16 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
             end_fetch_group = true;
         }
     } else if (si->op == isa::Opcode::SliceEnd) {
+        // The main stream passes a slice_end like a nop, as the
+        // functional engines do; a wrong path that strays into slice
+        // code idles until its squash.
         if (t.isSlice) {
             terminateSliceFetch(t, tid);
-        } else {
-            t.fetchStallUntil = stallForever;  // stray on wrong path
+            end_fetch_group = true;
+        } else if (t.onWrongPath) {
+            t.fetchStallUntil = stallForever;
+            end_fetch_group = true;
         }
-        end_fetch_group = true;
     }
 
     di.predictedTarget = next_pc;

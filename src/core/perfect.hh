@@ -41,6 +41,8 @@ struct PerfectSpec
         return allBranchesPerfect || allLoadsPerfect ||
                !branchPcs.empty() || !loadPcs.empty();
     }
+
+    bool operator==(const PerfectSpec &) const = default;
 };
 
 } // namespace specslice::core

@@ -704,7 +704,12 @@ SmtCore::resolveBranch(DynInst &di)
         }
     }
 
-    if (!mispredicted)
+    // Only a path that fetch did not follow needs a redirect. A branch
+    // to its own fall-through fetched the right path in either
+    // direction, and that path has executed. An unknown indirect target
+    // (invalidAddr) stalled fetch, so it redirects even when the jump
+    // goes to that very address.
+    if (di.predictedTarget == actual_next && actual_next != invalidAddr)
         return;
 
     // Squash younger instructions and redirect fetch down the correct

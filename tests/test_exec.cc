@@ -275,6 +275,39 @@ TEST_F(ExecFixture, NullPageFaults)
     EXPECT_EQ(regs.read(2), 123u);  // destination untouched
 }
 
+// An access faults when any of its bytes lies past 2^64, where it
+// would wrap onto the null page; it maps no page.
+TEST_F(ExecFixture, WrappingAccessesFault)
+{
+    regs.write(1, 0xfffffffffffffffc);
+    regs.write(2, 0x1122334455667788);
+    Instruction st;
+    st.op = Opcode::Stq;
+    st.ra = 2;
+    st.rb = 1;
+    EXPECT_TRUE(run(st).fault);
+    EXPECT_TRUE(mem.pageNumbers().empty());
+
+    Instruction ld;
+    ld.op = Opcode::Ldq;
+    ld.rc = 3;
+    ld.rb = 1;
+    regs.write(3, 123);
+    EXPECT_TRUE(run(ld).fault);
+    EXPECT_EQ(regs.read(3), 123u);
+
+    // The last four bytes of the address space are a valid ldl.
+    ld.op = Opcode::Ldl;
+    EXPECT_FALSE(run(ld).fault);
+    EXPECT_EQ(regs.read(3), 0u);
+    st.op = Opcode::Stb;
+    st.imm = 3;
+    EXPECT_FALSE(run(st).fault);
+    EXPECT_EQ(mem.pageNumbers(),
+              std::vector<Addr>{0xfffffffffffffffc >>
+                                arch::MemoryImage::pageShift});
+}
+
 TEST_F(ExecFixture, SliceStoresFault)
 {
     regs.write(1, 0x20000);
@@ -372,9 +405,18 @@ TEST(MemImgTest, LittleEndianAndSparse)
 
 TEST(MemImgTest, FaultPredicate)
 {
-    EXPECT_TRUE(arch::MemoryImage::faults(0));
-    EXPECT_TRUE(arch::MemoryImage::faults(4095));
-    EXPECT_FALSE(arch::MemoryImage::faults(4096));
+    using arch::MemoryImage;
+    constexpr Addr top = ~Addr{0};
+    for (unsigned n : {1u, 2u, 4u, 8u}) {
+        EXPECT_TRUE(MemoryImage::faults(0, n));
+        EXPECT_TRUE(MemoryImage::faults(4095, n));
+        EXPECT_FALSE(MemoryImage::faults(4096, n));
+        // The last n bytes of the address space are the last valid
+        // access; one byte further wraps onto the null page.
+        const Addr last = top - (n - 1);
+        EXPECT_FALSE(MemoryImage::faults(last, n)) << n;
+        EXPECT_TRUE(MemoryImage::faults(last + 1, n)) << n;
+    }
 }
 
 TEST(MemImgTest, DoubleRoundTrip)

@@ -11,6 +11,8 @@
 
 #include <bit>
 #include <limits>
+#include <optional>
+#include <sstream>
 #include <utility>
 
 #include "arch/fastfwd.hh"
@@ -182,6 +184,35 @@ TEST(FastForwardTest, NullLoadFaults)
     EXPECT_EQ(ff.pc(), codeBase + isa::instBytes)
         << "fault must report the faulting instruction's PC";
     EXPECT_FALSE(ff.runnable());
+}
+
+// An access whose bytes run past 2^64 would wrap onto the null page:
+// it faults before it maps a page, and a checkpoint taken there still
+// loads.
+TEST(FastForwardTest, WrappingStoreFaults)
+{
+    isa::Assembler as(codeBase);
+    as.ldi64(1, 0xfffffffffffffffc);
+    as.stq(2, 1, 0);
+    as.halt();
+    isa::Program prog;
+    prog.addSection(as.finish());
+
+    arch::FastForward ff(prog);
+    ff.reset(codeBase);
+    ASSERT_EQ(ff.advance(100), arch::FfStop::Fault);
+    const Addr store_pc = ff.pc();
+    EXPECT_TRUE(ff.mem().pageNumbers().empty());
+
+    std::stringstream ss;
+    ASSERT_TRUE(arch::saveCheckpoint(ff.makeCheckpoint(), ss));
+    std::string err;
+    std::optional<arch::Checkpoint> ckpt = arch::loadCheckpoint(ss, err);
+    ASSERT_TRUE(ckpt.has_value()) << err;
+    arch::FastForward restored(prog);
+    restored.restore(std::move(*ckpt));
+    EXPECT_EQ(restored.pc(), store_pc);
+    EXPECT_TRUE(restored.mem().pageNumbers().empty());
 }
 
 // ExecFixture.DivOverflowWrapsToMin and CvtFIOutOfRangeGivesMin,

@@ -3,7 +3,7 @@
  * JobPool tests: item-order result delivery, exception capture and
  * rethrow, the jobs==1 inline degenerate case, SS_JOBS handling, job
  * log tags, failing jobs under ScopedThrowErrors, and the property the
- * parallel experiment engine rests on — a sweep of experiment rows
+ * parallel experiment engine rests on — the paper plan's sweep
  * produces identical statistics at any job count.
  */
 
@@ -128,24 +128,10 @@ namespace
 {
 
 /**
- * Every simulated statistic of a Figure 11 row, serialized. Wall-clock
- * style fields are excluded by construction: RunResult carries only
- * architectural counters.
+ * Every simulated statistic of every run of a paper plan, serialized
+ * in run order. Wall-clock style fields are excluded by construction:
+ * RunResult carries only architectural counters.
  */
-std::string
-fingerprint(const sim::Figure11Row &row)
-{
-    std::ostringstream os;
-    os << row.program << '\n';
-    for (const sim::RunResult *r : {&row.base, &row.sliced, &row.limit}) {
-        os << r->cycles << ' ' << r->mainRetired << ' '
-           << r->mispredictions << ' ' << r->l1dMissesMain << ' '
-           << r->forks << ' ' << r->correlatorUsed << '\n';
-        r->detail.dump(os);
-    }
-    return os.str();
-}
-
 std::string
 runSweep(unsigned jobs)
 {
@@ -154,17 +140,20 @@ runSweep(unsigned jobs)
     cfg.warmupInsts = 1000;
     cfg.seed = 1;
 
-    const std::vector<std::string> names = {"vpr", "gzip"};
+    sim::PaperPlan plan(cfg, {"vpr", "gzip"});
     sim::JobPool pool(jobs);
-    auto rows = pool.map(names, [&](const std::string &name) {
-        return sim::runFigure11Row(sim::MachineConfig::fourWide(), name,
-                                   cfg);
-    });
+    plan.run(pool);
 
-    std::string fp;
-    for (const auto &row : rows)
-        fp += fingerprint(row);
-    return fp;
+    std::ostringstream os;
+    for (const sim::WorkloadPerf &p : plan.records()) {
+        const sim::RunResult &r = p.result;
+        os << p.name << '\n'
+           << r.cycles << ' ' << r.mainRetired << ' ' << r.mispredictions
+           << ' ' << r.l1dMissesMain << ' ' << r.forks << ' '
+           << r.correlatorUsed << '\n';
+        r.detail.dump(os);
+    }
+    return os.str();
 }
 
 } // namespace

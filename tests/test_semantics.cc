@@ -18,8 +18,10 @@
 
 #include "arch/fastfwd.hh"
 #include "arch/tracer.hh"
+#include "common/failure.hh"
 #include "common/rng.hh"
 #include "isa/program.hh"
+#include "sim/simulator.hh"
 
 using namespace specslice;
 using isa::Instruction;
@@ -338,7 +340,7 @@ seed(arch::MemoryImage &mem, const Instruction &inst, const Operands &o)
     const Addr ea = effectiveAddress(inst, o);
     for (Addr i = 0; i < 24; ++i) {
         const Addr addr = ea - 8 + i;
-        if (!arch::MemoryImage::faults(addr))
+        if (!arch::MemoryImage::faults(addr, 1))
             mem.writeB(addr, static_cast<std::uint8_t>(addr * 0x9d + 0x35));
     }
 }
@@ -430,6 +432,114 @@ TEST_P(OpcodeDiffTest, FastForwardMatchesTracer)
         }
     }
 }
+
+namespace
+{
+
+/**
+ * Runs one case through the detailed core with the retirement checker
+ * on, against FastForward's run of the same program: a fault or a jump
+ * off the image is fatal on the main thread; any other case completes
+ * with FastForward's count, every retirement checked.
+ */
+::testing::AssertionResult
+runCore(const isa::Program &prog, const Instruction &inst,
+        const Operands &o)
+{
+    constexpr std::uint64_t budget = 16;
+    arch::FastForward ff(prog);
+    ff.reset(codeBase);
+    seed(ff.mem(), inst, o);
+    ff.advance(budget);
+
+    sim::Workload wl;
+    wl.name = inst.disassemble();
+    wl.program = prog;
+    wl.entry = codeBase;
+    wl.initMemory = [inst, o](arch::MemoryImage &mem) {
+        seed(mem, inst, o);
+    };
+    sim::RunOptions opts;
+    opts.maxMainInstructions = budget;
+    opts.check = true;
+    const sim::MachineConfig cfg = sim::MachineConfig::fourWide();
+    sim::Simulator simr(cfg);
+
+    ScopedThrowErrors throwing;
+    const bool fatal = ff.lastStop() == arch::FfStop::Fault ||
+                       ff.lastStop() == arch::FfStop::UnmappedPc;
+    sim::RunResult r;
+    try {
+        r = simr.run(wl, opts, false);
+    } catch (const SimError &e) {
+        if (fatal)
+            return ::testing::AssertionSuccess();
+        return ::testing::AssertionFailure() << "threw: " << e.what();
+    }
+    if (fatal)
+        return ::testing::AssertionFailure()
+               << "ran past " << arch::ffStopName(ff.lastStop());
+    if (r.outcome != sim::SimOutcome::Completed)
+        return ::testing::AssertionFailure()
+               << "outcome " << sim::outcomeName(r.outcome);
+    // The core stops retiring at the end of the cycle that reaches the
+    // budget, so a program that runs on may retire a few more.
+    const bool count_ok =
+        ff.lastStop() == arch::FfStop::Budget
+            ? r.mainRetired >= budget &&
+                  r.mainRetired < budget + cfg.retireWidth
+            : r.mainRetired == ff.executed();
+    if (!count_ok)
+        return ::testing::AssertionFailure()
+               << "retired " << r.mainRetired << ", FastForward ran "
+               << ff.executed() << " ("
+               << arch::ffStopName(ff.lastStop()) << ")";
+    if (r.checkedRetired != r.mainRetired)
+        return ::testing::AssertionFailure()
+               << "checked " << r.checkedRetired << " of "
+               << r.mainRetired;
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * The detailed core costs far more per case than the functional
+ * engines, so it runs every coreStride-th case of a long variant, from
+ * an offset that moves with the variant. The stride is coprime to the
+ * 28 edge values, so the walk over a variant's edge pairs still gives
+ * every edge value as ra and as rb.
+ */
+constexpr std::size_t coreStride = 9;
+
+class OpcodeCoreTest : public ::testing::TestWithParam<unsigned>
+{
+};
+
+} // namespace
+
+TEST_P(OpcodeCoreTest, DetailedCoreRetiresChecked)
+{
+    const auto op = static_cast<Opcode>(GetParam());
+    const std::vector<Variant> variants = variantsFor(op);
+    for (std::size_t vi = 0; vi < variants.size(); ++vi) {
+        const Variant &v = variants[vi];
+        const isa::Program prog = programFor(v.inst);
+        const std::size_t stride = v.cases.size() > 64 ? coreStride : 1;
+        for (std::size_t i = vi % stride; i < v.cases.size(); i += stride) {
+            const Operands &o = v.cases[i];
+            ASSERT_TRUE(runCore(prog, v.inst, o))
+                << v.inst.disassemble() << std::hex << " with ra 0x" << o.a
+                << ", rb 0x" << o.b << ", rc 0x" << o.c;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOpcodes, OpcodeCoreTest,
+    ::testing::Range(0u, static_cast<unsigned>(Opcode::NumOpcodes)),
+    [](const ::testing::TestParamInfo<unsigned> &info) {
+        return std::string(
+            isa::opTraits(static_cast<Opcode>(info.param)).mnemonic);
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     AllOpcodes, OpcodeDiffTest,
