@@ -6,11 +6,10 @@
  * result emitter (BENCH_<name>.json) used to track simulator
  * performance across changes.
  *
- * Each bench binary regenerates one table or figure of the paper; the
- * absolute numbers depend on this simulator rather than the authors'
- * testbed, but the shapes (who wins, roughly by how much, where the
- * failures are) are the reproduction targets recorded in
- * EXPERIMENTS.md.
+ * bench_paper regenerates the paper's tables and figures; the absolute
+ * numbers depend on this simulator rather than the authors' testbed,
+ * but the shapes (who wins, roughly by how much, where the failures
+ * are) are the reproduction targets recorded in EXPERIMENTS.md.
  */
 
 #ifndef SPECSLICE_BENCH_COMMON_HH
