@@ -2,7 +2,7 @@
  * @file
  * Shared plumbing for the experiment harnesses: run-length defaults
  * (overridable via SS_BENCH_INSTS / SS_BENCH_WARMUP for quick or long
- * runs), standard run helpers, speedup math, and the machine-readable
+ * runs), the command line and workload list, and the machine-readable
  * result emitter (BENCH_<name>.json) used to track simulator
  * performance across changes.
  *
@@ -167,25 +167,6 @@ experimentConfig()
     cfg.warmupInsts = benchWarmup();
     cfg.seed = envOr("SS_BENCH_SEED", 1);
     return cfg;
-}
-
-inline workloads::Params
-benchParams()
-{
-    workloads::Params p;
-    p.scale = (benchInsts() + benchWarmup()) * 2;
-    p.seed = envOr("SS_BENCH_SEED", 1);
-    return p;
-}
-
-inline sim::RunOptions
-benchOpts(bool profile = false)
-{
-    sim::RunOptions o;
-    o.maxMainInstructions = benchInsts();
-    o.warmupInstructions = benchWarmup();
-    o.profile = profile;
-    return o;
 }
 
 /**

@@ -46,6 +46,7 @@
 #include "arch/fastfwd.hh"
 #include "bench_common.hh"
 #include "mem/hierarchy.hh"
+#include "sim/experiments.hh"
 #include "sim/job_pool.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -108,8 +109,9 @@ main(int argc, char **argv)
 {
     const unsigned jobs = bench::parseBenchArgs(argc, argv);
 
-    const std::uint64_t fullInsts = bench::benchInsts();
-    const std::uint64_t fullWarmup = bench::benchWarmup();
+    const sim::ExperimentConfig cfg = bench::experimentConfig();
+    const std::uint64_t fullInsts = cfg.measureInsts;
+    const std::uint64_t fullWarmup = cfg.warmupInsts;
     const std::uint64_t ffInsts = bench::envOr("SS_FF_INSTS", 5'000'000);
     const unsigned regions = static_cast<unsigned>(
         std::max<std::uint64_t>(1, bench::envOr("SS_FF_REGIONS", 4)));
@@ -136,7 +138,7 @@ main(int argc, char **argv)
     for (const std::string &name : names) {
         workloads::Params wp;
         wp.scale = ffInsts * 2;
-        wp.seed = bench::envOr("SS_BENCH_SEED", 1);
+        wp.seed = cfg.seed;
         sim::Workload wl = workloads::buildWorkload(name, wp);
 
         Row row;
@@ -194,17 +196,11 @@ main(int argc, char **argv)
     sim::JobPool pool(jobs);
     std::vector<Row> done = pool.map(rows, [&](const Row &in) {
         Row row = in;
-        workloads::Params wp;
-        wp.scale = (fullWarmup + fullInsts) * 2;
-        wp.seed = bench::envOr("SS_BENCH_SEED", 1);
-        sim::Workload wl = workloads::buildWorkload(row.name, wp);
+        sim::Workload wl = sim::buildBenchWorkload(row.name, cfg);
         sim::Simulator machine(sim::MachineConfig::fourWide());
 
-        sim::RunOptions full;
-        full.maxMainInstructions = fullInsts;
-        full.warmupInstructions = fullWarmup;
         double t0 = now();
-        sim::RunResult fr = machine.run(wl, full, true);
+        sim::RunResult fr = machine.run(wl, cfg.runOptions(), true);
         row.fullWall = now() - t0;
         row.fullIpc = fr.ipc();
         row.fullOutcome = sim::outcomeName(fr.outcome);

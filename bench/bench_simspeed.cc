@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "sim/experiments.hh"
 #include "sim/simulator.hh"
-#include "workloads/workloads.hh"
 
 using namespace specslice;
 
@@ -32,16 +32,14 @@ namespace
 int
 runSweep(unsigned jobs)
 {
-    const auto insts = bench::benchInsts();
-    const auto warmup = bench::benchWarmup();
-
     sim::JobPool pool(jobs);
-    sim::RunOptions opts = bench::benchOpts();
+    const sim::ExperimentConfig cfg = bench::experimentConfig();
+    const sim::RunOptions opts = cfg.runOptions();
 
     std::printf("simulator throughput, %llu measured insts "
                 "(+%llu warm-up) per workload\n",
-                static_cast<unsigned long long>(insts),
-                static_cast<unsigned long long>(warmup));
+                static_cast<unsigned long long>(cfg.measureInsts),
+                static_cast<unsigned long long>(cfg.warmupInsts));
     std::printf("%-10s %12s %8s %14s %10s\n", "workload", "cycles",
                 "IPC", "sim insts/s", "skipped %");
 
@@ -52,8 +50,7 @@ runSweep(unsigned jobs)
     auto sweep_t0 = std::chrono::steady_clock::now();
     std::vector<bench::WorkloadPerf> rows = pool.map(
         bench::benchWorkloadNames(), [&](const std::string &name) {
-            auto wl =
-                workloads::buildWorkload(name, bench::benchParams());
+            auto wl = sim::buildBenchWorkload(name, cfg);
             sim::Simulator machine(sim::MachineConfig::fourWide());
             bench::WorkloadPerf p;
             p.name = name;

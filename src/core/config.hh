@@ -57,8 +57,8 @@ struct CoreConfig
      * Stop fetching a slice once every branch-queue entry it feeds has
      * been slice-killed (the main thread left the slice's valid
      * region, so no further prediction can be consumed). Reduces the
-     * execution overhead Section 6.1 discusses; the ablation bench
-     * turns it off.
+     * execution overhead Section 6.1 discusses; bench_paper's
+     * correlator ablation turns it off.
      */
     bool terminateDeadSlices = true;
 

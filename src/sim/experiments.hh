@@ -1,9 +1,10 @@
 /**
  * @file
  * The experiment library: the run lengths of a sweep, and the paper's
- * evaluation (Tables 2 and 4, Figures 1 and 11) as one plan that runs
- * each distinct simulation once. bench/bench_paper renders the tables
- * from its results, and the integration tests query them directly.
+ * evaluation (Tables 2 and 4, Figures 1 and 11, and the Section 6.1
+ * and 6.3 ablations) as one plan that runs each distinct simulation
+ * once. bench/bench_paper renders the tables from its results, and the
+ * integration tests query them directly.
  */
 
 #ifndef SPECSLICE_SIM_EXPERIMENTS_HH
@@ -64,11 +65,41 @@ enum class PaperRole
     CoveredBranches,  ///< Table 4: only the covered branches perfect
 };
 
+/**
+ * The machine a run of the sweep is made on: Table 1's 4- or 8-wide
+ * machine, or an ablation's variant of the 4-wide one.
+ */
+enum class PaperMachine
+{
+    FourWide,
+    EightWide,
+    TwoContexts,    ///< 1 idle helper context
+    ThreeContexts,  ///< 2 idle helper contexts
+    Bias0,          ///< ICOUNT main-thread fetch bias 0
+    Bias8,          ///< ICOUNT main-thread fetch bias 8
+    Bias48,         ///< ICOUNT main-thread fetch bias 48
+    NoDeadStop,     ///< no dead-slice termination
+    OneSlotQueue,   ///< 1 prediction slot per branch
+    ForkGated,      ///< fork-confidence gating
+    Dedicated,      ///< dedicated slice fetch, window and issue
+};
+
+/**
+ * Sections 6.1 and 6.3's ablations: sliced runs on variant machines of
+ * a fixed workload list, each against the 4-wide baseline.
+ */
+enum class PaperAblation
+{
+    Correlator,  ///< dead-slice termination and branch-queue depth
+    Fork,        ///< helper contexts and ICOUNT bias
+    Overhead,    ///< fork-confidence gating and dedicated resources
+};
+
 /** One simulation of the sweep, by value: equal runs are one run. */
 struct PaperRun
 {
     std::string workload;
-    bool wide = false;  ///< the 8-wide machine, else the 4-wide one
+    PaperMachine machine = PaperMachine::FourWide;
     bool slices = false;
     core::PerfectSpec perfect;
 
@@ -94,10 +125,11 @@ class PaperPlan
 
     /**
      * Build the workloads and run the sweep on pool. Phase 1 runs both
-     * widths' baselines and all-perfect runs and the 4-wide sliced and
-     * limit runs; phase 2, the problem-perfect runs from the baseline
-     * profiles and Table 4's covered-loads and covered-branches runs.
-     * A run equal to one already made is not made again.
+     * widths' baselines and all-perfect runs, the 4-wide sliced and
+     * limit runs and the ablations' runs; phase 2, the problem-perfect
+     * runs from the baseline profiles and Table 4's covered-loads and
+     * covered-branches runs. A run equal to one already made is not
+     * made again.
      */
     void run(JobPool &pool);
 
@@ -108,24 +140,31 @@ class PaperPlan
     }
     const Workload &workload(const std::string &name) const;
 
-    /** The run that plays role for the workload at a width, and its
+    /** The run that plays role for the workload on a machine, and its
      *  result. */
     PaperRun runFor(const std::string &name, PaperRole role,
-                    bool wide = false) const;
-    const RunResult &result(const std::string &name, PaperRole role,
-                            bool wide = false) const;
+                    PaperMachine machine = PaperMachine::FourWide) const;
+    const RunResult &
+    result(const std::string &name, PaperRole role,
+           PaperMachine machine = PaperMachine::FourWide) const;
 
     /** Table 2: the problem instructions of the baseline profile. */
-    profile::ProblemInstructions problems(const std::string &name,
-                                          bool wide = false) const;
+    profile::ProblemInstructions
+    problems(const std::string &name,
+             PaperMachine machine = PaperMachine::FourWide) const;
     /** Table 4's rows: slices reaching table4MinSpeedupPct. */
     bool inTable4(const std::string &name) const;
     /** Table 4: the covered loads' share of the covered-loads plus
      *  covered-branches speedups. */
     double loadFraction(const std::string &name) const;
 
+    /** The ablation's table rows: its fixed workload list, cut to the
+     *  plan's. */
+    std::vector<std::string> ablationWorkloads(PaperAblation a) const;
+
     /** Every distinct run in the order it ran, each named
-     *  "workload.width.role" after the first role that asked for it. */
+     *  "workload.machine.role" after the first request for it; the
+     *  machine is "4w", "8w" or a variant such as "4w_bias0". */
     const std::vector<WorkloadPerf> &records() const { return records_; }
 
   private:
@@ -133,7 +172,7 @@ class PaperPlan
     {
         std::string workload;
         PaperRole role;
-        bool wide;
+        PaperMachine machine;
     };
     void runPhase(JobPool &pool, const std::vector<Request> &requests);
 

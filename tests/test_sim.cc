@@ -158,6 +158,8 @@ tinyPlan(std::vector<std::string> names)
     return plan;
 }
 
+using sim::PaperAblation;
+using sim::PaperMachine;
 using sim::PaperRole;
 
 } // namespace
@@ -220,12 +222,13 @@ TEST(ExperimentsTest, Table4RowAccountsVpr)
 TEST(PaperPlanTest, ProfiledBaselineEqualsUnprofiledRun)
 {
     const sim::PaperPlan plan = tinyPlan({"mcf"});
-    for (bool wide : {false, true}) {
+    for (PaperMachine m : {PaperMachine::FourWide, PaperMachine::EightWide}) {
         const sim::RunResult &profiled =
-            plan.result("mcf", PaperRole::Baseline, wide);
+            plan.result("mcf", PaperRole::Baseline, m);
         ASSERT_FALSE(profiled.profile.perPc.empty());
-        sim::Simulator simr(wide ? sim::MachineConfig::eightWide()
-                                 : sim::MachineConfig::fourWide());
+        sim::Simulator simr(m == PaperMachine::EightWide
+                                ? sim::MachineConfig::eightWide()
+                                : sim::MachineConfig::fourWide());
         const sim::RunResult plain = simr.runBaseline(
             plan.workload("mcf"), tinyConfig().runOptions());
         EXPECT_TRUE(plain.profile.perPc.empty());
@@ -253,7 +256,98 @@ TEST(PaperPlanTest, EqualRunsRunOnce)
         for (std::size_t j = i + 1; j < names.size(); ++j)
             EXPECT_NE(names[i], names[j]);
     // parser: both widths' baselines, all-perfect and problem-perfect
-    // runs, and the sliced run. vpr: those, its limit run and Table 4's
-    // two covered-PC runs.
-    EXPECT_EQ(names.size(), 7u + 10u);
+    // runs, and the sliced run. vpr: those, its limit run, Table 4's
+    // two covered-PC runs and its 9 ablation variants (parser is in no
+    // ablation).
+    EXPECT_EQ(names.size(), 7u + 10u + 9u);
+}
+
+namespace
+{
+
+/** The name of the plan's record holding r. */
+std::string
+recordName(const sim::PaperPlan &plan, const sim::RunResult &r)
+{
+    for (const sim::WorkloadPerf &p : plan.records())
+        if (&p.result == &r)
+            return p.name;
+    return "";
+}
+
+/** vpr and gzip are in all three ablations. */
+const sim::PaperPlan &
+ablationPlan()
+{
+    static const sim::PaperPlan plan = tinyPlan({"vpr", "gzip"});
+    return plan;
+}
+
+} // namespace
+
+// Each ablation's baseline and 4-wide sliced run are the sweep's own
+// records, so only its variant machines add runs.
+TEST(PaperPlanTest, AblationsShareTheSweepsRuns)
+{
+    const sim::PaperPlan &plan = ablationPlan();
+    // vpr: 10 runs as in EqualRunsRunOnce. gzip: 8, since it has no
+    // covered loads at these lengths, so Table 4's covered-loads run is
+    // its baseline and its covered-branches run its limit run. Each
+    // adds 9 variant machines' sliced runs.
+    EXPECT_EQ(plan.records().size(), 10u + 8u + 2 * 9u);
+
+    // The fixed row lists, cut to the plan's workloads, in list order.
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(plan.ablationWorkloads(PaperAblation::Correlator),
+              (Names{"vpr", "gzip"}));
+    EXPECT_EQ(plan.ablationWorkloads(PaperAblation::Fork),
+              (Names{"vpr", "gzip"}));
+    EXPECT_EQ(plan.ablationWorkloads(PaperAblation::Overhead),
+              (Names{"gzip", "vpr"}));
+
+    for (PaperAblation a : {PaperAblation::Correlator, PaperAblation::Fork,
+                            PaperAblation::Overhead}) {
+        for (const std::string &name : plan.ablationWorkloads(a)) {
+            EXPECT_EQ(recordName(plan, plan.result(name, PaperRole::Baseline)),
+                      name + ".4w.baseline");
+            EXPECT_EQ(recordName(plan, plan.result(name, PaperRole::Sliced)),
+                      name + ".4w.sliced");
+        }
+    }
+    EXPECT_EQ(recordName(plan, plan.result("vpr", PaperRole::Sliced,
+                                           PaperMachine::NoDeadStop)),
+              "vpr.4w_no_dead_stop.sliced");
+
+    Names names;
+    for (const sim::WorkloadPerf &p : plan.records())
+        names.push_back(p.name);
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+}
+
+// One direction per ablation that its table is meant to show, on the
+// workloads where it holds by a wide margin at these lengths.
+TEST(PaperPlanTest, AblationCountersMoveTheExpectedWay)
+{
+    const sim::PaperPlan &plan = ablationPlan();
+    auto sliced = [&](const std::string &name,
+                      PaperMachine m) -> const sim::RunResult & {
+        return plan.result(name, PaperRole::Sliced, m);
+    };
+    for (const std::string name : {"vpr", "gzip"}) {
+        const sim::RunResult &full = sliced(name, PaperMachine::FourWide);
+        // Correlator: one prediction slot per branch loses predictions.
+        EXPECT_LT(sliced(name, PaperMachine::OneSlotQueue).correlatorUsed,
+                  full.correlatorUsed)
+            << name;
+        // Fork: one helper context ignores at least as many forks as 3.
+        EXPECT_GE(sliced(name, PaperMachine::TwoContexts).forksIgnored,
+                  full.forksIgnored)
+            << name;
+    }
+    // Overhead: gzip's hoisted fork forks useless slices, so the
+    // confidence gate stops some.
+    EXPECT_GT(
+        sliced("gzip", PaperMachine::ForkGated).detail.get("forks_gated"),
+        0u);
 }
