@@ -72,7 +72,11 @@ namespace specslice::bench
  *       later, BENCH_fastforward.json records gained the report-only
  *       "warm_ns_per_access", "checkpoint_save_ms" and
  *       "checkpoint_load_ms" columns (no bump: additive, and only in
- *       that file)
+ *       that file); later, specslice_run --trace-file and the
+ *       specslice_replay --sim document (with its "digest" field)
+ *       went, because a trace no longer carries its workload (no
+ *       bump: both are usage errors now, and no other document
+ *       changed)
  *
  * The constant itself lives in sim/result_json.hh so specslice_run
  * --json stamps the same version.

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/bitutils.hh"
 #include "common/logging.hh"
 
 namespace specslice::arch
@@ -145,29 +146,21 @@ pageIsZero(const std::uint8_t *p)
 std::uint64_t
 fingerprintProgram(const isa::Program &program)
 {
-    constexpr std::uint64_t fnvOffset = 0xcbf29ce484222325ull;
-    constexpr std::uint64_t fnvPrime = 0x100000001b3ull;
-    std::uint64_t hash = fnvOffset;
-    auto mix = [&](std::uint64_t v) {
-        for (unsigned b = 0; b < 8; ++b) {
-            hash ^= (v >> (8 * b)) & 0xff;
-            hash *= fnvPrime;
-        }
-    };
+    Fnv1a hash;
     for (const isa::CodeSection &sec : program.sections()) {
-        mix(sec.base);
-        mix(sec.code.size());
+        hash.u64(sec.base);
+        hash.u64(sec.code.size());
         for (const isa::Instruction &i : sec.code) {
-            mix(static_cast<std::uint64_t>(i.op) |
-                (std::uint64_t{i.ra} << 16) |
-                (std::uint64_t{i.rb} << 24) |
-                (std::uint64_t{i.rc} << 32));
-            mix(static_cast<std::uint64_t>(
+            hash.u64(static_cast<std::uint64_t>(i.op) |
+                     (std::uint64_t{i.ra} << 16) |
+                     (std::uint64_t{i.rb} << 24) |
+                     (std::uint64_t{i.rc} << 32));
+            hash.u64(static_cast<std::uint64_t>(
                 static_cast<std::uint32_t>(i.imm)));
-            mix(i.target);
+            hash.u64(i.target);
         }
     }
-    return hash;
+    return hash.value;
 }
 
 bool

@@ -88,7 +88,7 @@ struct Checkpoint
 };
 
 /**
- * FNV-1a over every section's base address and instruction encoding.
+ * FNV-1a over every section's base, length and instruction fields.
  * Identifies the static code image: two workloads (or two scales of
  * one workload) collide only if their code is byte-identical.
  */

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/bitutils.hh"
 #include "common/logging.hh"
 
 namespace specslice::arch
@@ -146,9 +147,7 @@ MemoryImage::importPage(Addr page_num, const std::uint8_t *data)
 std::uint64_t
 MemoryImage::contentHash() const
 {
-    constexpr std::uint64_t fnvOffset = 0xcbf29ce484222325ull;
-    constexpr std::uint64_t fnvPrime = 0x100000001b3ull;
-    std::uint64_t hash = fnvOffset;
+    Fnv1a hash;
     for (Addr pnum : pageNumbers()) {
         const std::uint8_t *p = pageData(pnum);
         bool all_zero = true;
@@ -160,16 +159,10 @@ MemoryImage::contentHash() const
         }
         if (all_zero)
             continue;
-        for (unsigned b = 0; b < 8; ++b) {
-            hash ^= (pnum >> (8 * b)) & 0xff;
-            hash *= fnvPrime;
-        }
-        for (std::size_t i = 0; i < pageSize; ++i) {
-            hash ^= p[i];
-            hash *= fnvPrime;
-        }
+        hash.u64(pnum);
+        hash.bytes(p, pageSize);
     }
-    return hash;
+    return hash.value;
 }
 
 } // namespace specslice::arch

@@ -1,11 +1,13 @@
 /**
  * @file
- * Bit-manipulation helpers used by predictors and caches.
+ * Bit-manipulation helpers used by predictors and caches, and the
+ * one FNV-1a hash.
  */
 
 #ifndef SPECSLICE_COMMON_BITUTILS_HH
 #define SPECSLICE_COMMON_BITUTILS_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/logging.hh"
@@ -94,6 +96,45 @@ class SatCounter
   private:
     unsigned max_;
     unsigned value_;
+};
+
+/**
+ * 64-bit FNV-1a: the trace footer's record-stream check,
+ * MemoryImage::contentHash and arch::fingerprintProgram. Traces and
+ * checkpoints store the footer value and the program fingerprint, so
+ * the mixing order and the start value are part of both formats.
+ */
+struct Fnv1a
+{
+    static constexpr std::uint64_t offsetBasis = 0xcbf29ce484222325ull;
+    static constexpr std::uint64_t prime = 0x100000001b3ull;
+
+    std::uint64_t value = offsetBasis;
+
+    /** Mix len bytes at data. */
+    void
+    bytes(const void *data, std::size_t len)
+    {
+        const auto *p = static_cast<const std::uint8_t *>(data);
+        std::uint64_t h = value;
+        for (std::size_t i = 0; i < len; ++i) {
+            h ^= p[i];
+            h *= prime;
+        }
+        value = h;
+    }
+
+    /** Mix v as its 8 bytes, least significant first. */
+    void
+    u64(std::uint64_t v)
+    {
+        std::uint64_t h = value;
+        for (unsigned b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= prime;
+        }
+        value = h;
+    }
 };
 
 } // namespace specslice

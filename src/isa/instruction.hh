@@ -17,8 +17,7 @@ namespace specslice::isa
 
 /**
  * A decoded static instruction. Direct control-transfer targets are
- * stored as absolute addresses (the assembler resolves labels); the
- * binary encoding serializes them PC-relative.
+ * stored as absolute addresses (the assembler resolves labels).
  */
 struct Instruction
 {

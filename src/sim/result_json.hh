@@ -85,9 +85,8 @@ std::string errorDocument(const std::string &workload,
 /**
  * One golden-digest section for a finished run: the exact counter set
  * specslice_verify commits to golden/ (every top-level counter, every
- * "detail."-prefixed subsystem counter, the ipc ratio). Shared by the
- * verify tool and specslice_replay --sim so a trace-mode digest is
- * built from the same fields as the execution-mode corpus.
+ * "detail."-prefixed subsystem counter, the ipc ratio). Every live
+ * digest a check compares against the corpus is built from it.
  */
 check::Digest::Section digestSection(const std::string &config,
                                      const RunResult &r);

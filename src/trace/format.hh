@@ -1,23 +1,21 @@
 /**
  * @file
- * The `sstr` trace format: the on-disk representation of one workload
- * execution, compact enough to stream millions of records and complete
- * enough to reconstruct the exact simulation that produced it.
+ * The `sstr` trace format: the retired-instruction record stream of
+ * one workload execution, compact enough to stream millions of
+ * records through the in-order predictor replay (specslice_replay).
  *
- * # Why self-contained
+ * # What a trace holds
  *
- * A bare branch-outcome stream (CVP style) can drive an in-order
- * predictor replay, but it cannot reproduce the *execution-mode*
- * numbers: the timing core predicts at fetch, trains at completion,
- * and fetches real wrong-path instructions, so the prediction sequence
- * depends on machine state a record stream does not carry. An sstr
- * trace therefore embeds the full static program image, the initial
- * memory image, and the slice annotations alongside the retired-
- * instruction record stream. The trace frontend rebuilds a
- * sim::Workload from those sections and the timing simulator
- * reproduces the golden digests exactly by construction, while the
- * record stream feeds the in-order PredictorClient replay path
- * (specslice_replay) at sustained throughput.
+ * A header that names the workload, and the records. The workload
+ * itself is not in the file: workloads::buildWorkload(name, {scale,
+ * seed}) rebuilds it from the header, and the header's program
+ * fingerprint and entry PC identify the program that was traced
+ * (verifyTraceFidelity refuses a rebuilt workload whose name, scale
+ * or fingerprint differs).
+ * The timing core's numbers cannot come from a record stream — it
+ * predicts at fetch, trains at completion and fetches real wrong-path
+ * instructions — so they come from simulating the named workload, as
+ * specslice_verify does.
  *
  * # Layout (all integers little-endian)
  *
@@ -28,28 +26,22 @@
  *     u64    recordCount patched by TraceWriter::finalize()
  *     u64    entryPc
  *     u64    programFingerprint   arch::fingerprintProgram
- *     u64    dataSeed    seed the memory image was built with
+ *     u64    dataSeed    seed the workload was built with
  *     u64    scale       workload scale knob (rebuild identity)
  *     u32    nameLen, u8[nameLen] workload name
  *
  *   then a sequence of sections, each { u32 tag; u64 size; payload }.
- *   Readers skip unknown tags (forward compatibility); the known tags
- *   are:
+ *   Readers skip unknown tags. That is also why a trace from an
+ *   older writer, which carried the program, slices and memory image
+ *   in sections of their own, still opens. TraceWriter writes two:
  *
- *     "PROG"  static code image: u64 nsections, then per section
- *             { u64 base; u64 count; u64 word[count] } with words from
- *             isa::encode(inst, pc); u64 nsymbols, then per symbol
- *             { u32 len; u8 name[len]; u64 addr }.
- *     "SLIC"  slice descriptors (see writer.cc for the field list).
- *     "MEMI"  initial memory image: u64 npages, then per page
- *             { u64 pageNumber; u8 data[4096] }. All-zero pages are
- *             dropped (MemoryImage faults in zero pages on demand).
  *     "RECS"  the record stream, split into independently decodable
  *             chunks: { u32 payloadBytes; u32 nrecords; payload }.
  *             Per-record encoding below.
  *     "ENDS"  footer: u64 recordCount (must equal the header's) and
- *             u64 fnv64 over every RECS chunk payload byte. A
- *             truncated or bit-rotted file fails here, not silently.
+ *             u64 FNV-1a over every RECS chunk payload byte, started
+ *             at recordHashStart. A truncated or bit-rotted file
+ *             fails here, not silently.
  *
  * # Record encoding (inside a RECS chunk)
  *
@@ -73,9 +65,10 @@
  * traceFormatVersion identifies the *container*: bump it whenever a
  * change would make an old reader mis-decode a new file (record field
  * added, header field re-ordered, section payload re-shaped) and teach
- * the reader to reject versions it does not know. Additive changes
- * that old readers can safely ignore — a new section tag — do NOT
- * bump the version; that is what the skip-unknown-tags rule is for.
+ * the reader to reject versions it does not know. Changes that old
+ * readers can safely ignore — a new section tag, or dropping a
+ * section no reader needs — do NOT bump the version; that is what
+ * the skip-unknown-tags rule is for.
  * When you bump: update this comment, extend TraceReader with an
  * explicit error message naming both versions, and regenerate any
  * committed traces. Golden replay digests (golden/<wl>.rdigest) carry
@@ -96,7 +89,7 @@ namespace specslice::trace
 constexpr char traceMagic[4] = {'s', 's', 't', 'r'};
 constexpr std::uint32_t traceFormatVersion = 1;
 
-/** Section tags ("PROG" little-endian packed as u32, etc.). */
+/** Section tags ("RECS" little-endian packed as u32, etc.). */
 constexpr std::uint32_t
 sectionTag(const char (&s)[5])
 {
@@ -109,11 +102,14 @@ sectionTag(const char (&s)[5])
                << 24;
 }
 
-constexpr std::uint32_t tagProgram = sectionTag("PROG");
-constexpr std::uint32_t tagSlices = sectionTag("SLIC");
-constexpr std::uint32_t tagMemory = sectionTag("MEMI");
 constexpr std::uint32_t tagRecords = sectionTag("RECS");
 constexpr std::uint32_t tagFooter = sectionTag("ENDS");
+
+/** Start value of the footer's record-stream FNV-1a. It is not
+ *  Fnv1a::offsetBasis (14695981039346656037) but that number with its
+ *  last decimal digit dropped; every trace written so far carries it,
+ *  so it stays. */
+constexpr std::uint64_t recordHashStart = 1469598103934665603ull;
 
 /** Records per RECS chunk (chunks decode independently: the PC and
  *  memory-address delta bases reset at each chunk boundary). */

@@ -1,9 +1,5 @@
 #include "trace/frontend.hh"
 
-#include <memory>
-#include <utility>
-#include <vector>
-
 #include "arch/checkpoint.hh"
 #include "isa/opcodes.hh"
 #include "trace/reader.hh"
@@ -68,18 +64,14 @@ emitWorkloadTrace(const sim::Workload &wl, std::uint64_t data_seed,
     meta.scale = wl.scale;
 
     TraceWriter w(path, meta);
-    w.writeProgram(wl.program);
-    w.writeSlices(wl.slices);
-
-    arch::MemoryImage mem;
-    if (wl.initMemory)
-        wl.initMemory(mem);
-    w.writeMemory(mem);
     if (!w.ok()) {
         error = w.error();
         return std::nullopt;
     }
 
+    arch::MemoryImage mem;
+    if (wl.initMemory)
+        wl.initMemory(mem);
     const arch::TraceResult tr =
         arch::trace(wl.program, wl.entry, mem, max_insts,
                     [&](const arch::TraceEvent &ev) {
@@ -96,88 +88,36 @@ emitWorkloadTrace(const sim::Workload &wl, std::uint64_t data_seed,
     return out;
 }
 
-std::optional<LoadedTrace>
-loadTraceWorkload(const std::string &path, std::string &error)
-{
-    std::optional<TraceFile> file = TraceFile::open(path, error);
-    if (!file)
-        return std::nullopt;
-    if (!file->hasProgram()) {
-        error = "trace '" + path +
-                "' carries no program section; it cannot seed a "
-                "simulation (re-emit with specslice_replay --emit)";
-        return std::nullopt;
-    }
-
-    LoadedTrace out;
-    out.meta = file->meta();
-    out.path = path;
-
-    sim::Workload &wl = out.workload;
-    wl.name = file->meta().name;
-    wl.entry = file->meta().entryPc;
-    wl.scale = file->meta().scale;
-    if (!file->program(wl.program, error))
-        return std::nullopt;
-    if (arch::fingerprintProgram(wl.program) !=
-        file->meta().programFingerprint) {
-        error = "trace '" + path +
-                "' program fingerprint mismatch (corrupt section?)";
-        return std::nullopt;
-    }
-    if (!file->slices(wl.slices, error))
-        return std::nullopt;
-
-    // Decode the pages once and share them across runs: initMemory is
-    // called per run (runs must stay independent) and the workload is
-    // copied freely by the harnesses, so the lambda owns the page list
-    // through a shared_ptr rather than the mapping.
-    struct PageCopy
-    {
-        Addr pnum;
-        std::vector<std::uint8_t> data;
-    };
-    auto pages = std::make_shared<std::vector<PageCopy>>();
-    {
-        arch::MemoryImage img;
-        if (!file->initMemory(img, error))
-            return std::nullopt;
-        for (Addr pnum : img.pageNumbers())
-            pages->push_back(
-                {pnum,
-                 std::vector<std::uint8_t>(
-                     img.pageData(pnum),
-                     img.pageData(pnum) + arch::MemoryImage::pageSize)});
-    }
-    wl.initMemory = [pages](arch::MemoryImage &m) {
-        for (const PageCopy &p : *pages)
-            m.importPage(p.pnum, p.data.data());
-    };
-    return out;
-}
-
 std::optional<std::uint64_t>
-verifyTraceFidelity(const std::string &path, std::string &error)
+verifyTraceFidelity(const std::string &path, const sim::Workload &wl,
+                    std::string &error)
 {
     std::optional<TraceFile> file = TraceFile::open(path, error);
     if (!file)
         return std::nullopt;
-    if (!file->hasProgram()) {
-        error = "trace '" + path + "' carries no program section";
+    const TraceMeta &meta = file->meta();
+    std::string differs;
+    if (wl.name != meta.name)
+        differs = "name '" + wl.name + "'";
+    else if (wl.scale != meta.scale)
+        differs = "scale " + std::to_string(wl.scale);
+    else if (arch::fingerprintProgram(wl.program) !=
+             meta.programFingerprint)
+        differs = "program fingerprint";
+    if (!differs.empty()) {
+        error = "trace '" + path + "' names " + meta.name +
+                " at scale " + std::to_string(meta.scale) +
+                "; the workload to re-execute differs in its " + differs;
         return std::nullopt;
     }
 
-    isa::Program prog;
-    if (!file->program(prog, error))
-        return std::nullopt;
     arch::MemoryImage mem;
-    if (!file->initMemory(mem, error))
-        return std::nullopt;
-
+    if (wl.initMemory)
+        wl.initMemory(mem);
     TraceReader rd = file->records();
     std::string mismatch;
-    const arch::TraceResult tr = arch::trace(
-        prog, file->meta().entryPc, mem, file->meta().recordCount,
+    arch::trace(
+        wl.program, wl.entry, mem, meta.recordCount,
         [&](const arch::TraceEvent &ev) {
             if (!mismatch.empty())
                 return;
@@ -201,7 +141,6 @@ verifyTraceFidelity(const std::string &path, std::string &error)
                     ", " + std::string(recordKindName(want.kind)) + "}";
             }
         });
-    (void)tr;
     if (!mismatch.empty()) {
         error = "trace '" + path + "': " + mismatch;
         return std::nullopt;
@@ -209,8 +148,7 @@ verifyTraceFidelity(const std::string &path, std::string &error)
     TraceRecord extra;
     if (rd.next(extra)) {
         error = "trace '" + path + "': record stream has " +
-                std::to_string(file->meta().recordCount -
-                               rd.position() + 1) +
+                std::to_string(meta.recordCount - rd.position() + 1) +
                 " records beyond the re-executed instruction stream";
         return std::nullopt;
     }

@@ -1,18 +1,15 @@
 /**
  * @file
- * The trace frontend: the bridge between sstr traces and the
- * simulator's Workload ingestion interface.
+ * The trace frontend: the bridge between a workload and the sstr
+ * record stream.
  *
  *  - emitWorkloadTrace() runs a workload through the functional tracer
  *    (arch::trace — bit-identical to both FastForward and the timing
  *    core's retirement stream) and writes every retired instruction as
- *    a trace record, alongside the program/slice/memory sections.
+ *    a trace record, under a header that names the workload.
  *
- *  - loadTraceWorkload() rebuilds a sim::Workload from those sections,
- *    so a trace file is a drop-in alternative to a workload name:
- *    `Simulator::run(loaded.workload, opts)` reproduces the original
- *    execution-mode numbers exactly, because it IS the original
- *    workload — same program bytes, same initial image, same slices.
+ *  - verifyTraceFidelity() re-executes the workload a trace names and
+ *    checks every record against it.
  */
 
 #ifndef SPECSLICE_TRACE_FRONTEND_HH
@@ -37,11 +34,11 @@ struct EmitResult
 
 /**
  * Execute wl functionally for up to max_insts instructions and write
- * an sstr trace to path (program + slices + initial memory + one
- * record per retired instruction).
+ * an sstr trace to path: a header naming wl, then one record per
+ * retired instruction.
  *
  * @param data_seed the seed wl was built with (recorded in the header
- *        so the trace's identity is reproducible).
+ *        so the workload can be rebuilt from it).
  * @return nullopt and set error on I/O failure.
  */
 std::optional<EmitResult> emitWorkloadTrace(const sim::Workload &wl,
@@ -50,37 +47,20 @@ std::optional<EmitResult> emitWorkloadTrace(const sim::Workload &wl,
                                             const std::string &path,
                                             std::string &error);
 
-/** A workload reconstructed from a trace. */
-struct LoadedTrace
-{
-    sim::Workload workload;
-    TraceMeta meta;
-    std::string path;
-};
-
-/**
- * Rebuild the embedded workload. The returned workload keeps the
- * original workload's name (digest identity: a digest generated from a
- * trace-mode run diffs clean against the execution-mode golden), and
- * its initMemory re-imports the embedded pages on every call, so runs
- * stay independent exactly like builder-made workloads.
- */
-std::optional<LoadedTrace> loadTraceWorkload(const std::string &path,
-                                             std::string &error);
-
 /**
  * Cross-check the record stream against a functional re-execution of
- * the embedded program: every stored record must match (pc, kind,
- * taken outcome, target, memory address) what the architectural
- * machine actually does. This is the fidelity half of replay
- * verification — the digest diff proves the *workload* sections are
- * faithful; this proves the *record* stream is.
+ * wl: every stored record must match (pc, kind, taken outcome, target,
+ * memory address) what the architectural machine actually does. The
+ * caller rebuilds wl from the header (workloads::buildWorkload with
+ * its name, scale and data seed); a wl whose name, scale or program
+ * fingerprint differs from the header's is refused.
  *
  * @return the number of records checked, or nullopt (and set error
- *         naming the first divergent record) on any mismatch.
+ *         naming the refusal or the first divergent record).
  */
 std::optional<std::uint64_t>
-verifyTraceFidelity(const std::string &path, std::string &error);
+verifyTraceFidelity(const std::string &path, const sim::Workload &wl,
+                    std::string &error);
 
 } // namespace specslice::trace
 

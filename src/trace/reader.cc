@@ -8,26 +8,14 @@
 #include <cerrno>
 #include <cstring>
 
-#include "isa/encoding.hh"
+#include "common/bitutils.hh"
+#include "isa/opcodes.hh"
 
 namespace specslice::trace
 {
 
 namespace
 {
-
-constexpr std::uint64_t fnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t fnvPrime = 1099511628211ull;
-
-std::uint64_t
-fnv1a(std::uint64_t h, const std::uint8_t *p, std::size_t len)
-{
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= fnvPrime;
-    }
-    return h;
-}
 
 /** Bounds-checked little-endian cursor over a byte range. */
 struct Cursor
@@ -70,16 +58,6 @@ struct Cursor
         return v;
     }
 
-    std::uint8_t
-    u8()
-    {
-        if (remaining() < 1) {
-            ok = false;
-            return 0;
-        }
-        return *p++;
-    }
-
     std::string
     str()
     {
@@ -91,21 +69,6 @@ struct Cursor
         std::string s(reinterpret_cast<const char *>(p), len);
         p += len;
         return s;
-    }
-
-    std::vector<Addr>
-    pcVector()
-    {
-        const std::uint32_t n = u32();
-        std::vector<Addr> v;
-        if (!ok || remaining() < std::uint64_t{n} * 8) {
-            ok = false;
-            return v;
-        }
-        v.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i)
-            v.push_back(u64());
-        return v;
     }
 };
 
@@ -182,18 +145,8 @@ TraceFile::open(const std::string &path, std::string &error)
             error = "trace '" + path + "' has a truncated section";
             return std::nullopt;
         }
-        const auto off = static_cast<std::uint64_t>(c.p - f.data_);
-        if (tag == tagProgram) {
-            f.progOff_ = off;
-            f.progSize_ = sec_size;
-        } else if (tag == tagSlices) {
-            f.slicOff_ = off;
-            f.slicSize_ = sec_size;
-        } else if (tag == tagMemory) {
-            f.memOff_ = off;
-            f.memSize_ = sec_size;
-        } else if (tag == tagRecords) {
-            f.recsOff_ = off;
+        if (tag == tagRecords) {
+            f.recsOff_ = static_cast<std::uint64_t>(c.p - f.data_);
             f.recsSize_ = sec_size;
         } else if (tag == tagFooter) {
             Cursor fc{c.p, c.p + sec_size};
@@ -221,7 +174,7 @@ TraceFile::open(const std::string &path, std::string &error)
 
     // Hash the record payloads (chunk headers excluded, matching the
     // writer) so bit rot inside the stream is caught at open.
-    std::uint64_t fnv = fnvOffset;
+    Fnv1a fnv{recordHashStart};
     {
         Cursor rc{f.data_ + f.recsOff_, f.data_ + f.recsOff_ + f.recsSize_};
         while (rc.remaining() > 0) {
@@ -232,11 +185,11 @@ TraceFile::open(const std::string &path, std::string &error)
                 error = "trace '" + path + "' has a truncated chunk";
                 return std::nullopt;
             }
-            fnv = fnv1a(fnv, rc.p, nbytes);
+            fnv.bytes(rc.p, nbytes);
             rc.p += nbytes;
         }
     }
-    if (fnv != footer_fnv) {
+    if (fnv.value != footer_fnv) {
         error = "trace '" + path +
                 "' record stream fails its integrity check";
         return std::nullopt;
@@ -255,12 +208,6 @@ TraceFile::operator=(TraceFile &&other) noexcept
         data_ = other.data_;
         size_ = other.size_;
         meta_ = std::move(other.meta_);
-        progOff_ = other.progOff_;
-        progSize_ = other.progSize_;
-        slicOff_ = other.slicOff_;
-        slicSize_ = other.slicSize_;
-        memOff_ = other.memOff_;
-        memSize_ = other.memSize_;
         recsOff_ = other.recsOff_;
         recsSize_ = other.recsSize_;
         other.data_ = nullptr;
@@ -273,119 +220,6 @@ TraceFile::~TraceFile()
 {
     if (data_)
         munmap(const_cast<std::uint8_t *>(data_), size_);
-}
-
-bool
-TraceFile::program(isa::Program &out, std::string &error) const
-{
-    if (!hasProgram()) {
-        error = "trace has no embedded program section";
-        return false;
-    }
-    Cursor c{at(progOff_), at(progOff_) + progSize_};
-    const std::uint64_t nsections = c.u64();
-    isa::Program prog;
-    for (std::uint64_t i = 0; c.ok && i < nsections; ++i) {
-        isa::CodeSection sec;
-        sec.base = c.u64();
-        const std::uint64_t count = c.u64();
-        if (!c.ok || c.remaining() < count * 8) {
-            c.ok = false;
-            break;
-        }
-        sec.code.reserve(count);
-        Addr pc = sec.base;
-        for (std::uint64_t k = 0; k < count; ++k) {
-            sec.code.push_back(isa::decode(c.u64(), pc));
-            pc += isa::instBytes;
-        }
-        prog.addSection(std::move(sec));
-    }
-    if (c.ok) {
-        const std::uint64_t nsymbols = c.u64();
-        std::map<std::string, Addr> symbols;
-        for (std::uint64_t i = 0; c.ok && i < nsymbols; ++i) {
-            std::string name = c.str();
-            const Addr addr = c.u64();
-            symbols.emplace(std::move(name), addr);
-        }
-        if (c.ok)
-            prog.addSymbols(symbols);
-    }
-    if (!c.ok) {
-        error = "trace program section is corrupt";
-        return false;
-    }
-    out = std::move(prog);
-    return true;
-}
-
-bool
-TraceFile::slices(std::vector<slice::SliceDescriptor> &out,
-                  std::string &error) const
-{
-    out.clear();
-    if (!hasSlices())
-        return true;  // no section: an empty slice set
-    Cursor c{at(slicOff_), at(slicOff_) + slicSize_};
-    const std::uint64_t count = c.u64();
-    for (std::uint64_t i = 0; c.ok && i < count; ++i) {
-        slice::SliceDescriptor s;
-        s.name = c.str();
-        s.forkPc = c.u64();
-        s.slicePc = c.u64();
-        const std::uint32_t nlive = c.u32();
-        for (std::uint32_t k = 0; c.ok && k < nlive; ++k)
-            s.liveIns.push_back(static_cast<RegIndex>(c.u8()));
-        s.maxLoopIters = c.u32();
-        s.loopBackEdgePc = c.u64();
-        const std::uint32_t npgis = c.u32();
-        for (std::uint32_t k = 0; c.ok && k < npgis; ++k) {
-            slice::PgiSpec p;
-            p.sliceInstPc = c.u64();
-            p.problemBranchPc = c.u64();
-            p.loopKillPc = c.u64();
-            p.sliceKillPc = c.u64();
-            p.invert = c.u8() != 0;
-            p.loopKillSkipFirst = c.u8() != 0;
-            s.pgis.push_back(p);
-        }
-        s.coveredLoadPcs = c.pcVector();
-        s.coveredBranchPcs = c.pcVector();
-        s.prefetchLoadPcs = c.pcVector();
-        s.staticSize = c.u32();
-        s.staticSizeInLoop = c.u32();
-        out.push_back(std::move(s));
-    }
-    if (!c.ok) {
-        error = "trace slice section is corrupt";
-        out.clear();
-        return false;
-    }
-    return true;
-}
-
-bool
-TraceFile::initMemory(arch::MemoryImage &mem, std::string &error) const
-{
-    if (!hasMemory())
-        return true;  // no section: an all-zero image
-    Cursor c{at(memOff_), at(memOff_) + memSize_};
-    const std::uint64_t npages = c.u64();
-    for (std::uint64_t i = 0; c.ok && i < npages; ++i) {
-        const Addr pnum = c.u64();
-        if (!c.ok || c.remaining() < arch::MemoryImage::pageSize) {
-            c.ok = false;
-            break;
-        }
-        mem.importPage(pnum, c.p);
-        c.p += arch::MemoryImage::pageSize;
-    }
-    if (!c.ok) {
-        error = "trace memory section is corrupt";
-        return false;
-    }
-    return true;
 }
 
 TraceReader
@@ -407,18 +241,6 @@ TraceReader::fail(const std::string &what)
     chunkLeft_ = 0;
     p_ = end_ = nullptr;
     cursor_ = file_->recsOff_ + file_->recsSize_;
-}
-
-void
-TraceReader::rewind()
-{
-    cursor_ = file_->recsOff_;
-    p_ = end_ = nullptr;
-    chunkLeft_ = 0;
-    decoded_ = 0;
-    prevNext_ = 0;
-    prevMem_ = 0;
-    error_.clear();
 }
 
 bool

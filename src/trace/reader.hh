@@ -2,9 +2,9 @@
  * @file
  * mmap-backed sstr trace reader. TraceFile validates the container
  * once at open (magic, version, section bounds, footer record count,
- * record-stream FNV) and exposes the embedded sections; TraceReader is
- * a cheap cursor over the record stream, decoding one chunk at a time
- * so a million-record trace never materializes in memory.
+ * record-stream FNV) and exposes the header; TraceReader is a cheap
+ * cursor over the record stream, decoding one chunk at a time so a
+ * million-record trace never materializes in memory.
  */
 
 #ifndef SPECSLICE_TRACE_READER_HH
@@ -12,11 +12,7 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "arch/memimg.hh"
-#include "isa/program.hh"
-#include "slice/descriptor.hh"
 #include "trace/format.hh"
 
 namespace specslice::trace
@@ -43,20 +39,6 @@ class TraceFile
 
     const TraceMeta &meta() const { return meta_; }
 
-    bool hasProgram() const { return progSize_ != 0; }
-    bool hasMemory() const { return memSize_ != 0; }
-    bool hasSlices() const { return slicSize_ != 0; }
-
-    /** Decode the embedded code image. @return false on corruption. */
-    bool program(isa::Program &out, std::string &error) const;
-
-    /** Decode the embedded slice descriptors. */
-    bool slices(std::vector<slice::SliceDescriptor> &out,
-                std::string &error) const;
-
-    /** Import the embedded initial memory pages into mem. */
-    bool initMemory(arch::MemoryImage &mem, std::string &error) const;
-
     /** A fresh cursor at the first record. */
     TraceReader records() const;
 
@@ -69,9 +51,6 @@ class TraceFile
     const std::uint8_t *data_ = nullptr;
     std::uint64_t size_ = 0;
     TraceMeta meta_;
-    std::uint64_t progOff_ = 0, progSize_ = 0;
-    std::uint64_t slicOff_ = 0, slicSize_ = 0;
-    std::uint64_t memOff_ = 0, memSize_ = 0;
     std::uint64_t recsOff_ = 0, recsSize_ = 0;
 };
 
@@ -91,9 +70,6 @@ class TraceReader
 
     /** Records decoded so far. */
     std::uint64_t position() const { return decoded_; }
-
-    /** Reset to the first record. */
-    void rewind();
 
   private:
     friend class TraceFile;

@@ -6,12 +6,11 @@ namespace specslice::trace
 {
 
 ReplayStats
-replayRecords(TraceReader &r, branch::PredictorClient &client,
-              std::uint64_t max_records)
+replayRecords(TraceReader &r, branch::PredictorClient &client)
 {
     ReplayStats s;
     TraceRecord rec;
-    while ((max_records == 0 || s.records < max_records) && r.next(rec)) {
+    while (r.next(rec)) {
         ++s.records;
         switch (rec.kind) {
           case RecordKind::CondBranch: {

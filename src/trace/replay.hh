@@ -54,13 +54,12 @@ struct ReplayStats
 };
 
 /**
- * Drive client with every record in r (or the first max_records when
- * non-zero). The reader's error state is the caller's to check:
- * stats cover the records decoded before any failure.
+ * Drive client with every record in r. The reader's error state is
+ * the caller's to check: stats cover the records decoded before any
+ * failure.
  */
 ReplayStats replayRecords(TraceReader &r,
-                          branch::PredictorClient &client,
-                          std::uint64_t max_records = 0);
+                          branch::PredictorClient &client);
 
 /**
  * Replay meta's trace through every named client and package the

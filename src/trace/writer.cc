@@ -1,26 +1,12 @@
 #include "trace/writer.hh"
 
-#include "isa/encoding.hh"
+#include "isa/opcodes.hh"
 
 namespace specslice::trace
 {
 
 namespace
 {
-
-constexpr std::uint64_t fnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t fnvPrime = 1099511628211ull;
-
-std::uint64_t
-fnv1a(std::uint64_t h, const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= fnvPrime;
-    }
-    return h;
-}
 
 void
 putU32(std::ostream &os, std::uint32_t v)
@@ -47,44 +33,10 @@ putString(std::ostream &os, const std::string &s)
     os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-/** Serialized size of one length-prefixed string. */
-std::uint64_t
-stringBytes(const std::string &s)
-{
-    return 4 + s.size();
-}
-
-std::uint64_t
-pcVectorBytes(const std::vector<Addr> &v)
-{
-    return 4 + 8 * v.size();
-}
-
-void
-putPcVector(std::ostream &os, const std::vector<Addr> &v)
-{
-    putU32(os, static_cast<std::uint32_t>(v.size()));
-    for (Addr a : v)
-        putU64(os, a);
-}
-
-std::uint64_t
-sliceBytes(const slice::SliceDescriptor &s)
-{
-    return stringBytes(s.name) + 8 /*forkPc*/ + 8 /*slicePc*/ +
-           4 + s.liveIns.size() + 4 /*maxLoopIters*/ +
-           8 /*loopBackEdgePc*/ + 4 + 34 * s.pgis.size() +
-           pcVectorBytes(s.coveredLoadPcs) +
-           pcVectorBytes(s.coveredBranchPcs) +
-           pcVectorBytes(s.prefetchLoadPcs) + 4 /*staticSize*/ +
-           4 /*staticSizeInLoop*/;
-}
-
 } // namespace
 
 TraceWriter::TraceWriter(const std::string &path, const TraceMeta &meta)
-    : os_(path, std::ios::binary | std::ios::trunc),
-      recsFnv_(fnvOffset)
+    : os_(path, std::ios::binary | std::ios::trunc)
 {
     if (!os_) {
         fail("cannot open '" + path + "' for writing");
@@ -100,6 +52,8 @@ TraceWriter::TraceWriter(const std::string &path, const TraceMeta &meta)
     putU64(os_, meta.dataSeed);
     putU64(os_, meta.scale);
     putString(os_, meta.name);
+    beginSection(tagRecords, 0);  // size patched by finalize()
+    recsSizePos_ = os_.tellp() - std::streamoff(8);
 }
 
 void
@@ -117,114 +71,10 @@ TraceWriter::beginSection(std::uint32_t tag, std::uint64_t size)
 }
 
 void
-TraceWriter::writeProgram(const isa::Program &program)
-{
-    if (!ok() || recsOpen_)
-        return;
-    std::uint64_t size = 8;  // nsections
-    for (const isa::CodeSection &s : program.sections())
-        size += 16 + 8 * s.code.size();
-    size += 8;  // nsymbols
-    for (const auto &[name, addr] : program.symbols()) {
-        size += stringBytes(name) + 8;
-        (void)addr;
-    }
-
-    beginSection(tagProgram, size);
-    putU64(os_, program.sections().size());
-    for (const isa::CodeSection &s : program.sections()) {
-        putU64(os_, s.base);
-        putU64(os_, s.code.size());
-        Addr pc = s.base;
-        for (const isa::Instruction &inst : s.code) {
-            putU64(os_, isa::encode(inst, pc));
-            pc += isa::instBytes;
-        }
-    }
-    putU64(os_, program.symbols().size());
-    for (const auto &[name, addr] : program.symbols()) {
-        putString(os_, name);
-        putU64(os_, addr);
-    }
-}
-
-void
-TraceWriter::writeSlices(const std::vector<slice::SliceDescriptor> &slices)
-{
-    if (!ok() || recsOpen_)
-        return;
-    std::uint64_t size = 8;  // count
-    for (const slice::SliceDescriptor &s : slices)
-        size += sliceBytes(s);
-
-    beginSection(tagSlices, size);
-    putU64(os_, slices.size());
-    for (const slice::SliceDescriptor &s : slices) {
-        putString(os_, s.name);
-        putU64(os_, s.forkPc);
-        putU64(os_, s.slicePc);
-        putU32(os_, static_cast<std::uint32_t>(s.liveIns.size()));
-        for (RegIndex r : s.liveIns)
-            os_.put(static_cast<char>(r));
-        putU32(os_, s.maxLoopIters);
-        putU64(os_, s.loopBackEdgePc);
-        putU32(os_, static_cast<std::uint32_t>(s.pgis.size()));
-        for (const slice::PgiSpec &p : s.pgis) {
-            putU64(os_, p.sliceInstPc);
-            putU64(os_, p.problemBranchPc);
-            putU64(os_, p.loopKillPc);
-            putU64(os_, p.sliceKillPc);
-            os_.put(p.invert ? 1 : 0);
-            os_.put(p.loopKillSkipFirst ? 1 : 0);
-        }
-        putPcVector(os_, s.coveredLoadPcs);
-        putPcVector(os_, s.coveredBranchPcs);
-        putPcVector(os_, s.prefetchLoadPcs);
-        putU32(os_, s.staticSize);
-        putU32(os_, s.staticSizeInLoop);
-    }
-}
-
-void
-TraceWriter::writeMemory(const arch::MemoryImage &mem)
-{
-    if (!ok() || recsOpen_)
-        return;
-    std::vector<Addr> pages;
-    for (Addr pnum : mem.pageNumbers()) {
-        const std::uint8_t *data = mem.pageData(pnum);
-        bool all_zero = true;
-        for (std::size_t i = 0; i < arch::MemoryImage::pageSize; ++i) {
-            if (data[i]) {
-                all_zero = false;
-                break;
-            }
-        }
-        if (!all_zero)
-            pages.push_back(pnum);
-    }
-
-    beginSection(tagMemory,
-                 8 + pages.size() * (8 + arch::MemoryImage::pageSize));
-    putU64(os_, pages.size());
-    for (Addr pnum : pages) {
-        putU64(os_, pnum);
-        os_.write(reinterpret_cast<const char *>(mem.pageData(pnum)),
-                  arch::MemoryImage::pageSize);
-    }
-}
-
-void
 TraceWriter::append(const TraceRecord &rec)
 {
     if (!ok() || finalized_)
         return;
-    if (!recsOpen_) {
-        beginSection(tagRecords, 0);  // size patched by finalize()
-        recsSizePos_ = os_.tellp() - std::streamoff(8);
-        recsOpen_ = true;
-    }
-
     std::uint8_t head = static_cast<std::uint8_t>(rec.kind);
     if (rec.taken)
         head |= 0x10;
@@ -254,7 +104,7 @@ TraceWriter::flushChunk()
     putU32(os_, static_cast<std::uint32_t>(chunk_.size()));
     putU32(os_, chunkRecords_);
     os_.write(chunk_.data(), static_cast<std::streamsize>(chunk_.size()));
-    recsFnv_ = fnv1a(recsFnv_, chunk_.data(), chunk_.size());
+    recsFnv_.bytes(chunk_.data(), chunk_.size());
     chunk_.clear();
     chunkRecords_ = 0;
     prevNext_ = 0;
@@ -269,11 +119,6 @@ TraceWriter::finalize()
     finalized_ = true;
     if (!ok())
         return false;
-    if (!recsOpen_) {
-        beginSection(tagRecords, 0);
-        recsSizePos_ = os_.tellp() - std::streamoff(8);
-        recsOpen_ = true;
-    }
     flushChunk();
     const std::streampos recs_end = os_.tellp();
     const std::uint64_t recs_size = static_cast<std::uint64_t>(
@@ -281,7 +126,7 @@ TraceWriter::finalize()
 
     beginSection(tagFooter, 16);
     putU64(os_, records_);
-    putU64(os_, recsFnv_);
+    putU64(os_, recsFnv_.value);
 
     os_.seekp(recsSizePos_);
     putU64(os_, recs_size);

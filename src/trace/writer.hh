@@ -1,10 +1,9 @@
 /**
  * @file
- * Streaming sstr trace writer. Sections are written in a fixed order
- * (program, slices, memory, then records) and the record count is
- * patched into the header by finalize(), so a writer that dies
- * mid-stream leaves a file the reader rejects rather than a silently
- * short trace.
+ * Streaming sstr trace writer: the header, the record stream and the
+ * footer. The record count is patched into the header by finalize(),
+ * so a writer that dies mid-stream leaves a file the reader rejects
+ * rather than a silently short trace.
  */
 
 #ifndef SPECSLICE_TRACE_WRITER_HH
@@ -12,11 +11,8 @@
 
 #include <fstream>
 #include <string>
-#include <vector>
 
-#include "arch/memimg.hh"
-#include "isa/program.hh"
-#include "slice/descriptor.hh"
+#include "common/bitutils.hh"
 #include "trace/format.hh"
 
 namespace specslice::trace
@@ -25,7 +21,8 @@ namespace specslice::trace
 class TraceWriter
 {
   public:
-    /** Open path and write the header. Check ok() before streaming. */
+    /** Open path and write the header and the RECS section header.
+     *  Check ok() before streaming. */
     TraceWriter(const std::string &path, const TraceMeta &meta);
 
     TraceWriter(const TraceWriter &) = delete;
@@ -33,15 +30,6 @@ class TraceWriter
 
     bool ok() const { return error_.empty() && os_.good(); }
     const std::string &error() const { return error_; }
-
-    /** Embed the static code image (must precede the first append). */
-    void writeProgram(const isa::Program &program);
-
-    /** Embed the slice annotations (may be an empty vector). */
-    void writeSlices(const std::vector<slice::SliceDescriptor> &slices);
-
-    /** Embed the initial memory image (all-zero pages are dropped). */
-    void writeMemory(const arch::MemoryImage &mem);
 
     /** Append one record to the stream. */
     void append(const TraceRecord &rec);
@@ -62,12 +50,11 @@ class TraceWriter
     std::string chunk_;          ///< encoded bytes of the open chunk
     std::uint32_t chunkRecords_ = 0;
     std::uint64_t records_ = 0;
-    std::uint64_t recsFnv_;      ///< FNV-1a over RECS payload bytes
+    Fnv1a recsFnv_{recordHashStart};  ///< over RECS payload bytes
     std::int64_t prevNext_ = 0;  ///< expected PC of the next record
     std::int64_t prevMem_ = 0;   ///< previous memory address
     std::streampos countPos_;    ///< header recordCount offset
     std::streampos recsSizePos_; ///< RECS section size offset
-    bool recsOpen_ = false;
     bool finalized_ = false;
 };
 

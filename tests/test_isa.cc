@@ -1,15 +1,12 @@
 /**
  * @file
- * ISA tests: opcode traits consistency, encode/decode round-trips
- * (property-style over all opcodes and random operand fields), the
- * assembler's label resolution, and Program section management.
+ * ISA tests: opcode traits consistency, the assembler's label
+ * resolution, and Program section management.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hh"
 #include "isa/assembler.hh"
-#include "isa/encoding.hh"
 #include "isa/instruction.hh"
 #include "isa/program.hh"
 
@@ -46,59 +43,6 @@ TEST(OpTraits, ClassPredicates)
     EXPECT_TRUE(opTraits(Opcode::CmovEq).readsRc);
     EXPECT_FALSE(opTraits(Opcode::Add).readsRc);
 }
-
-/** Property: encode/decode round-trips for every opcode. */
-class EncodingRoundTrip : public ::testing::TestWithParam<unsigned>
-{
-};
-
-TEST_P(EncodingRoundTrip, RandomFieldsSurvive)
-{
-    auto op = static_cast<Opcode>(GetParam());
-    const OpTraits &t = opTraits(op);
-    Rng rng(GetParam() * 977 + 13);
-
-    for (int trial = 0; trial < 50; ++trial) {
-        Instruction inst;
-        inst.op = op;
-        inst.ra = static_cast<RegIndex>(rng.below(numRegs));
-        inst.rb = static_cast<RegIndex>(rng.below(numRegs));
-        inst.rc = static_cast<RegIndex>(rng.below(numRegs));
-        Addr pc = 0x10000 + rng.below(1 << 16) * instBytes;
-        if (t.isCondBranch || t.isUncondDirect) {
-            // A target within +-2^18 instructions.
-            std::int64_t disp =
-                static_cast<std::int64_t>(rng.below(1 << 19)) -
-                (1 << 18);
-            inst.target = static_cast<Addr>(
-                static_cast<std::int64_t>(pc + instBytes) +
-                disp * static_cast<std::int64_t>(instBytes));
-        } else if (t.hasImm) {
-            inst.imm = static_cast<std::int32_t>(rng.next());
-        }
-
-        Instruction back = decode(encode(inst, pc), pc);
-        EXPECT_EQ(back.op, inst.op);
-        if (t.readsRa || t.isCondBranch) {
-            EXPECT_EQ(back.ra, inst.ra);
-        }
-        if (t.readsRb) {
-            EXPECT_EQ(back.rb, inst.rb);
-        }
-        if (t.writesRc || t.readsRc) {
-            EXPECT_EQ(back.rc, inst.rc);
-        }
-        if (t.isCondBranch || t.isUncondDirect) {
-            EXPECT_EQ(back.target, inst.target);
-        } else if (t.hasImm) {
-            EXPECT_EQ(back.imm, inst.imm);
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllOpcodes, EncodingRoundTrip,
-    ::testing::Range(0u, static_cast<unsigned>(Opcode::NumOpcodes)));
 
 TEST(AssemblerTest, ResolvesForwardAndBackwardLabels)
 {

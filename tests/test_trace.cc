@@ -2,10 +2,10 @@
  * @file
  * sstr trace-format tests: varint edge cases, record round-trips over
  * the full kind/delta space, structural rejection of truncated and
- * corrupted files, record-stream fidelity against functional
- * re-execution, and the load-bearing frontend property — a workload
- * reconstructed from its trace produces the exact same timing-core
- * counters as the original.
+ * corrupted files, the skip rule for unknown sections, and, for every
+ * workload, a records-only trace that matches a functional
+ * re-execution of the workload its header names, which rebuilds to
+ * the emitted one.
  */
 
 #include <unistd.h>
@@ -20,6 +20,9 @@
 #include <gtest/gtest.h>
 
 #include "branch/predictor_client.hh"
+#include "arch/checkpoint.hh"
+#include "arch/memimg.hh"
+#include "check/digest.hh"
 #include "sim/result_json.hh"
 #include "sim/simulator.hh"
 #include "trace/format.hh"
@@ -75,6 +78,75 @@ writeAll(const std::string &path, const std::vector<std::uint8_t> &bytes)
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(reinterpret_cast<const char *>(bytes.data()),
              static_cast<std::streamsize>(bytes.size()));
+}
+
+/** The n-byte little-endian integer at off. */
+std::uint64_t
+leAt(const std::vector<std::uint8_t> &bytes, std::size_t off, int n)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < n; ++i)
+        v |= std::uint64_t{bytes.at(off + i)} << (8 * i);
+    return v;
+}
+
+/** Append v as n little-endian bytes. */
+void
+putLe(std::vector<std::uint8_t> &out, std::uint64_t v, int n)
+{
+    for (int i = 0; i < n; ++i)
+        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+/** Bytes before the first section: the fixed fields, then the name
+ *  whose u32 length sits at offset 56. */
+std::size_t
+headerBytes(const std::vector<std::uint8_t> &bytes)
+{
+    return 60 + leAt(bytes, 56, 4);
+}
+
+/** One { u32 tag; u64 size; payload } section of a trace image. */
+struct Section
+{
+    std::string tag;
+    std::size_t body;  ///< offset of the payload
+    std::uint64_t size;
+};
+
+std::vector<Section>
+sectionsOf(const std::vector<std::uint8_t> &bytes)
+{
+    std::vector<Section> out;
+    for (std::size_t off = headerBytes(bytes); off + 12 <= bytes.size();) {
+        Section s{std::string(bytes.begin() + static_cast<long>(off),
+                              bytes.begin() + static_cast<long>(off) + 4),
+                  off + 12, leAt(bytes, off + 4, 8)};
+        off = s.body + s.size;
+        out.push_back(std::move(s));
+    }
+    return out;
+}
+
+/** The section tags of a trace image, in file order. */
+std::vector<std::string>
+sectionTags(const std::vector<std::uint8_t> &bytes)
+{
+    std::vector<std::string> tags;
+    for (const Section &s : sectionsOf(bytes))
+        tags.push_back(s.tag);
+    return tags;
+}
+
+/** The workload a trace's header names, rebuilt from its name, scale
+ *  and seed. */
+sim::Workload
+workloadOf(const trace::TraceMeta &meta)
+{
+    workloads::Params p;
+    p.scale = meta.scale;
+    p.seed = meta.dataSeed;
+    return workloads::buildWorkload(meta.name, p);
 }
 
 trace::TraceMeta
@@ -224,7 +296,6 @@ TEST(TraceFormatTest, RecordsRoundTripAcrossKindsAndDeltas)
     EXPECT_EQ(file->meta().recordCount, recs.size());
     EXPECT_EQ(file->meta().name, "synthetic");
     EXPECT_EQ(file->meta().dataSeed, 7u);
-    EXPECT_FALSE(file->hasProgram());
 
     trace::TraceReader rd = file->records();
     trace::TraceRecord got;
@@ -240,10 +311,54 @@ TEST(TraceFormatTest, RecordsRoundTripAcrossKindsAndDeltas)
     EXPECT_FALSE(rd.next(got));
     EXPECT_TRUE(rd.ok()) << rd.error();
 
-    // rewind() restarts the stream from record zero.
-    rd.rewind();
-    ASSERT_TRUE(rd.next(got));
+    // A fresh cursor restarts the stream from record zero.
+    trace::TraceReader again = file->records();
+    ASSERT_TRUE(again.next(got));
     EXPECT_EQ(got.pc, recs[0].pc);
+}
+
+TEST(TraceFormatTest, FooterHashIsStable)
+{
+    // The footer holds FNV-1a over every chunk payload, started at
+    // 1469598103934665603 (the FNV offset basis without its last
+    // digit). Traces already on disk carry that value, so this
+    // reference loop, not the writer's, decides what it must be.
+    TempFile tmp("footer");
+    {
+        trace::TraceWriter w(tmp.path(), recordsOnlyMeta());
+        trace::TraceRecord r;
+        r.pc = 0x1000;
+        r.kind = trace::RecordKind::Load;
+        for (std::uint64_t i = 0; i < trace::recordsPerChunk + 10; ++i) {
+            r.memAddr = 0x200000 + (i * 40) % 4096;
+            w.append(r);
+            r.pc += 8;
+        }
+        ASSERT_TRUE(w.finalize()) << w.error();
+    }
+    const std::vector<std::uint8_t> bytes = readAll(tmp.path());
+    std::uint64_t hash = 1469598103934665603ull;
+    std::uint64_t stored = 0;
+    unsigned chunks = 0;
+    for (const Section &s : sectionsOf(bytes)) {
+        if (s.tag == "RECS") {
+            for (std::size_t c = s.body; c < s.body + s.size; ++chunks) {
+                const std::size_t payload = c + 8;
+                c = payload + leAt(bytes, c, 4);
+                for (std::size_t i = payload; i < c; ++i) {
+                    hash ^= bytes[i];
+                    hash *= 1099511628211ull;
+                }
+            }
+        } else if (s.tag == "ENDS") {
+            EXPECT_EQ(leAt(bytes, s.body, 8), trace::recordsPerChunk + 10);
+            stored = leAt(bytes, s.body + 8, 8);
+        }
+    }
+    EXPECT_EQ(chunks, 2u);
+    EXPECT_EQ(stored, hash);
+    std::string err;
+    EXPECT_TRUE(trace::TraceFile::open(tmp.path(), err)) << err;
 }
 
 // ---------------------------------------------------------------
@@ -345,13 +460,15 @@ struct EmittedTrace
     sim::Workload wl;
     std::uint64_t records = 0;
 
-    explicit EmittedTrace(std::uint64_t insts = 6'000,
-                          std::uint64_t warmup = 1'000)
+    explicit EmittedTrace(const std::string &workload = "vpr",
+                          std::uint64_t insts = 6'000,
+                          std::uint64_t warmup = 1'000,
+                          std::uint64_t seed = 1)
     {
         workloads::Params p;
         p.scale = (insts + warmup) * 2;
-        p.seed = 1;
-        wl = workloads::buildWorkload("vpr", p);
+        p.seed = seed;
+        wl = workloads::buildWorkload(workload, p);
         std::string err;
         auto res = trace::emitWorkloadTrace(wl, p.seed, insts + warmup,
                                             tmp.path(), err);
@@ -361,16 +478,213 @@ struct EmittedTrace
     }
 };
 
+/** Every predictor's replay of file, as a digest document. */
+std::string
+replayDigestText(const trace::TraceFile &file)
+{
+    std::vector<std::pair<std::string, trace::ReplayStats>> rows;
+    for (const std::string &name : branch::predictorClientNames()) {
+        auto client = branch::makePredictorClient(name);
+        trace::TraceReader rd = file.records();
+        rows.emplace_back(name, trace::replayRecords(rd, *client));
+        EXPECT_TRUE(rd.ok()) << name << ": " << rd.error();
+    }
+    return check::formatDigest(trace::replayDigest(file.meta(), rows));
+}
+
 } // namespace
+
+class TraceFrontendFidelity : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(TraceFrontendFidelity, EmittedTraceMatchesFunctionalReExecution)
+{
+    EmittedTrace t(GetParam());
+    ASSERT_GT(t.records, 0u);
+    // The file holds the records and nothing else: the workload is
+    // rebuilt from the name, scale and seed in its header.
+    EXPECT_EQ(sectionTags(readAll(t.tmp.path())),
+              (std::vector<std::string>{"RECS", "ENDS"}));
+    std::string err;
+    auto file = trace::TraceFile::open(t.tmp.path(), err);
+    ASSERT_TRUE(file) << err;
+    EXPECT_EQ(file->meta().name, GetParam());
+    const sim::Workload wl = workloadOf(file->meta());
+    auto checked = trace::verifyTraceFidelity(t.tmp.path(), wl, err);
+    ASSERT_TRUE(checked) << err;
+    EXPECT_EQ(*checked, t.records);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, TraceFrontendFidelity,
+    ::testing::ValuesIn(workloads::allWorkloadNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(TraceFrontendTest, EmittedTraceMatchesFunctionalReExecution)
 {
-    EmittedTrace t;
+    // Another seed and scale than the per-workload cases: the header
+    // carries both, and the workload rebuilt from it must be the one
+    // the trace was emitted from.
+    EmittedTrace t("vpr", 3'000, 500, 7);
     ASSERT_GT(t.records, 0u);
     std::string err;
-    auto checked = trace::verifyTraceFidelity(t.tmp.path(), err);
+    auto file = trace::TraceFile::open(t.tmp.path(), err);
+    ASSERT_TRUE(file) << err;
+    EXPECT_EQ(file->meta().dataSeed, 7u);
+    EXPECT_EQ(file->meta().scale, 7'000u);
+    auto checked = trace::verifyTraceFidelity(
+        t.tmp.path(), workloadOf(file->meta()), err);
     ASSERT_TRUE(checked) << err;
     EXPECT_EQ(*checked, t.records);
+}
+
+TEST(TraceFrontendTest, LoadedWorkloadReproducesDirectExecution)
+{
+    // The workload loaded from a trace's header (its name, scale and
+    // seed) is the emitted one: same code, entry, slices and memory
+    // image, and a counter-exact timing run.
+    const std::uint64_t insts = 6'000, warmup = 1'000;
+    EmittedTrace t("vpr", insts, warmup);
+    std::string err;
+    auto file = trace::TraceFile::open(t.tmp.path(), err);
+    ASSERT_TRUE(file) << err;
+    const sim::Workload loaded = workloadOf(file->meta());
+    EXPECT_EQ(loaded.name, t.wl.name);
+    EXPECT_EQ(loaded.entry, t.wl.entry);
+    EXPECT_EQ(loaded.entry, file->meta().entryPc);
+    EXPECT_EQ(loaded.slices.size(), t.wl.slices.size());
+    EXPECT_EQ(arch::fingerprintProgram(loaded.program),
+              file->meta().programFingerprint);
+    arch::MemoryImage direct_mem, loaded_mem;
+    t.wl.initMemory(direct_mem);
+    loaded.initMemory(loaded_mem);
+    EXPECT_EQ(loaded_mem.contentHash(), direct_mem.contentHash());
+
+    sim::RunOptions opts;
+    opts.maxMainInstructions = insts;
+    opts.warmupInstructions = warmup;
+    opts.check = true;
+
+    sim::Simulator direct(sim::MachineConfig::fourWide());
+    sim::Simulator viaTrace(sim::MachineConfig::fourWide());
+    const auto a =
+        sim::digestSection("slices", direct.run(t.wl, opts, true));
+    const auto b =
+        sim::digestSection("slices", viaTrace.run(loaded, opts, true));
+    EXPECT_EQ(a.counters, b.counters);
+    EXPECT_EQ(a.ratios, b.ratios);
+}
+
+TEST(TraceFrontendTest, FidelityRefusesAnotherWorkload)
+{
+    EmittedTrace t;
+    std::string err;
+    auto file = trace::TraceFile::open(t.tmp.path(), err);
+    ASSERT_TRUE(file) << err;
+    const trace::TraceMeta &meta = file->meta();
+
+    trace::TraceMeta other = meta;
+    other.name = "gzip";
+    EXPECT_FALSE(
+        trace::verifyTraceFidelity(t.tmp.path(), workloadOf(other), err));
+    EXPECT_NE(err.find("differs in its name"), std::string::npos) << err;
+
+    other = meta;
+    other.scale *= 2;
+    EXPECT_FALSE(
+        trace::verifyTraceFidelity(t.tmp.path(), workloadOf(other), err));
+    EXPECT_NE(err.find("differs in its scale"), std::string::npos) << err;
+
+    // Same name and scale, other code: one more (unreachable) section.
+    sim::Workload wl = workloadOf(meta);
+    isa::CodeSection extra;
+    extra.base = 0x4000;
+    extra.code.resize(1);
+    wl.program.addSection(std::move(extra));
+    EXPECT_FALSE(trace::verifyTraceFidelity(t.tmp.path(), wl, err));
+    EXPECT_NE(err.find("program fingerprint"), std::string::npos) << err;
+}
+
+TEST(TraceFrontendTest, LoadRejectsRecordsOnlyTraces)
+{
+    // A trace written record by record rather than emitted from a
+    // workload names no program: its header's fingerprint is 0. Even
+    // under a real workload's name and scale, and holding that
+    // workload's own records, it cannot be checked against the
+    // workload, since nothing in the file vouches for the code.
+    EmittedTrace t;
+    std::string err;
+    auto file = trace::TraceFile::open(t.tmp.path(), err);
+    ASSERT_TRUE(file) << err;
+    trace::TraceMeta meta = file->meta();
+    meta.programFingerprint = 0;
+
+    TempFile tmp("records_only");
+    {
+        trace::TraceWriter w(tmp.path(), meta);
+        trace::TraceReader rd = file->records();
+        trace::TraceRecord r;
+        while (rd.next(r))
+            w.append(r);
+        ASSERT_TRUE(rd.ok()) << rd.error();
+        ASSERT_TRUE(w.finalize()) << w.error();
+    }
+    auto copy = trace::TraceFile::open(tmp.path(), err);
+    ASSERT_TRUE(copy) << err;
+    EXPECT_EQ(copy->meta().recordCount, t.records);
+
+    EXPECT_FALSE(
+        trace::verifyTraceFidelity(tmp.path(), workloadOf(meta), err));
+    EXPECT_NE(err.find("program fingerprint"), std::string::npos) << err;
+}
+
+TEST(TraceFormatTest, ReaderSkipsUnknownSections)
+{
+    // Older writers put the program, slices and memory image in
+    // sections ahead of RECS. The reader skips tags it does not know,
+    // so such a file replays exactly like the records-only one.
+    EmittedTrace plain;
+    const std::vector<std::uint8_t> bytes = readAll(plain.tmp.path());
+
+    // A "MEMI" section as those writers laid it out: one page.
+    std::vector<std::uint8_t> section = {'M', 'E', 'M', 'I'};
+    putLe(section, 8 + 8 + 4096, 8);  // payload size
+    putLe(section, 1, 8);             // pages
+    putLe(section, 0x10, 8);          // page number
+    for (int i = 0; i < 4096; ++i)
+        section.push_back(static_cast<std::uint8_t>(i * 7));
+
+    std::vector<std::uint8_t> padded = bytes;
+    padded.insert(padded.begin() + static_cast<long>(headerBytes(bytes)),
+                  section.begin(), section.end());
+    TempFile extra("extra_section");
+    writeAll(extra.path(), padded);
+    ASSERT_EQ(sectionTags(padded),
+              (std::vector<std::string>{"MEMI", "RECS", "ENDS"}));
+
+    std::string err;
+    auto a = trace::TraceFile::open(plain.tmp.path(), err);
+    ASSERT_TRUE(a) << err;
+    auto b = trace::TraceFile::open(extra.path(), err);
+    ASSERT_TRUE(b) << err;
+    EXPECT_EQ(b->meta().recordCount, a->meta().recordCount);
+    EXPECT_EQ(b->meta().programFingerprint, a->meta().programFingerprint);
+
+    trace::TraceReader ra = a->records();
+    trace::TraceReader rb = b->records();
+    trace::TraceRecord x, y;
+    while (ra.next(x)) {
+        ASSERT_TRUE(rb.next(y)) << rb.error();
+        ASSERT_EQ(x, y) << "record " << ra.position() - 1;
+    }
+    EXPECT_FALSE(rb.next(y));
+    EXPECT_TRUE(ra.ok() && rb.ok());
+    EXPECT_EQ(ra.position(), plain.records);
+
+    EXPECT_EQ(replayDigestText(*b), replayDigestText(*a));
 }
 
 TEST(TraceFrontendTest, ReplayIsBitIdenticalAcrossRuns)
@@ -397,45 +711,4 @@ TEST(TraceFrontendTest, ReplayIsBitIdenticalAcrossRuns)
         EXPECT_EQ(sec1.ratios, sec2.ratios) << name;
         EXPECT_GT(s1.condBranches, 0u) << name;
     }
-}
-
-TEST(TraceFrontendTest, LoadedWorkloadReproducesDirectExecution)
-{
-    const std::uint64_t insts = 6'000, warmup = 1'000;
-    EmittedTrace t(insts, warmup);
-    std::string err;
-    auto loaded = trace::loadTraceWorkload(t.tmp.path(), err);
-    ASSERT_TRUE(loaded) << err;
-    EXPECT_EQ(loaded->workload.name, t.wl.name);
-    EXPECT_EQ(loaded->workload.entry, t.wl.entry);
-    EXPECT_EQ(loaded->workload.slices.size(), t.wl.slices.size());
-
-    sim::RunOptions opts;
-    opts.maxMainInstructions = insts;
-    opts.warmupInstructions = warmup;
-    opts.check = true;
-
-    sim::Simulator direct(sim::MachineConfig::fourWide());
-    sim::Simulator viaTrace(sim::MachineConfig::fourWide());
-    const auto a =
-        sim::digestSection("slices", direct.run(t.wl, opts, true));
-    const auto b = sim::digestSection(
-        "slices", viaTrace.run(loaded->workload, opts, true));
-    // Counter-exact equality: the reconstructed workload IS the
-    // original as far as the timing core can tell.
-    EXPECT_EQ(a.counters, b.counters);
-    EXPECT_EQ(a.ratios, b.ratios);
-}
-
-TEST(TraceFrontendTest, LoadRejectsRecordsOnlyTraces)
-{
-    TempFile tmp("norecs");
-    trace::TraceMeta meta = recordsOnlyMeta();
-    {
-        trace::TraceWriter w(tmp.path(), meta);
-        ASSERT_TRUE(w.finalize()) << w.error();
-    }
-    std::string err;
-    EXPECT_FALSE(trace::loadTraceWorkload(tmp.path(), err));
-    EXPECT_NE(err.find("no program section"), std::string::npos) << err;
 }

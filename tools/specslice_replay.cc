@@ -9,27 +9,16 @@
  *         [--insts N --warmup N --seed S]
  *
  *   Stream a trace through the CVP-style predictor clients:
- *     specslice_replay --trace vpr.sstr [--predictor paper,yags]
- *         [--max-records N] [--json]
+ *     specslice_replay --trace vpr.sstr [--predictor paper,yags] [--json]
  *         [--golden golden/vpr.rdigest | --generate golden/vpr.rdigest]
- *
- *   Reproduce the execution-mode golden stats from the trace alone:
- *     specslice_replay --trace vpr.sstr --sim
- *         [--sim-golden golden/vpr.digest] [--json]
  *
  *   Sweep many traces in parallel and record throughput:
  *     specslice_replay --bench --traces a.sstr,b.sstr [--jobs N]
  *
- * --sim rebuilds the embedded workload (program, slices, initial
- * memory) and runs the full timing simulator in both configurations,
- * so the digest it produces is built from the exact same counter set
- * as the committed execution-mode corpus (sim::digestSection); with
- * --sim-golden the committed digest, once it lints clean, supplies the
- * run parameters and the live digest must diff clean against it.
- * Before simulating, the record stream itself is verified against a
- * functional re-execution (verifyTraceFidelity), so both halves of
- * the file — the workload sections and the records — are proven
- * faithful.
+ * --emit builds the workload the way the golden corpus does, so the
+ * trace header names (workload, scale, seed) the run specslice_verify
+ * checks. The timing core's numbers come from that run; a trace holds
+ * only the retired-instruction records.
  *
  * Replay digests (.rdigest) reuse the digest container/diff rules:
  * integer counters exact, accuracy ratios within epsilon.
@@ -55,7 +44,6 @@
 #include "check/digest.hh"
 #include "sim/job_pool.hh"
 #include "sim/result_json.hh"
-#include "sim/simulator.hh"
 #include "trace/frontend.hh"
 #include "trace/reader.hh"
 #include "trace/replay.hh"
@@ -82,14 +70,9 @@ struct Options
 
     // replay
     std::vector<std::string> predictors;  ///< empty = all registered
-    std::uint64_t maxRecords = 0;
     std::string golden;    ///< diff against this .rdigest
     std::string generate;  ///< (re)write this .rdigest
     bool json = false;
-
-    // --sim
-    bool sim = false;
-    std::string simGolden;  ///< execution-mode .digest to diff against
 
     // --bench
     std::vector<std::string> traces;
@@ -103,34 +86,26 @@ usage(int code)
         "usage: specslice_replay --emit --workload NAME --out FILE "
         "[options]\n"
         "       specslice_replay --trace FILE [options]\n"
-        "       specslice_replay --trace FILE --sim [options]\n"
         "       specslice_replay --bench --traces F1,F2,... [options]\n"
         "  --emit            run NAME functionally and write an sstr\n"
-        "                    reference trace (program + slices + memory\n"
-        "                    + one record per retired instruction)\n"
+        "                    reference trace (a header naming the\n"
+        "                    workload, then one record per retired\n"
+        "                    instruction)\n"
         "  --workload NAME   workload to trace (emit mode)\n"
         "  --out FILE        trace file to write (emit mode)\n"
         "  --insts N         measured instructions (emit; %llu)\n"
         "  --warmup N        warm-up instructions (emit; %llu); the\n"
         "                    trace records warmup+insts instructions\n"
         "                    and the workload is built at the golden\n"
-        "                    corpus scale, so --sim reproduces the\n"
-        "                    committed execution-mode digests\n"
+        "                    corpus scale, so the header names the\n"
+        "                    workload specslice_verify runs\n"
         "  --seed N          workload data seed (emit; 1)\n"
         "  --trace FILE      replay FILE's record stream through the\n"
         "                    predictor clients\n"
         "  --predictor A,B   restrict to these clients (default all)\n"
-        "  --max-records N   stop after N records (0 = all)\n"
         "  --golden FILE     diff the replay digest against FILE\n"
         "                    (.rdigest; exit 1 on any mismatch)\n"
         "  --generate FILE   (re)write the replay digest to FILE\n"
-        "  --sim             rebuild the embedded workload and run the\n"
-        "                    full timing simulator (baseline + slices,\n"
-        "                    checker on); verifies record fidelity\n"
-        "                    against functional re-execution first\n"
-        "  --sim-golden FILE execution-mode .digest that supplies the\n"
-        "                    run parameters; the live digest must diff\n"
-        "                    clean against it\n"
         "  --bench           replay every trace in --traces through\n"
         "                    every client and write BENCH_replay.json\n"
         "  --traces F1,F2    trace files for --bench\n"
@@ -181,16 +156,10 @@ parseArgs(int argc, char **argv)
             o.traceFile = next();
         } else if (a == "--predictor") {
             o.predictors = splitCsv(next());
-        } else if (a == "--max-records") {
-            o.maxRecords = bench::countOption(a, next());
         } else if (a == "--golden") {
             o.golden = next();
         } else if (a == "--generate") {
             o.generate = next();
-        } else if (a == "--sim") {
-            o.sim = true;
-        } else if (a == "--sim-golden") {
-            o.simGolden = next();
         } else if (a == "--bench") {
             o.bench = true;
         } else if (a == "--traces") {
@@ -218,8 +187,6 @@ parseArgs(int argc, char **argv)
     if (o.bench && o.traces.empty())
         usage(2);
     if (!o.golden.empty() && !o.generate.empty())
-        usage(2);
-    if (o.sim && (!o.golden.empty() || !o.generate.empty()))
         usage(2);
     return o;
 }
@@ -260,9 +227,9 @@ runEmit(const Options &o)
         return 2;
     }
 
-    // Mirror the golden corpus's workload construction exactly: the
-    // embedded program/memory must be the same ones specslice_verify
-    // ran, or --sim can never reproduce the committed digests.
+    // Mirror the golden corpus's workload construction exactly, so
+    // the header's scale and seed name the workload specslice_verify
+    // runs.
     workloads::Params wp;
     wp.scale = (o.insts + o.warmup) * 2;
     wp.seed = o.seed;
@@ -296,15 +263,13 @@ runEmit(const Options &o)
 bool
 replayAll(const trace::TraceFile &file,
           const std::vector<std::string> &clients,
-          std::uint64_t max_records,
           std::vector<std::pair<std::string, trace::ReplayStats>> &out,
           std::string &error)
 {
     for (const std::string &name : clients) {
         auto client = branch::makePredictorClient(name);
         trace::TraceReader rd = file.records();
-        trace::ReplayStats stats =
-            trace::replayRecords(rd, *client, max_records);
+        trace::ReplayStats stats = trace::replayRecords(rd, *client);
         if (!rd.ok()) {
             error = rd.error();
             return false;
@@ -375,7 +340,7 @@ runReplay(const Options &o)
     }
 
     std::vector<std::pair<std::string, trace::ReplayStats>> rows;
-    if (!replayAll(*file, clientNames(o), o.maxRecords, rows, err)) {
+    if (!replayAll(*file, clientNames(o), rows, err)) {
         std::fprintf(stderr, "error: %s\n", err.c_str());
         return 1;
     }
@@ -440,133 +405,6 @@ runReplay(const Options &o)
 }
 
 int
-runSim(const Options &o)
-{
-    std::string err;
-
-    // Fidelity first: the record stream must be exactly what the
-    // embedded program does, or the trace is not a faithful witness
-    // of the workload it claims to carry.
-    auto checked = trace::verifyTraceFidelity(o.traceFile, err);
-    if (!checked) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 1;
-    }
-    std::fprintf(stderr,
-                 "record fidelity: %llu records match functional "
-                 "re-execution\n",
-                 static_cast<unsigned long long>(*checked));
-
-    auto loaded = trace::loadTraceWorkload(o.traceFile, err);
-    if (!loaded) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 1;
-    }
-
-    // Run parameters: the committed digest's when diffing against one
-    // (the corpus, not the invoker, defines the regression run —
-    // exactly specslice_verify's rule), this binary's golden-matching
-    // defaults otherwise.
-    check::Digest golden;
-    bool haveGolden = false;
-    if (!o.simGolden.empty()) {
-        std::ifstream is(o.simGolden);
-        if (!is) {
-            std::fprintf(stderr, "error: missing golden digest %s\n",
-                         o.simGolden.c_str());
-            return 1;
-        }
-        auto parsed = check::parseDigest(is, err);
-        if (!parsed) {
-            std::fprintf(stderr, "error: malformed %s: %s\n",
-                         o.simGolden.c_str(), err.c_str());
-            return 1;
-        }
-        // Lint first, as specslice_verify does: the run parameters
-        // below are taken from the digest on trust.
-        std::vector<std::string> problems = check::lintDigest(*parsed);
-        for (const std::string &msg : problems)
-            std::fprintf(stderr, "error: %s: lint: %s\n",
-                         o.simGolden.c_str(), msg.c_str());
-        if (!problems.empty())
-            return 1;
-        golden = std::move(*parsed);
-        haveGolden = true;
-    }
-
-    const std::uint64_t insts = haveGolden ? golden.insts : o.insts;
-    const std::uint64_t warmup = haveGolden ? golden.warmup : o.warmup;
-    const unsigned width = haveGolden ? golden.width : 4u;
-    const unsigned threads = haveGolden ? golden.threads : 4u;
-
-    sim::MachineConfig cfg = width == 8
-                                 ? sim::MachineConfig::eightWide()
-                                 : sim::MachineConfig::fourWide();
-    cfg.numThreads = threads;
-    sim::Simulator machine(cfg);
-
-    sim::RunOptions opts;
-    opts.maxMainInstructions = insts;
-    opts.warmupInstructions = warmup;
-    opts.check = true;
-    if (haveGolden) {
-        opts.fastForwardInstructions = golden.fastforward;
-        opts.sampleRegions = static_cast<unsigned>(golden.regions);
-        opts.sampleStride = golden.stride;
-    }
-
-    check::Digest live;
-    live.workload = loaded->workload.name;
-    live.insts = insts;
-    live.warmup = warmup;
-    live.seed = loaded->meta.dataSeed;
-    live.width = width;
-    live.threads = threads;
-    if (haveGolden) {
-        live.fastforward = golden.fastforward;
-        live.regions = golden.regions;
-        live.stride = golden.stride;
-    }
-    live.sections.push_back(sim::digestSection(
-        "baseline", machine.runBaseline(loaded->workload, opts)));
-    live.sections.push_back(sim::digestSection(
-        "slices", machine.run(loaded->workload, opts, true)));
-
-    if (o.json)
-        std::printf("%s\n",
-                    json::JsonObject()
-                        .field("schema_version",
-                               sim::resultSchemaVersion)
-                        .field("trace", o.traceFile)
-                        .field("workload", live.workload)
-                        .field("records", loaded->meta.recordCount)
-                        .raw("digest",
-                             "\"" +
-                                 json::jsonEscape(
-                                     check::formatDigest(live)) +
-                                 "\"")
-                        .str()
-                        .c_str());
-    else
-        std::printf("%s", check::formatDigest(live).c_str());
-
-    if (haveGolden) {
-        std::vector<std::string> diffs =
-            check::diffDigests(golden, live);
-        for (const std::string &d : diffs)
-            std::fprintf(stderr, "MISMATCH %s: %s\n",
-                         live.workload.c_str(), d.c_str());
-        if (!diffs.empty())
-            return 1;
-        std::fprintf(stderr,
-                     "trace-mode digest matches %s (execution-mode "
-                     "stats reproduced from the trace alone)\n",
-                     o.simGolden.c_str());
-    }
-    return 0;
-}
-
-int
 runBench(const Options &o)
 {
     const std::vector<std::string> clients = clientNames(o);
@@ -593,8 +431,7 @@ runBench(const Options &o)
                 return row;
             }
             row.meta = file->meta();
-            if (!replayAll(*file, clients, o.maxRecords, row.rows,
-                           err))
+            if (!replayAll(*file, clients, row.rows, err))
                 row.error = err;
             row.wallSeconds =
                 std::chrono::duration<double>(
@@ -673,7 +510,5 @@ main(int argc, char **argv)
         return runEmit(o);
     if (o.bench)
         return runBench(o);
-    if (o.sim)
-        return runSim(o);
     return runReplay(o);
 }

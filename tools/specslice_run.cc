@@ -40,7 +40,6 @@
 #include "obs/trace.hh"
 #include "sim/experiments.hh"
 #include "sim/simulator.hh"
-#include "trace/frontend.hh"
 #include "workloads/workloads.hh"
 
 using namespace specslice;
@@ -51,7 +50,6 @@ namespace
 struct Options
 {
     std::string workload = "vpr";
-    std::string traceFile;  // run from an sstr trace instead
     unsigned width = 4;
     std::uint64_t insts = 300'000;
     std::uint64_t warmup = 100'000;
@@ -92,9 +90,6 @@ usage(int code)
     std::printf(
         "usage: specslice_run [options]\n"
         "  --workload NAME   benchmark to run (--list to enumerate)\n"
-        "  --trace-file FILE run the workload embedded in an sstr\n"
-        "                    trace (specslice_replay --emit) instead\n"
-        "                    of a named builder workload\n"
         "  --width 4|8       Table 1 machine width (default 4)\n"
         "  --insts N         measured instructions (default 300000)\n"
         "  --warmup N        warm-up instructions (default 100000)\n"
@@ -169,8 +164,6 @@ parseArgs(int argc, char **argv)
         };
         if (a == "--workload")
             o.workload = next();
-        else if (a == "--trace-file")
-            o.traceFile = next();
         else if (a == "--width")
             o.width = bench::countOption<unsigned>(a, next());
         else if (a == "--insts")
@@ -332,19 +325,15 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (o.traceFile.empty()) {
-        const std::vector<std::string> &all =
-            workloads::allWorkloadNames();
-        if (std::find(all.begin(), all.end(), o.workload) ==
-            all.end()) {
-            std::string valid;
-            for (const auto &n : all)
-                valid += (valid.empty() ? "" : " ") + n;
-            std::fprintf(stderr,
-                         "error: unknown workload '%s' (valid: %s)\n",
-                         o.workload.c_str(), valid.c_str());
-            return 2;
-        }
+    const std::vector<std::string> &all = workloads::allWorkloadNames();
+    if (std::find(all.begin(), all.end(), o.workload) == all.end()) {
+        std::string valid;
+        for (const auto &n : all)
+            valid += (valid.empty() ? "" : " ") + n;
+        std::fprintf(stderr,
+                     "error: unknown workload '%s' (valid: %s)\n",
+                     o.workload.c_str(), valid.c_str());
+        return 2;
     }
 
     if (!o.saveCheckpoint.empty() && o.compare) {
@@ -372,22 +361,10 @@ main(int argc, char **argv)
             (o.sampleStride ? o.sampleStride : per_region) +
         per_region;
 
-    sim::Workload wl;
-    if (!o.traceFile.empty()) {
-        std::string lerr;
-        std::optional<trace::LoadedTrace> loaded =
-            trace::loadTraceWorkload(o.traceFile, lerr);
-        if (!loaded) {
-            std::fprintf(stderr, "error: %s\n", lerr.c_str());
-            return 2;
-        }
-        wl = std::move(loaded->workload);
-    } else {
-        workloads::Params params;
-        params.scale = span * 2;
-        params.seed = o.seed;
-        wl = workloads::buildWorkload(o.workload, params);
-    }
+    workloads::Params params;
+    params.scale = span * 2;
+    params.seed = o.seed;
+    const sim::Workload wl = workloads::buildWorkload(o.workload, params);
 
     if (o.disasm) {
         std::printf("%s", wl.program.disassemble().c_str());

@@ -187,15 +187,6 @@ parseArgs(int argc, char **argv)
     return o;
 }
 
-/** One config's digest section from a finished run. The counter set
- *  lives in sim::digestSection so specslice_replay --sim builds its
- *  trace-mode sections from the exact same fields. */
-check::Digest::Section
-sectionFrom(const std::string &config, const sim::RunResult &r)
-{
-    return sim::digestSection(config, r);
-}
-
 /** Run one workload in both configurations and digest the results. */
 check::Digest
 liveDigest(const std::string &name, const RunParams &p, bool check)
@@ -239,8 +230,9 @@ liveDigest(const std::string &name, const RunParams &p, bool check)
     d.regions = p.regions;
     d.stride = p.stride;
     d.sections.push_back(
-        sectionFrom("baseline", machine.runBaseline(wl, opts)));
-    d.sections.push_back(sectionFrom("slices", machine.run(wl, opts, true)));
+        sim::digestSection("baseline", machine.runBaseline(wl, opts)));
+    d.sections.push_back(
+        sim::digestSection("slices", machine.run(wl, opts, true)));
     return d;
 }
 
