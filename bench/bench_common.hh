@@ -28,7 +28,6 @@
 
 #include "common/jsonio.hh"
 #include "obs/interval.hh"
-#include "obs/trace.hh"
 #include "profile/pde_profile.hh"
 #include "sim/experiments.hh"
 #include "sim/job_pool.hh"
@@ -174,38 +173,25 @@ experimentConfig()
 }
 
 /**
- * Parse a bench binary's command line in one pass. It takes `--jobs N`
- * and `--trace FLAGS` / `--trace=FLAGS`, which arms debug tracing on
- * top of SS_TRACE from the environment. Any other argument, a bad job
- * count and an unknown trace flag are usage errors (exit 2), so a
- * misspelt option cannot silently run the default sweep.
+ * Parse a bench binary's command line in one pass. It takes only
+ * `--jobs N`: any other argument and a bad job count are usage errors
+ * (exit 2), so a misspelt option cannot silently run the default
+ * sweep.
  * @return the --jobs count, or 0 (meaning "pool default": SS_JOBS or
  *         the hardware concurrency) when the flag is absent.
  */
 inline unsigned
 parseBenchArgs(int argc, char **argv)
 {
-    obs::TraceSink::instance().initFromEnv();
-    auto arm = [](const std::string &csv) {
-        std::string err;
-        if (!obs::TraceSink::instance().trySetFlags(csv, err)) {
-            std::fprintf(stderr, "error: %s\n", err.c_str());
-            std::exit(2);
-        }
-    };
     unsigned jobs = 0;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
-        auto value = [&]() -> const char * {
+        if (a == "--jobs") {
             if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: %s requires a value\n",
-                             a.c_str());
+                std::fprintf(stderr, "error: --jobs requires a value\n");
                 std::exit(2);
             }
-            return argv[++i];
-        };
-        if (a == "--jobs") {
-            const char *v = value();
+            const char *v = argv[++i];
             std::uint64_t parsed = 0;
             if (!parseCount(v, 4096, parsed) || parsed == 0) {
                 std::fprintf(stderr,
@@ -215,10 +201,6 @@ parseBenchArgs(int argc, char **argv)
                 std::exit(2);
             }
             jobs = static_cast<unsigned>(parsed);
-        } else if (a == "--trace") {
-            arm(value());
-        } else if (a.rfind("--trace=", 0) == 0) {
-            arm(a.substr(8));
         } else {
             std::fprintf(stderr, "error: unknown option '%s'\n",
                          a.c_str());

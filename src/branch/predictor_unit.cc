@@ -1,7 +1,5 @@
 #include "branch/predictor_unit.hh"
 
-#include "obs/trace.hh"
-
 namespace specslice::branch
 {
 
@@ -55,8 +53,6 @@ BranchPredictorUnit::predictCond(Addr pc, int override_dir,
     }
     ++s_.condPredictions;
     ghist_.shift(taken);
-    SS_DTRACE(Pred, "cond pc=0x", std::hex, pc, std::dec,
-              " taken=", int{taken}, " override=", override_dir);
     return taken;
 }
 
@@ -90,8 +86,6 @@ BranchPredictorUnit::updateCond(Addr pc, const PredictContext &ctx,
 {
     yags_.update(pc, ctx.ghist, taken);
     ++s_.condUpdates;
-    SS_DTRACE(Pred, "update-cond pc=0x", std::hex, pc, std::dec,
-              " taken=", int{taken});
 }
 
 void
@@ -100,8 +94,6 @@ BranchPredictorUnit::updateIndirect(Addr pc, const PredictContext &ctx,
 {
     indirect_.update(pc, ctx.phist, target);
     ++s_.indirectUpdates;
-    SS_DTRACE(Pred, "update-ind pc=0x", std::hex, pc,
-              " target=0x", target, std::dec);
 }
 
 void

@@ -1,5 +1,7 @@
 #include "common/logging.hh"
 
+#include <mutex>
+
 #include "common/failure.hh"
 
 namespace specslice
@@ -14,6 +16,14 @@ namespace
 thread_local long tls_job_index = -1;
 thread_local std::string *tls_capture = nullptr;
 
+/** The mutex every write to stderr serializes on. */
+std::mutex &
+sinkMutex()
+{
+    static std::mutex m;
+    return m;
+}
+
 /** Render "[jN] " when the thread is job-tagged, "" otherwise. */
 std::string
 jobPrefix()
@@ -21,6 +31,24 @@ jobPrefix()
     if (tls_job_index < 0)
         return {};
     return "[j" + std::to_string(tls_job_index) + "] ";
+}
+
+/**
+ * Emit one complete line ("<tag>: <msg>\n", or "[jN] <tag>: <msg>\n"
+ * from a job-tagged thread): appended to the thread's capture buffer
+ * when one is installed, otherwise written to stderr under
+ * sinkMutex().
+ */
+void
+emitLine(const char *tag, const std::string &msg)
+{
+    std::string line = jobPrefix() + tag + ": " + msg + '\n';
+    if (tls_capture) {
+        tls_capture->append(line);
+        return;
+    }
+    std::lock_guard<std::mutex> lock(sinkMutex());
+    std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
 /** Flush whatever this thread buffered before dying (panic/fatal):
@@ -37,32 +65,6 @@ dumpCaptureOnExit()
 }
 
 } // namespace
-
-std::mutex &
-sinkMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-void
-emitLine(const char *tag, const std::string &msg)
-{
-    std::string line = jobPrefix();
-    if (tag) {
-        line += tag;
-        line += ": ";
-    }
-    line += msg;
-    line += '\n';
-
-    if (tls_capture) {
-        tls_capture->append(line);
-        return;
-    }
-    std::lock_guard<std::mutex> lock(sinkMutex());
-    std::fwrite(line.data(), 1, line.size(), stderr);
-}
 
 [[noreturn]] void
 panicImpl(const char *file, int line, const std::string &msg)

@@ -19,7 +19,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -46,22 +45,10 @@ concat(Args &&...args)
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
-/** The mutex every line-granular emitter serializes on. */
-std::mutex &sinkMutex();
-
-/**
- * Emit one complete line ("<tag>: <msg>\n", or "[jN] <tag>: <msg>\n"
- * from a job-tagged thread) through the shared sink: appended to the
- * thread's capture buffer when one is installed, otherwise written to
- * stderr under sinkMutex(). A null tag emits the message verbatim
- * (used by the trace sink, which formats its own prefixes).
- */
-void emitLine(const char *tag, const std::string &msg);
-
 } // namespace logging_detail
 
 /**
- * Tag the current thread's log/trace lines with a job index and
+ * Tag the current thread's log lines with a job index and
  * (optionally) buffer them for an ordered flush. Used by sim::JobPool
  * around each task; nesting is not supported.
  */

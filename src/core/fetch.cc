@@ -12,7 +12,6 @@
 
 #include "common/logging.hh"
 #include "isa/semantics.hh"
-#include "obs/trace.hh"
 
 namespace specslice::core
 {
@@ -105,8 +104,12 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
         Cycle lat = hierarchy_.accessInst(pc, cycle_);
         t.fetchLine = line;
         if (lat > cfg_.memory.l1Latency) {
-            t.fetchStallUntil = cycle_ + (lat - cfg_.memory.l1Latency);
-            s_.icacheStallCycles += lat - cfg_.memory.l1Latency;
+            const Cycle stall = lat - cfg_.memory.l1Latency;
+            t.fetchStallUntil = cycle_ + stall;
+            s_.icacheStallCycles += stall;
+            if (events_) [[unlikely]]
+                events_->push(obs::EventKind::MemIStall, tid, pc,
+                              invalidSeqNum, 0, stall);
             return false;
         }
     }
@@ -119,7 +122,7 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
             return false;
         }
         if (t.isSlice) {
-            terminateSliceFetch(t, tid);
+            terminateSliceFetch(t);
             return false;
         }
         SS_FATAL("main thread fetched unmapped pc 0x", std::hex, pc);
@@ -173,7 +176,7 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
             pred = si->target < pc;
             if (pred && countSliceIteration(t, pc)) {
                 end_fetch_group = true;
-                terminateSliceFetch(t, tid);
+                terminateSliceFetch(t);
             }
         } else {
             di.bpCheckpoint = bpu_.checkpoint();
@@ -213,7 +216,7 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
         // limit terminates the loop, Section 3.2).
         if (t.isSlice && si->target < pc && countSliceIteration(t, pc)) {
             end_fetch_group = true;
-            terminateSliceFetch(t, tid);
+            terminateSliceFetch(t);
         }
     } else if (si->isReturn()) {
         di.isBranch = true;
@@ -241,7 +244,7 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
             t.fetchStallUntil = stallForever;
             end_fetch_group = true;
         } else {
-            terminateSliceFetch(t, tid);
+            terminateSliceFetch(t);
             end_fetch_group = true;
         }
     } else if (si->op == isa::Opcode::SliceEnd) {
@@ -249,7 +252,7 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
         // functional engines do; a wrong path that strays into slice
         // code idles until its squash.
         if (t.isSlice) {
-            terminateSliceFetch(t, tid);
+            terminateSliceFetch(t);
             end_fetch_group = true;
         } else if (t.onWrongPath) {
             t.fetchStallUntil = stallForever;
@@ -287,26 +290,12 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
             di.pgiToken =
                 correlator_.onPgiFetch(*spec, t.forkSeq, di.seq);
             di.pgiInvert = spec->invert;
-            SS_DTRACE(Corr, "pgi pc=0x", std::hex, di.pc, std::dec,
-                      " tok=", di.pgiToken, " fork=", t.forkSeq,
-                      " cyc=", cycle_);
         }
-    }
-    // Check the flag before the isInterestingPc hash probe: this runs
-    // per fetched conditional branch and must cost nothing when off.
-    if (obs::traceEnabled(obs::TraceFlag::Corr)) [[unlikely]] {
-        if (!t.isSlice && !di.wrongPath && si->isCondBranch() &&
-            correlator_.isInterestingPc(pc))
-            SS_DTRACE(Corr, "branch pc=0x", std::hex, di.pc, std::dec,
-                      " seq=", di.seq, " actual=", int{di.fx.taken},
-                      " pred=", int{di.predictedTaken},
-                      " corr=", int{di.usedCorrelator},
-                      " tok=", di.correlatorToken, " cyc=", cycle_);
     }
 
     // Slice faults terminate the slice (null-pointer dereference).
     if (t.isSlice && !di.wrongPath && di.fx.fault) {
-        terminateSliceFetch(t, tid);
+        terminateSliceFetch(t);
         end_fetch_group = true;
         ++s_.sliceFaults;
     }
@@ -333,9 +322,6 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
     if (events_) [[unlikely]]
         events_->push(obs::EventKind::Fetch, tid, di.pc, seq,
                       di.wrongPath);
-    SS_DTRACE(Fetch, "tid=", int{tid}, " pc=0x", std::hex, di.pc,
-              std::dec, " seq=", seq, " wp=", int{di.wrongPath},
-              " cyc=", cycle_);
 
     return !end_fetch_group;
 }
@@ -404,10 +390,6 @@ SmtCore::forkSlice(DynInst &fork_inst, int slice_idx)
     if (events_) [[unlikely]]
         events_->push(obs::EventKind::SliceFork, free_tid,
                       desc.slicePc, fork_inst.seq, desc.forkPc);
-    SS_DTRACE(Slice, "fork pc=0x", std::hex, desc.forkPc,
-              " slice=0x", desc.slicePc, std::dec,
-              " tid=", int{free_tid}, " forkSeq=", fork_inst.seq,
-              " cyc=", cycle_);
 }
 
 void
@@ -449,13 +431,10 @@ SmtCore::countSliceIteration(ThreadCtx &t, Addr pc)
 }
 
 void
-SmtCore::terminateSliceFetch(ThreadCtx &t, ThreadId tid)
+SmtCore::terminateSliceFetch(ThreadCtx &t)
 {
     SS_ASSERT(t.isSlice, "terminating a non-slice thread");
     t.fetchEnded = true;
-    SS_DTRACE(Slice, "fetch-end tid=", int{tid},
-              " forkSeq=", t.forkSeq, " iters=", t.loopIters,
-              " cyc=", cycle_);
 }
 
 } // namespace specslice::core

@@ -8,7 +8,6 @@
 
 #include "check/checker.hh"
 #include "common/logging.hh"
-#include "obs/trace.hh"
 
 namespace specslice::core
 {
@@ -568,8 +567,6 @@ SmtCore::issueStage()
         if (events_) [[unlikely]]
             events_->push(obs::EventKind::Issue, di->thread, di->pc,
                           seq, lat);
-        SS_DTRACE(Smt, "issue seq=", seq, " pc=0x", std::hex, di->pc,
-                  std::dec, " lat=", lat, " cyc=", cycle_);
     }
 
     // The kept entries are a subsequence of a sorted scan: already
@@ -612,6 +609,9 @@ SmtCore::issueMemAccess(DynInst &di)
     auto res = hierarchy_.accessData(ea, false, di.sliceThread, cycle_);
     bool l1_level_miss = !res.l1Hit && !res.pvBufHit &&
                          !res.writeBufferHit;
+    if (l1_level_miss && events_) [[unlikely]]
+        events_->push(obs::EventKind::MemDMiss, di.thread, di.pc, di.seq,
+                      ea, res.latency);
 
     if (di.sliceThread) {
         ++s_.slicePrefetches;
@@ -680,14 +680,6 @@ SmtCore::resolveBranch(DynInst &di)
                 ++s_.correlatorUsed;
                 if (mispredicted)
                     ++s_.correlatorWrong;
-                SS_DTRACE(Corr, mispredicted ? "corr-wrong"
-                                             : "corr-right",
-                          " pc=0x", std::hex, di.pc, std::dec,
-                          " seq=", di.seq,
-                          " pred=", int{di.predictedTaken},
-                          " actual=", int{actual_taken},
-                          " tok=", di.correlatorToken,
-                          " cyc=", cycle_);
             }
             if (profileEnabled_)
                 recordBranchProfile(di, mispredicted);
@@ -792,8 +784,6 @@ SmtCore::squashThread(ThreadId tid, SeqNum younger_than,
             events_->push(obs::EventKind::Squash, tid, d.pc, seq);
         inFlight_.erase(seq);
     }
-    SS_DTRACE(Smt, "squash tid=", int{tid},
-              " younger_than=", younger_than, " cyc=", cycle_);
 }
 
 void
@@ -867,6 +857,9 @@ SmtCore::retireStage()
             if (d->si->isStore() && !d->sliceThread && !d->fx.fault) {
                 if (!hierarchy_.retireStore(d->fx.memAddr, cycle_)) {
                     ++s_.retireWbStalls;
+                    if (events_) [[unlikely]]
+                        events_->push(obs::EventKind::MemWbFull, tid,
+                                      d->pc, seq, d->fx.memAddr);
                     break;  // write buffer full: retry next cycle
                 }
             }
@@ -1067,8 +1060,6 @@ SmtCore::releaseSliceThread(ThreadId tid)
     if (events_) [[unlikely]]
         events_->push(obs::EventKind::SliceEnd, tid, t.fetchPc,
                       t.forkSeq);
-    SS_DTRACE(Slice, "end tid=", int{tid}, " forkSeq=", t.forkSeq,
-              " cyc=", cycle_);
 }
 
 } // namespace specslice::core

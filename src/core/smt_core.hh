@@ -317,7 +317,7 @@ class SmtCore
     void adjustSliceLoad(ThreadCtx &t, DynInst &di);
     /** Count a taken slice back-edge. @return true if limit reached. */
     bool countSliceIteration(ThreadCtx &t, Addr pc);
-    void terminateSliceFetch(ThreadCtx &t, ThreadId tid);
+    void terminateSliceFetch(ThreadCtx &t);
     void releaseSliceThread(ThreadId tid);
     void handleLateResult(
         const slice::PredictionCorrelator::LateResult &late);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.hh"
-
 namespace specslice::mem
 {
 
@@ -246,9 +244,6 @@ MemoryHierarchy::accessData(Addr addr, bool is_store, bool is_slice_thread,
         lat = cfg_.l1Latency + cfg_.l2Latency + missToMemory(now);
         l2_.fill(addr, false, is_slice_thread);
     }
-    SS_DTRACE(Mem, "d-miss addr=0x", std::hex, addr, std::dec,
-              " slice=", int{is_slice_thread},
-              " l2=", int{res.l2Hit}, " lat=", lat, " cyc=", now);
 
     // Fill the L1; victims go to the victim buffer. The tag is
     // installed now; the in-flight window is tracked in pendingFills_
@@ -289,8 +284,6 @@ MemoryHierarchy::accessInst(Addr pc, Cycle now)
         l2_.fill(pc, false, false);
     }
     l1i_.fill(pc, false, false);
-    SS_DTRACE(Mem, "i-miss pc=0x", std::hex, pc, std::dec,
-              " lat=", lat, " cyc=", now);
 
     // Sequential next-line prefetch on the instruction side: run a few
     // lines ahead so straight-line cold code streams instead of
@@ -365,11 +358,7 @@ MemoryHierarchy::retireStore(Addr addr, Cycle now)
     // the write buffer so they never stall the pipeline.
     if (l1d_.peek(addr))
         return true;
-    bool ok = writeBuf_.insert(l1d_.lineAddr(addr), now);
-    if (!ok)
-        SS_DTRACE(Mem, "writebuf-full addr=0x", std::hex, addr,
-                  std::dec, " cyc=", now);
-    return ok;
+    return writeBuf_.insert(l1d_.lineAddr(addr), now);
 }
 
 void

@@ -16,7 +16,8 @@ constexpr const char *kindNames[] = {
     "squash",          "slice.fork",     "slice.end",
     "corr.entry",      "corr.create",    "corr.bound",
     "corr.used",       "corr.killed",    "corr.overflow",
-    "region",
+    "region",          "mem.dmiss",      "mem.istall",
+    "mem.wbfull",
 };
 static_assert(sizeof(kindNames) / sizeof(kindNames[0]) ==
               static_cast<unsigned>(EventKind::NumKinds));

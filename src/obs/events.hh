@@ -1,19 +1,20 @@
 /**
  * @file
- * Structured event export: the pipeline and slice hardware record
- * typed events into a bounded ring buffer, which drains to Chrome
- * trace_event JSON — open the file directly in chrome://tracing or
- * https://ui.perfetto.dev to see the pipeline and slice timeline on
- * per-event-kind tracks.
+ * Structured event export, the one way to trace a run: the pipeline,
+ * slice and memory hardware record typed events into a bounded ring
+ * buffer, which drains to Chrome trace_event JSON — open the file
+ * directly in chrome://tracing or https://ui.perfetto.dev to see the
+ * pipeline and slice timeline on per-event-kind tracks.
  *
  * Event semantics (one TraceEvent per occurrence, timestamped with
  * the simulation cycle):
  *
  *   Fetch / Issue / Retire / Squash  — one per dynamic instruction
- *       reaching that pipeline point (arg: 1 when the fetch was
- *       wrong-path).
- *   SliceFork / SliceEnd             — helper-thread lifetime (arg:
- *       slice index; seq: fork-point VN#).
+ *       reaching that pipeline point (Fetch's arg: 1 when the fetch
+ *       was wrong-path; Issue's arg: its latency).
+ *   SliceFork / SliceEnd             — helper-thread lifetime
+ *       (thread: the slice's context; seq: fork-point VN#;
+ *       SliceFork's arg: the fork pc).
  *   CorrEntryCreate                  — branch-queue entry allocated
  *       at fork (pc: problem branch; arg: entry id).
  *   CorrPredCreate                   — prediction slot allocated when
@@ -28,6 +29,20 @@
  *       for its token.
  *   CorrOverflow                     — a prediction was dropped
  *       because all slots of its entry were in use (arg: entry id).
+ *   MemDMiss                         — a main or slice load missed
+ *       the whole L1 level (L1D, prefetch/victim buffer and write
+ *       buffer); a span of the hierarchy's latency for it (arg:
+ *       effective address).
+ *   MemIStall                        — fetch stalled on the
+ *       instruction side; a span of the stall cycles (pc: fetch pc;
+ *       no seq).
+ *   MemWbFull                        — the write buffer refused a
+ *       retiring store, which retries next cycle (arg: address).
+ *
+ * Most kinds mirror a counter: the events stamped after the warm-up
+ * boundary sum to it exactly (README's event table names each
+ * counter; EventCounters in tests/test_obs.cc checks them). A new
+ * push site must keep that, so it goes where its counter is counted.
  *
  * The buffer is bounded: when full, the oldest event is overwritten
  * and dropped() counts the loss. It is not thread-safe; each
@@ -64,6 +79,9 @@ enum class EventKind : std::uint8_t
      *  the region's base cycle, dur its cycle count, seq the
      *  instruction position the region started at, arg its index. */
     Region,
+    MemDMiss,
+    MemIStall,
+    MemWbFull,
     NumKinds
 };
 
@@ -78,6 +96,8 @@ struct TraceEvent
     SeqNum seq = invalidSeqNum;
     std::uint64_t arg = 0;  ///< kind-specific (token, id, flag)
     Cycle dur = 1;          ///< span length (1 for point events)
+
+    bool operator==(const TraceEvent &) const = default;
 };
 
 class EventBuffer
@@ -98,10 +118,11 @@ class EventBuffer
     void setTimeBase(Cycle base) { base_ = base; }
     Cycle timeBase() const { return base_; }
 
-    /** Record an event at the current cycle. */
+    /** Record an event at the current cycle; a span of dur cycles
+     *  from it when dur > 1. */
     void
     push(EventKind kind, ThreadId thread, Addr pc, SeqNum seq,
-         std::uint64_t arg = 0)
+         std::uint64_t arg = 0, Cycle dur = 1)
     {
         TraceEvent &e = slot();
         e.cycle = base_ + now_;
@@ -110,7 +131,7 @@ class EventBuffer
         e.pc = pc;
         e.seq = seq;
         e.arg = arg;
-        e.dur = 1;
+        e.dur = dur;
     }
 
     /** Record a span at an absolute (already based) timestamp. */

@@ -9,7 +9,7 @@
  *
  *  - results are returned in item order (map() fills a slot per item;
  *    callers format/print only after the whole batch is done);
- *  - log/trace lines a job emits (SS_WARN, SS_INFORM, SS_DTRACE) are
+ *  - log lines a job emits (SS_WARN, SS_INFORM) are
  *    captured per job via ScopedJobTag, prefixed with the job's index
  *    ("[jN] "; indices keep counting across batches), and flushed to
  *    stderr in index order as jobs complete — so sweep output is

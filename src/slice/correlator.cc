@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "obs/trace.hh"
 
 namespace specslice::slice
 {
@@ -138,9 +137,6 @@ PredictionCorrelator::onFork(const SliceDescriptor &desc, ThreadId thread,
         if (events_)
             events_->push(obs::EventKind::CorrEntryCreate, thread,
                           e.branchPc, fork_seq, e.id);
-        SS_DTRACE(Corr, "entry id=", e.id, " branch=0x", std::hex,
-                  e.branchPc, std::dec, " fork=", fork_seq,
-                  " thread=", unsigned{thread});
     }
 }
 
@@ -179,8 +175,6 @@ PredictionCorrelator::onPgiFetch(const PgiSpec &spec, SeqNum fork_seq,
         if (events_)
             events_->push(obs::EventKind::CorrOverflow, e->thread,
                           e->branchPc, pgi_seq, e->id);
-        SS_DTRACE(Corr, "overflow entry=", e->id, " branch=0x",
-                  std::hex, e->branchPc);
         return 0;
     }
     Slot s;
@@ -198,9 +192,6 @@ PredictionCorrelator::onPgiFetch(const PgiSpec &spec, SeqNum fork_seq,
     tokenIndex_.insert(s.token, e->id);
     ++s_.predictionsAllocated;
     emitSlotEvent(obs::EventKind::CorrPredCreate, *e, s, pgi_seq);
-    SS_DTRACE(Corr, "create tok=", s.token, " entry=", e->id,
-              " pgi-seq=", pgi_seq,
-              s.killed ? " (pre-killed from debt)" : "");
     return s.token;
 }
 
@@ -270,10 +261,6 @@ PredictionCorrelator::onBranchFetch(Addr pc, SeqNum branch_seq,
                                   branch_seq);
                 s.everMatched = true;
                 ++s_.matchesFull;
-                SS_DTRACE(Corr, "match-full tok=", s.token, " pc=0x",
-                          std::hex, pc, std::dec,
-                          " branch-seq=", branch_seq,
-                          " dir=", int{s.dir});
             } else if (s.consumerSeq == invalidSeqNum) {
                 // Late prediction: bind this branch instance; the
                 // traditional predictor supplies the direction.
@@ -284,9 +271,6 @@ PredictionCorrelator::onBranchFetch(Addr pc, SeqNum branch_seq,
                                   branch_seq);
                 s.everMatched = true;
                 ++s_.matchesLate;
-                SS_DTRACE(Corr, "match-late tok=", s.token, " pc=0x",
-                          std::hex, pc, std::dec,
-                          " branch-seq=", branch_seq);
             } else {
                 // Head already has a consumer bound and hasn't been
                 // killed yet: no help for this instance.
@@ -327,8 +311,6 @@ PredictionCorrelator::onKillFetch(Addr pc, SeqNum kill_seq)
                         s.killerSeq = kill_seq;
                         ++s_.killsLoop;
                         applied = true;
-                        SS_DTRACE(Corr, "kill-loop tok=", s.token,
-                                  " killer-seq=", kill_seq);
                         break;
                     }
                 }
@@ -346,8 +328,6 @@ PredictionCorrelator::onKillFetch(Addr pc, SeqNum kill_seq)
                     s.killed = true;
                     s.killerSeq = kill_seq;
                     ++s_.killsSlice;
-                    SS_DTRACE(Corr, "kill-slice tok=", s.token,
-                              " killer-seq=", kill_seq);
                 }
             }
             if (e.deadSeq == invalidSeqNum)

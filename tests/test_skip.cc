@@ -4,15 +4,18 @@
  * in which no stage acts; RunOptions::intervalCycles = 1 makes every
  * cycle an event, so the same run with it steps cycle by cycle and is
  * the reference. Each case runs both ways and expects every digest
- * counter, the cycle counts, the outcome and the watchdog diagnosis
- * to agree.
+ * counter, the cycle counts, the outcome, the watchdog diagnosis and
+ * the recorded event stream to agree.
  */
 
+#include <algorithm>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/events.hh"
 #include "sim/experiments.hh"
 #include "sim/result_json.hh"
 #include "sim/simulator.hh"
@@ -32,16 +35,29 @@ shortRuns()
     return cfg;
 }
 
-/** Run opts as given and stepped; expect identical results.
- *  @return the skipping run. */
+/** The buffer's events, oldest first. */
+std::vector<obs::TraceEvent>
+eventStream(const obs::EventBuffer &events)
+{
+    std::vector<obs::TraceEvent> out;
+    out.reserve(events.size());
+    events.forEach([&](const obs::TraceEvent &e) { out.push_back(e); });
+    return out;
+}
+
+/** Run opts as given and stepped; expect identical results and
+ *  event streams. @return the skipping run. */
 sim::RunResult
 expectStepEquivalent(const sim::MachineConfig &machine,
                      const sim::Workload &wl, sim::RunOptions opts,
                      bool with_slices)
 {
     sim::Simulator simr(machine);
+    obs::EventBuffer skip_events, step_events;
+    opts.events = &skip_events;
     sim::RunResult skipping = simr.run(wl, opts, with_slices);
     opts.intervalCycles = 1;
+    opts.events = &step_events;
     const sim::RunResult stepped = simr.run(wl, opts, with_slices);
 
     EXPECT_GT(skipping.skippedCycles, 0u);
@@ -52,6 +68,18 @@ expectStepEquivalent(const sim::MachineConfig &machine,
     EXPECT_EQ(skipping.totalCycles, stepped.totalCycles);
     EXPECT_EQ(skipping.outcome, stepped.outcome);
     EXPECT_EQ(skipping.diagnosis, stepped.diagnosis);
+
+    EXPECT_EQ(skip_events.dropped(), 0u);
+    EXPECT_EQ(step_events.dropped(), 0u);
+    const auto skip_stream = eventStream(skip_events);
+    const auto step_stream = eventStream(step_events);
+    EXPECT_EQ(skip_stream.size(), step_stream.size());
+    const auto diff =
+        std::mismatch(skip_stream.begin(), skip_stream.end(),
+                      step_stream.begin(), step_stream.end());
+    EXPECT_TRUE(diff.first == skip_stream.end())
+        << "event streams differ from event "
+        << diff.first - skip_stream.begin();
     return skipping;
 }
 

@@ -15,7 +15,7 @@
  *
  * Exit codes (scripts and CI depend on these):
  *   0  run completed (or --allow-partial was given)
- *   2  usage error (unknown flag/workload/trace flag)
+ *   2  usage error (unknown option or workload, or a bad value)
  *   3  run did not complete (cycle limit / watchdog) without
  *      --allow-partial
  *   4  simulation error (panic/fatal, including a --check
@@ -37,7 +37,6 @@
 #include "common/failure.hh"
 #include "obs/events.hh"
 #include "obs/interval.hh"
-#include "obs/trace.hh"
 #include "sim/experiments.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -77,7 +76,6 @@ struct Options
     Cycle watchdog = core::RunOptions().watchdogCycles;  // 0: off
     Cycle maxCycles = 0;        // --max-cycles (0: 50x inst budget)
     bool allowPartial = false;  // exit 0 even on a truncated run
-    std::string trace;          // --trace flag list (adds to SS_TRACE)
     std::string intervalsPath;  // --intervals CSV destination
     std::uint64_t intervalCycles = 10'000;
     bool intervalsRequested = false;
@@ -135,13 +133,11 @@ usage(int code)
         "  --profile         print the problem-instruction profile\n"
         "  --stats           dump all detail counters\n"
         "  --json            print the result as JSON on stdout\n"
-        "  --trace FLAGS     arm debug tracing (comma list of\n"
-        "                    fetch,smt,corr,slice,mem,pred or 'all';\n"
-        "                    SS_TRACE in the environment also works)\n"
         "  --intervals FILE  write the interval time-series CSV\n"
         "  --interval-cycles N  interval window length (default 10000)\n"
-        "  --chrome-trace FILE  write pipeline/slice events as Chrome\n"
-        "                    trace JSON (chrome://tracing, Perfetto)\n"
+        "  --chrome-trace FILE  write pipeline, slice and memory events\n"
+        "                    as Chrome trace JSON (chrome://tracing,\n"
+        "                    Perfetto); keeps the newest 2^18 events\n"
         "  --disasm          print the program and slice disassembly\n"
         "  --list            list available workloads\n"
         "exit codes: 0 completed, 2 usage, 3 incomplete run (no\n"
@@ -215,10 +211,6 @@ parseArgs(int argc, char **argv)
             o.maxCycles = bench::countOption(a, next());
         else if (a == "--allow-partial")
             o.allowPartial = true;
-        else if (a == "--trace")
-            o.trace = next();
-        else if (a.rfind("--trace=", 0) == 0)
-            o.trace = a.substr(8);
         else if (a == "--intervals") {
             o.intervalsPath = next();
             o.intervalsRequested = true;
@@ -294,15 +286,6 @@ int
 main(int argc, char **argv)
 {
     Options o = parseArgs(argc, argv);
-
-    obs::TraceSink::instance().initFromEnv();
-    if (!o.trace.empty()) {
-        std::string terr;
-        if (!obs::TraceSink::instance().trySetFlags(o.trace, terr)) {
-            std::fprintf(stderr, "error: %s\n", terr.c_str());
-            return 2;
-        }
-    }
 
     if (o.list) {
         for (const auto &n : workloads::allWorkloadNames())
