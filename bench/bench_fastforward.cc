@@ -196,7 +196,8 @@ main(int argc, char **argv)
     sim::JobPool pool(jobs);
     std::vector<Row> done = pool.map(rows, [&](const Row &in) {
         Row row = in;
-        sim::Workload wl = sim::buildBenchWorkload(row.name, cfg);
+        sim::Workload wl = sim::buildBenchWorkload(row.name, cfg.seed,
+                                                   cfg.runOptions());
         sim::Simulator machine(sim::MachineConfig::fourWide());
 
         double t0 = now();

@@ -50,7 +50,7 @@ runSweep(unsigned jobs)
     auto sweep_t0 = std::chrono::steady_clock::now();
     std::vector<bench::WorkloadPerf> rows = pool.map(
         bench::benchWorkloadNames(), [&](const std::string &name) {
-            auto wl = sim::buildBenchWorkload(name, cfg);
+            auto wl = sim::buildBenchWorkload(name, cfg.seed, opts);
             sim::Simulator machine(sim::MachineConfig::fourWide());
             bench::WorkloadPerf p;
             p.name = name;

@@ -210,8 +210,7 @@ saveCheckpoint(const Checkpoint &c, std::ostream &os)
                  static_cast<std::streamsize>(MemoryImage::pageSize));
     }
 
-    // v3: instruction-line warmth, appended after the page section so
-    // the v2 prefix layout is unchanged.
+    // v3: instruction-line warmth, appended after the page section.
     writeSection<8>(os, c.instWarmth, buf,
                     [](char *q, Addr pc) { return putU64(q, pc); });
     return static_cast<bool>(os);
@@ -249,11 +248,9 @@ loadCheckpoint(std::istream &is, std::string &error)
     Checkpoint c;
     if (!getU32(is, c.version))
         return fail("truncated header");
-    if (c.version < minCheckpointVersion ||
-        c.version > checkpointVersion)
+    if (c.version != checkpointVersion)
         return fail("unsupported checkpoint version " +
                     std::to_string(c.version) + " (supported: " +
-                    std::to_string(minCheckpointVersion) + ".." +
                     std::to_string(checkpointVersion) + ")");
     if (!getU64(is, c.programFingerprint) ||
         !getU64(is, c.instCount) || !getU64(is, c.pc))
@@ -334,23 +331,20 @@ loadCheckpoint(std::istream &is, std::string &error)
             pnum, reinterpret_cast<const std::uint8_t *>(page.data() + 8));
     }
 
-    if (c.version >= 3) {
-        std::uint64_t inst_warmth_count;
-        if (!getU64(is, inst_warmth_count))
-            return fail("truncated instruction warmth log");
-        if (inst_warmth_count > maxWarmth)
-            return fail("implausible instruction warmth record "
-                        "count " +
-                        std::to_string(inst_warmth_count));
-        c.instWarmth.resize(inst_warmth_count);
-        if (!readRecords<8>(is, c.instWarmth,
-                            "truncated instruction warmth log", error,
-                            [](const char *p, Addr &pc) {
-                                pc = getU64(p);
-                                return true;
-                            }))
-            return std::nullopt;
-    }
+    std::uint64_t inst_warmth_count;
+    if (!getU64(is, inst_warmth_count))
+        return fail("truncated instruction warmth log");
+    if (inst_warmth_count > maxWarmth)
+        return fail("implausible instruction warmth record count " +
+                    std::to_string(inst_warmth_count));
+    c.instWarmth.resize(inst_warmth_count);
+    if (!readRecords<8>(is, c.instWarmth,
+                        "truncated instruction warmth log", error,
+                        [](const char *p, Addr &pc) {
+                            pc = getU64(p);
+                            return true;
+                        }))
+        return std::nullopt;
     return c;
 }
 

@@ -31,15 +31,13 @@
 namespace specslice::arch
 {
 
-/** On-disk format version; bump on any layout change.
+/** On-disk format version; bump on any layout change. Only this
+ *  version loads: checkpoints are temporary files, never kept in
+ *  the repository.
  *  v2: appended the memory-access warmth log (cache warm-up replay).
  *  v3: appended the instruction-line warmth log (I-cache warm-up
- *      replay) after the page section. v2 files still load — they
- *      simply carry no I-side warmth, matching their old behavior. */
+ *      replay) after the page section. */
 constexpr std::uint32_t checkpointVersion = 3;
-
-/** Oldest on-disk version loadCheckpoint still accepts. */
-constexpr std::uint32_t minCheckpointVersion = 2;
 
 /** Which predictor a warmth record trains. */
 enum class WarmthKind : std::uint8_t
@@ -66,7 +64,8 @@ struct MemWarmthRecord
     bool isStore = false;
 };
 
-/** A complete architectural snapshot at an instruction boundary. */
+/** A complete architectural snapshot at an instruction boundary: what
+ *  every detailed run starts from (see sim::Simulator). */
 struct Checkpoint
 {
     std::uint32_t version = checkpointVersion;
@@ -82,7 +81,7 @@ struct Checkpoint
     /** Recent data accesses, oldest first (bounded ring). */
     std::vector<MemWarmthRecord> memWarmth;
     /** Recent executed instruction addresses, line-deduplicated,
-     *  oldest first (bounded ring; v3+, empty when loaded from v2). */
+     *  oldest first (bounded ring). */
     std::vector<Addr> instWarmth;
     MemoryImage mem;
 };

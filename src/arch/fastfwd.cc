@@ -4,7 +4,6 @@
 #include <iterator>
 #include <utility>
 
-#include "arch/exec.hh"
 #include "common/logging.hh"
 #include "isa/semantics.hh"
 
@@ -12,22 +11,6 @@ namespace specslice::arch
 {
 
 using isa::Opcode;
-
-const char *
-ffStopName(FfStop stop)
-{
-    switch (stop) {
-      case FfStop::Budget:
-        return "budget";
-      case FfStop::Halted:
-        return "halted";
-      case FfStop::Fault:
-        return "fault";
-      case FfStop::UnmappedPc:
-        return "unmapped_pc";
-    }
-    return "unknown";
-}
 
 FastForward::FastForward(const isa::Program &program)
     : program_(program), fingerprint_(fingerprintProgram(program)),
@@ -43,13 +26,12 @@ FastForward::predecode()
     const auto &secs = program_.sections();
     if (secs.empty())
         return;
+    // isa::Program bounds the span by its own decode array's limit.
     Addr lo = secs.front().base;
     Addr hi = 0;
     for (const isa::CodeSection &s : secs)
         hi = std::max(hi, s.end());
     const Addr span = (hi - lo) / isa::instBytes;
-    if (span > isa::Program::flatIndexLimit)
-        return;  // sparse layout; runSparse() takes over
 
     decodeBase_ = lo;
     Decoded gap;
@@ -117,7 +99,7 @@ FastForward::advance(std::uint64_t max_insts)
 {
     if (!runnable())
         return last_;  // sticky: halted/faulted/unmapped stays stopped
-    return ops_.empty() ? runSparse(max_insts) : run(max_insts);
+    return run(max_insts);
 }
 
 FfStop
@@ -194,10 +176,10 @@ FastForward::makeCheckpoint() const
     c.instCount = executed_;
     c.pc = pc_;
     c.regs = regs_;
+    c.mem = mem_.clone();
     c.warmth = warmth();
     c.memWarmth = memWarmth();
     c.instWarmth = instWarmth();
-    c.mem = mem_.clone();
     return c;
 }
 
@@ -226,11 +208,10 @@ FastForward::restore(Checkpoint &&ckpt)
 }
 
 /*
- * The interpreter core. One handler per opcode, written once and
- * compiled either as direct-threaded code (GNU computed goto: each
- * handler ends in its own indirect jump, so the branch predictor
- * learns per-handler successor patterns) or as a switch in a loop on
- * other compilers. Each handler specialises isa/semantics.hh's
+ * The interpreter core. One handler per opcode, compiled as
+ * direct-threaded code (GNU computed goto: each handler ends in its
+ * own indirect jump, so the branch predictor learns per-handler
+ * successor patterns). Each handler specialises isa/semantics.hh's
  * definition of its opcode, as arch::execute does.
  *
  * Counting follows Tracer rules exactly: a halting or faulting
@@ -238,12 +219,6 @@ FastForward::restore(Checkpoint &&ckpt)
  * and the budget is checked before each fetch, so a budget stop at an
  * unmapped next-PC reports Budget (the tracer never fetched either).
  */
-
-#if defined(__GNUC__) || defined(__clang__)
-#define SS_FF_THREADED 1
-#else
-#define SS_FF_THREADED 0
-#endif
 
 // Terminate this advance: bank the instruction count, remember where
 // and why, and make the reason sticky (Budget re-arms via advance()).
@@ -255,9 +230,7 @@ FastForward::restore(Checkpoint &&ckpt)
         return (why);                                                 \
     } while (0)
 
-#if SS_FF_THREADED
 #define SS_FF_CASE(name) ff_##name:
-#define SS_FF_GAP ff_Gap:
 #define SS_FF_NEXT()                                                  \
     do {                                                              \
         if (n >= max_insts)                                           \
@@ -265,11 +238,6 @@ FastForward::restore(Checkpoint &&ckpt)
         recordInstLine(pcOf(idx));                                    \
         goto *jumpTable[code[idx].op];                                \
     } while (0)
-#else
-#define SS_FF_CASE(name) case Opcode::name:
-#define SS_FF_GAP default:
-#define SS_FF_NEXT() goto dispatch
-#endif
 
 // Operand shorthands, against the pre-decoded record.
 #define D code[idx]
@@ -374,7 +342,6 @@ FastForward::run(std::uint64_t max_insts)
         SS_FF_STOP(FfStop::UnmappedPc, pc_);
     }
 
-#if SS_FF_THREADED
     // Must match the isa::Opcode declaration order exactly; the
     // static_assert below pins the enum so silent drift is impossible.
     static const void *const jumpTable[] = {
@@ -404,13 +371,6 @@ FastForward::run(std::uint64_t max_insts)
                   static_cast<std::size_t>(Opcode::NumOpcodes) + 1);
 
     SS_FF_NEXT();
-#else
-  dispatch:
-    if (n >= max_insts)
-        SS_FF_STOP(FfStop::Budget, pcOf(idx));
-    recordInstLine(pcOf(idx));
-    switch (static_cast<Opcode>(code[idx].op))
-#endif
     {
         SS_ISA_VALUE_OPCODES(VALUE)
         MEMORY(Ldq) MEMORY(Ldl) MEMORY(Ldbu)
@@ -450,21 +410,17 @@ FastForward::run(std::uint64_t max_insts)
             STEP();
         }
 
-        SS_FF_GAP
+        SS_FF_CASE(Gap)
         {
             // Inter-section gap or the end sentinel: this PC holds no
             // instruction, so it is not counted (Tracer fetch failure).
             SS_FF_STOP(FfStop::UnmappedPc, pcOf(idx));
         }
     }
-#if !SS_FF_THREADED
-    SS_PANIC("fastfwd dispatch fell through");
-#endif
 }
 
 #undef SS_FF_STOP
 #undef SS_FF_CASE
-#undef SS_FF_GAP
 #undef SS_FF_NEXT
 #undef D
 #undef RA
@@ -484,45 +440,6 @@ FastForward::staticTargetOf(std::uint32_t idx) const
     const isa::Instruction *inst = program_.fetch(pcOf(idx));
     SS_ASSERT(inst, "staticTargetOf on a gap slot");
     return inst->target;
-}
-
-FfStop
-FastForward::runSparse(std::uint64_t max_insts)
-{
-    // Program span too wide for the decode array: fall back to the
-    // Tracer's fetch/execute pair. Identical semantics, just slower.
-    std::uint64_t n = 0;
-    while (n < max_insts) {
-        const isa::Instruction *inst = program_.fetch(pc_);
-        if (!inst) {
-            executed_ += n;
-            last_ = FfStop::UnmappedPc;
-            return last_;
-        }
-        const ExecResult res = execute(*inst, pc_, regs_, mem_, true);
-        ++n;
-        recordInstLine(pc_);
-        if (inst->isCondBranch())
-            recordCond(pc_, res.taken);
-        else if (inst->traits().isIndirect)
-            recordIndirect(pc_, res.nextPc);
-        if (res.memAddr != invalidAddr && !res.fault)
-            recordMem(res.memAddr, inst->isStore());
-        if (res.halted) {
-            executed_ += n;
-            last_ = FfStop::Halted;
-            return last_;
-        }
-        if (res.fault) {
-            executed_ += n;
-            last_ = FfStop::Fault;
-            return last_;
-        }
-        pc_ = res.nextPc;
-    }
-    executed_ += n;
-    last_ = FfStop::Budget;
-    return last_;
 }
 
 } // namespace specslice::arch

@@ -35,23 +35,12 @@
 #include "arch/checkpoint.hh"
 #include "arch/memimg.hh"
 #include "arch/regfile.hh"
+#include "arch/tracer.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
 
 namespace specslice::arch
 {
-
-/** Why the last advance() stopped. */
-enum class FfStop
-{
-    Budget,      ///< instruction budget exhausted, program still live
-    Halted,      ///< executed a Halt
-    Fault,       ///< architectural fault (null-page access)
-    UnmappedPc,  ///< control flow left the program image
-};
-
-/** Stable lower-case name for diagnostics. */
-const char *ffStopName(FfStop stop);
 
 class FastForward
 {
@@ -158,9 +147,6 @@ class FastForward
     Addr staticTargetOf(std::uint32_t idx) const;
     /** Interpreter core over the pre-decoded array. */
     FfStop run(std::uint64_t max_insts);
-    /** program.fetch + arch::execute fallback for sparse programs
-     *  whose span exceeds the decode-array limit. */
-    FfStop runSparse(std::uint64_t max_insts);
     void recordCond(Addr pc, bool taken);
     void recordIndirect(Addr pc, Addr target);
 

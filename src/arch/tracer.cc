@@ -6,16 +6,16 @@ namespace specslice::arch
 {
 
 const char *
-traceStopName(TraceStop stop)
+ffStopName(FfStop stop)
 {
     switch (stop) {
-      case TraceStop::MaxInsts:
-        return "max_insts";
-      case TraceStop::Halted:
+      case FfStop::Budget:
+        return "budget";
+      case FfStop::Halted:
         return "halted";
-      case TraceStop::Fault:
+      case FfStop::Fault:
         return "fault";
-      case TraceStop::UnmappedPc:
+      case FfStop::UnmappedPc:
         return "unmapped_pc";
     }
     return "unknown";
@@ -32,7 +32,7 @@ trace(const isa::Program &program, Addr entry_pc, RegFile &regs,
     while (res.count < max_insts) {
         const isa::Instruction *inst = program.fetch(pc);
         if (!inst) {
-            res.reason = TraceStop::UnmappedPc;
+            res.reason = FfStop::UnmappedPc;
             res.finalPc = pc;
             return res;
         }
@@ -45,18 +45,18 @@ trace(const isa::Program &program, Addr entry_pc, RegFile &regs,
         on_event(ev);
 
         if (ev.result.halted) {
-            res.reason = TraceStop::Halted;
+            res.reason = FfStop::Halted;
             res.finalPc = pc;
             return res;
         }
         if (ev.result.fault) {
-            res.reason = TraceStop::Fault;
+            res.reason = FfStop::Fault;
             res.finalPc = pc;
             return res;
         }
         pc = ev.result.nextPc;
     }
-    res.reason = TraceStop::MaxInsts;
+    res.reason = FfStop::Budget;
     res.finalPc = pc;
     return res;
 }

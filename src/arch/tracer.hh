@@ -30,28 +30,28 @@ struct TraceEvent
 };
 
 /**
- * Why a functional execution stopped. Callers used to infer this from
- * the instruction count alone, which cannot distinguish a program that
- * halted exactly at the budget from one that was cut off by it.
+ * Why a functional execution (arch::trace or FastForward::advance)
+ * stopped. The instruction count alone cannot distinguish a program
+ * that halted exactly at the budget from one that was cut off by it.
  */
-enum class TraceStop
+enum class FfStop
 {
-    MaxInsts,    ///< instruction budget exhausted, program still live
+    Budget,      ///< instruction budget exhausted, program still live
     Halted,      ///< executed a Halt
     Fault,       ///< architectural fault (e.g. null-page access)
     UnmappedPc,  ///< control flow left the program image
 };
 
 /** Stable lower-case name for diagnostics. */
-const char *traceStopName(TraceStop stop);
+const char *ffStopName(FfStop stop);
 
 /** How a functional execution ended. */
 struct TraceResult
 {
     std::uint64_t count = 0;          ///< instructions executed
-    TraceStop reason = TraceStop::MaxInsts;
+    FfStop reason = FfStop::Budget;
     /**
-     * The next PC the program would execute (MaxInsts/UnmappedPc), or
+     * The next PC the program would execute (Budget/UnmappedPc), or
      * the PC of the halting/faulting instruction itself.
      */
     Addr finalPc = invalidAddr;

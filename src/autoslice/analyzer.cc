@@ -219,11 +219,11 @@ analyzeProblemInstruction(const isa::Program &program, Addr entry_pc,
     out.traceStop = traced.reason;
     // Halting early is normal (short programs); dying early is not —
     // the candidates below would be computed from a truncated trace.
-    if (traced.reason == arch::TraceStop::Fault ||
-        traced.reason == arch::TraceStop::UnmappedPc)
+    if (traced.reason == arch::FfStop::Fault ||
+        traced.reason == arch::FfStop::UnmappedPc)
         SS_WARN("slice analysis trace of pc 0x", std::hex, problem_pc,
                 std::dec, " ended abnormally (",
-                arch::traceStopName(traced.reason), " after ",
+                arch::ffStopName(traced.reason), " after ",
                 traced.count, " insts at pc 0x", std::hex,
                 traced.finalPc, std::dec, ")");
 

@@ -72,7 +72,7 @@ struct SliceAnalysis
     /** Why the trace ended. A Fault/UnmappedPc stop means the program
      *  died before the requested budget and the analysis below covers
      *  a truncated trace. */
-    arch::TraceStop traceStop = arch::TraceStop::MaxInsts;
+    arch::FfStop traceStop = arch::FfStop::Budget;
 
     /** Static PCs that appeared in any instance's backward slice. */
     std::set<Addr> staticSlice;

@@ -32,16 +32,6 @@ divergenceKindName(DivergenceKind kind)
     return "unknown";
 }
 
-RetireChecker::RetireChecker(
-    const isa::Program &program, Addr entry,
-    const std::function<void(arch::MemoryImage &)> &init_mem, Config cfg)
-    : program_(program), cfg_(cfg), refPc_(entry)
-{
-    SS_ASSERT(cfg_.historyDepth >= 1, "need at least one ring entry");
-    if (init_mem)
-        init_mem(mem_);
-}
-
 RetireChecker::RetireChecker(const isa::Program &program, Addr start_pc,
                              const arch::RegFile &regs,
                              arch::MemoryImage mem, Config cfg)

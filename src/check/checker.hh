@@ -19,7 +19,6 @@
 #define SPECSLICE_CHECK_CHECKER_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "arch/exec.hh"
@@ -86,8 +85,8 @@ struct CheckerConfig
 
 /**
  * The retirement-time architectural checker. One instance checks one
- * run (one entry PC, one initial memory image); parallel sweeps give
- * each job its own instance.
+ * run (one start PC, register file and memory image); parallel sweeps
+ * give each job its own instance.
  */
 class RetireChecker
 {
@@ -95,20 +94,9 @@ class RetireChecker
     using Config = CheckerConfig;
 
     /**
+     * Start the reference from a copy of the checked run's start: the
+     * timing core must begin from the same pc, registers and memory.
      * @param program the static code image (shared, must outlive us)
-     * @param entry architectural start PC
-     * @param init_mem builds the reference's own initial memory image
-     *        (same initializer the timing core's image got; may be
-     *        null for programs that touch no pre-initialised data)
-     */
-    RetireChecker(const isa::Program &program, Addr entry,
-                  const std::function<void(arch::MemoryImage &)> &init_mem,
-                  Config cfg = {});
-
-    /**
-     * Start the reference mid-program from an architectural snapshot
-     * (sampled/checkpointed runs): the timing core being checked must
-     * begin from the same pc/registers/memory.
      */
     RetireChecker(const isa::Program &program, Addr start_pc,
                   const arch::RegFile &regs, arch::MemoryImage mem,

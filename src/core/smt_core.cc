@@ -242,25 +242,20 @@ SmtCore::run(Addr entry_pc, const RunOptions &opts)
     main.isSlice = false;
     main.fetchPc = entry_pc;
     main.funcPc = entry_pc;
-    // Mid-program (checkpointed/sampled) starts inject the snapshot's
-    // architectural registers and replay its recent branch outcomes so
-    // the front end doesn't start artificially cold.
-    if (opts.initialRegs)
-        main.regs = *opts.initialRegs;
-    if (opts.branchWarmth) {
-        for (const arch::BranchWarmthRecord &w : *opts.branchWarmth) {
+    // A mid-program (checkpointed/sampled) start injects the
+    // snapshot's architectural registers and replays its warmth logs
+    // so the front end and caches don't start artificially cold.
+    if (const arch::Checkpoint *start = opts.start) {
+        main.regs = start->regs;
+        for (const arch::BranchWarmthRecord &w : start->warmth) {
             if (w.kind == arch::WarmthKind::CondBranch)
                 bpu_.warmCond(w.pc, w.taken);
             else
                 bpu_.warmIndirect(w.pc, w.target);
         }
-    }
-    if (opts.memWarmth) {
-        for (const arch::MemWarmthRecord &m : *opts.memWarmth)
+        for (const arch::MemWarmthRecord &m : start->memWarmth)
             hierarchy_.warmData(m.addr, m.isStore);
-    }
-    if (opts.instWarmth) {
-        for (Addr pc : *opts.instWarmth)
+        for (Addr pc : start->instWarmth)
             hierarchy_.warmInst(pc);
     }
 

@@ -147,31 +147,24 @@ struct RunOptions
     obs::EventBuffer *events = nullptr;
     /**
      * Differential-correctness checker fed at every main-thread
-     * retirement (null = off). The checker must start from the same
-     * entry PC and initial memory image as this run and must outlive
-     * it; each run needs its own instance. sim::Simulator constructs
-     * one per run when the sim-level `check` flag is set.
+     * retirement (null = off). The checker must start from a copy of
+     * this run's start and must outlive it; each run needs its own
+     * instance. sim::Simulator constructs one per run when the
+     * sim-level `check` flag is set.
      */
     check::RetireChecker *checker = nullptr;
-
-    // ---- architectural-state injection (checkpoint/sampled runs;
-    //      sim::Simulator fills these from a FastForward snapshot) ----
-    /** Start the main thread's registers from this file instead of
-     *  zeros. Must outlive the run. */
-    const arch::RegFile *initialRegs = nullptr;
-    /** Replay these branch outcomes into the predictor before the
-     *  first fetch, so a mid-program start doesn't begin with a cold
-     *  front end. Must outlive the run. */
-    const std::vector<arch::BranchWarmthRecord> *branchWarmth = nullptr;
-    /** Replay these data accesses into the cache hierarchy before the
-     *  first fetch (oldest first), so a mid-program start doesn't
-     *  begin with a cold L1D/L2. Must outlive the run. */
-    const std::vector<arch::MemWarmthRecord> *memWarmth = nullptr;
-    /** Replay these executed instruction addresses into the I-side of
-     *  the hierarchy before the first fetch (oldest first), so a
-     *  mid-program start doesn't begin with a cold L1I. Must outlive
-     *  the run. */
-    const std::vector<Addr> *instWarmth = nullptr;
+    /**
+     * The architectural state the run starts from: the main thread's
+     * registers, and the branch outcomes, data accesses and executed
+     * instruction lines to replay into the predictor and the cache
+     * hierarchy (oldest first) before the first fetch, so a
+     * mid-program start does not begin with a cold machine. The core
+     * executes on the memory image it was built with, not on
+     * start->mem. Null = zero registers and no warm-up replay. Must
+     * outlive the run; sim::Simulator::runOne is the only code that
+     * sets it.
+     */
+    const arch::Checkpoint *start = nullptr;
 };
 
 /** Aggregated results of a run. */

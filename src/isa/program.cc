@@ -16,7 +16,20 @@ Program::addSection(CodeSection section)
         bool disjoint = section.end() <= s.base || section.base >= s.end();
         SS_ASSERT(disjoint, "overlapping code sections");
     }
-    // Keep sections sorted by base so lookups can binary-search.
+    // The decode array must cover the whole layout.
+    Addr lo = section.base;
+    Addr hi = section.end();
+    if (!sections_.empty()) {
+        lo = std::min(lo, sections_.front().base);
+        hi = std::max(hi, sections_.back().end());
+    }
+    if ((hi - lo) / instBytes > flatIndexLimit)
+        SS_FATAL("code sections span ", (hi - lo) / instBytes,
+                 " instructions (0x", std::hex, lo, " to 0x", hi,
+                 std::dec, "), more than the ", flatIndexLimit,
+                 " the decode array covers");
+    // Keep sections sorted by base: the decode array spans first to
+    // last.
     auto pos = std::upper_bound(
         sections_.begin(), sections_.end(), section.base,
         [](Addr base, const CodeSection &s) { return base < s.base; });
@@ -36,9 +49,6 @@ Program::rebuildIndex()
     Addr lo = sections_.front().base;
     Addr hi = sections_.back().end();
     std::size_t span_insts = (hi - lo) / instBytes;
-    if (span_insts > flatIndexLimit)
-        return;  // sparse layout: fetchSlow() serves lookups
-
     flat_.assign(span_insts, nullptr);
     for (const auto &s : sections_) {
         std::size_t idx = (s.base - lo) / instBytes;
@@ -47,22 +57,6 @@ Program::rebuildIndex()
     }
     flatBase_ = lo;
     flatSpan_ = hi - lo;
-}
-
-const Instruction *
-Program::fetchSlow(Addr pc) const
-{
-    // First section with base > pc; its predecessor is the only
-    // candidate container.
-    auto it = std::upper_bound(
-        sections_.begin(), sections_.end(), pc,
-        [](Addr p, const CodeSection &s) { return p < s.base; });
-    if (it == sections_.begin())
-        return nullptr;
-    const CodeSection &s = *(it - 1);
-    if (!s.contains(pc))
-        return nullptr;
-    return &s.code[(pc - s.base) / instBytes];
 }
 
 void

@@ -39,8 +39,8 @@ class Program
   public:
     /**
      * Widest address span (in instructions) the O(1) PC-indexed
-     * decode array covers. Programs whose sections spread further
-     * apart fall back to a binary search over the sorted sections.
+     * decode array covers. addSection refuses a layout whose sections
+     * spread further apart.
      */
     static constexpr std::size_t flatIndexLimit = 1u << 20;
 
@@ -66,7 +66,8 @@ class Program
     Program(Program &&) = default;
     Program &operator=(Program &&) = default;
 
-    /** Add a section; sections must not overlap. */
+    /** Add a section; sections must not overlap, and together they
+     *  must span at most flatIndexLimit instructions (fatal if not). */
     void addSection(CodeSection section);
 
     /** Merge symbols (label -> address). */
@@ -89,10 +90,8 @@ class Program
                 return nullptr;
             return flat_[off / instBytes];
         }
-        // Outside the array. If the array exists it covers every
-        // section, so pc is unmapped; otherwise binary-search the
-        // sorted sections (sparse-layout fallback).
-        return flat_.empty() ? fetchSlow(pc) : nullptr;
+        // Outside the array, which covers every section.
+        return nullptr;
     }
 
     /** @return true if pc holds an instruction. */
@@ -115,8 +114,6 @@ class Program
     std::string disassemble() const;
 
   private:
-    /** Binary search over the sorted sections (flat-array fallback). */
-    const Instruction *fetchSlow(Addr pc) const;
     /** Rebuild the PC-indexed decode array after a section change. */
     void rebuildIndex();
 
@@ -126,7 +123,7 @@ class Program
     /**
      * O(1) decode index: flat_[(pc - flatBase_) / instBytes] is the
      * instruction at pc (nullptr in inter-section gaps). Empty when
-     * there are no sections or the span exceeds flatIndexLimit.
+     * there are no sections.
      * flatSpan_ is the covered byte span (0 when empty), so the fetch
      * fast path is a single range check.
      */

@@ -11,11 +11,19 @@ namespace specslice::sim
 {
 
 Workload
-buildBenchWorkload(const std::string &name, const ExperimentConfig &cfg)
+buildBenchWorkload(const std::string &name, std::uint64_t seed,
+                   const RunOptions &opts)
 {
+    const std::uint64_t per_region =
+        opts.warmupInstructions + opts.maxMainInstructions;
+    const std::uint64_t span =
+        opts.fastForwardInstructions +
+        (std::max(1u, opts.sampleRegions) - 1) *
+            (opts.sampleStride ? opts.sampleStride : per_region) +
+        per_region;
     workloads::Params p;
-    p.scale = cfg.workloadScale();
-    p.seed = cfg.seed;
+    p.scale = span * 2;
+    p.seed = seed;
     return workloads::buildWorkload(name, p);
 }
 
@@ -201,7 +209,7 @@ void
 PaperPlan::run(JobPool &pool)
 {
     workloads_ = pool.map(names_, [&](const std::string &name) {
-        return buildBenchWorkload(name, cfg_);
+        return buildBenchWorkload(name, cfg_.seed, cfg_.runOptions());
     });
 
     constexpr PaperMachine four = PaperMachine::FourWide;

@@ -29,12 +29,6 @@ struct ExperimentConfig
     std::uint64_t warmupInsts = 100'000;
     std::uint64_t seed = 1;
 
-    std::uint64_t
-    workloadScale() const
-    {
-        return (measureInsts + warmupInsts) * 2;
-    }
-
     RunOptions
     runOptions(bool profile = false) const
     {
@@ -46,9 +40,14 @@ struct ExperimentConfig
     }
 };
 
-/** Build the named workload at the experiment's scale/seed. */
-Workload buildBenchWorkload(const std::string &name,
-                            const ExperimentConfig &cfg);
+/**
+ * Build the named workload with seed at twice the instructions a run
+ * with opts spans from the entry (the fast-forward, then each sampled
+ * region's warm-up and measurement, region starts a stride apart), so
+ * the program outlasts the run.
+ */
+Workload buildBenchWorkload(const std::string &name, std::uint64_t seed,
+                            const RunOptions &opts);
 
 /** opts, extended to magically perfect the slice-covered PCs. */
 RunOptions limitOptions(const Workload &wl, RunOptions opts);

@@ -81,78 +81,44 @@ accumulate(RunResult &agg, RunResult &&r)
 
 } // namespace
 
-/** Architectural snapshot a timing region starts from. */
-struct Simulator::RegionStart
-{
-    Addr pc = invalidAddr;
-    arch::RegFile regs;
-    arch::MemoryImage mem;
-    std::vector<arch::BranchWarmthRecord> warmth;
-    std::vector<arch::MemWarmthRecord> memWarmth;
-    std::vector<Addr> instWarmth;
-};
-
 RunResult
 Simulator::run(const Workload &wl, const RunOptions &opts,
                bool with_slices)
 {
     if (sampled(opts))
         return runSampled(wl, opts, with_slices);
-    return runOne(wl, opts, with_slices, nullptr);
+    SS_ASSERT(wl.entry != invalidAddr, "workload has no entry point");
+    arch::Checkpoint entry;
+    entry.pc = wl.entry;
+    if (wl.initMemory)
+        wl.initMemory(entry.mem);
+    return runOne(wl, opts, with_slices, entry);
 }
 
 RunResult
 Simulator::runOne(const Workload &wl, const RunOptions &opts,
-                  bool with_slices, RegionStart *region)
+                  bool with_slices, arch::Checkpoint &start)
 {
-    SS_ASSERT(wl.entry != invalidAddr, "workload has no entry point");
-
-    // Region runs execute on the region's image (a clone of the
-    // sampling stream's), moved in below once the checker has taken
-    // its reference copy; plain runs build a fresh image from the
-    // workload initializer.
-    arch::MemoryImage mem;
-    Addr entry = wl.entry;
-    if (region)
-        entry = region->pc;
-    else if (wl.initMemory)
-        wl.initMemory(mem);
-
     MachineConfig cfg = cfg_;
     cfg.slicesEnabled = with_slices;
 
-    // Each run gets its own checker instance (parallel JobPool sweeps
-    // therefore get one per job): a fresh reference memory image built
-    // by the same initializer the timing core's image got, stepping
-    // from the same entry PC — or, for a region run, from the same
-    // architectural snapshot. The core gets only its half of opts.
+    // The core gets only its half of opts. Each run gets its own
+    // checker instance (parallel JobPool sweeps therefore get one per
+    // job), stepping from a copy of the same start. The core executes
+    // at fetch and so writes its image ahead of retirement: the
+    // checker's copy must be taken before the run.
     core::RunOptions run_opts = opts;
-    if (region) {
-        run_opts.initialRegs = &region->regs;
-        run_opts.branchWarmth =
-            region->warmth.empty() ? nullptr : &region->warmth;
-        run_opts.memWarmth =
-            region->memWarmth.empty() ? nullptr : &region->memWarmth;
-        run_opts.instWarmth =
-            region->instWarmth.empty() ? nullptr
-                                       : &region->instWarmth;
-    }
+    run_opts.start = &start;
     std::unique_ptr<check::RetireChecker> checker;
     if (opts.check || checkForcedByEnv()) {
-        if (region)
-            checker = std::make_unique<check::RetireChecker>(
-                wl.program, region->pc, region->regs,
-                region->mem.clone());
-        else
-            checker = std::make_unique<check::RetireChecker>(
-                wl.program, wl.entry, wl.initMemory);
+        checker = std::make_unique<check::RetireChecker>(
+            wl.program, start.pc, start.regs, start.mem.clone());
         run_opts.checker = checker.get();
     }
 
-    // The core executes at fetch and so writes its image ahead of
-    // retirement: the checker's copy above must come first.
-    if (region)
-        mem = std::move(region->mem);
+    // The run takes start's image, so the image is freed when the run
+    // ends, before a sampled caller advances to its next region.
+    arch::MemoryImage mem = std::move(start.mem);
     core::SmtCore machine(cfg, wl.program, mem);
     if (with_slices) {
         for (const auto &s : wl.slices) {
@@ -163,7 +129,7 @@ Simulator::runOne(const Workload &wl, const RunOptions &opts,
             machine.loadSlice(s);
         }
     }
-    RunResult res = machine.run(entry, run_opts);
+    RunResult res = machine.run(start.pc, run_opts);
     if (checker)
         res.checkedRetired = checker->checkedCount();
     return res;
@@ -231,27 +197,17 @@ Simulator::runSampled(const Workload &wl, const RunOptions &opts,
             .count();
     unsigned ran = 0;
     for (unsigned r = 0; r < regions; ++r) {
-        RegionStart rs;
-        rs.pc = ff.pc();
-        rs.regs = ff.regs();
-        rs.mem = ff.mem().clone();
-        if (opts.warmPredictors)
-            rs.warmth = ff.warmth();
-        if (opts.warmCaches)
-            rs.memWarmth = ff.memWarmth();
-        if (opts.warmInstCache)
-            rs.instWarmth = ff.instWarmth();
-        const std::uint64_t region_start_inst = ff.executed();
+        arch::Checkpoint start = ff.makeCheckpoint();
         const Cycle region_base =
             opts.events ? opts.events->timeBase() : 0;
-        RunResult rr = runOne(wl, opts, with_slices, &rs);
+        RunResult rr = runOne(wl, opts, with_slices, start);
         if (opts.events) {
             // One named span per sampled region, then advance the
             // buffer's time base so the next region's cycle-0
             // restart lands past this one on the merged timeline.
             opts.events->pushSpan(obs::EventKind::Region, region_base,
-                                  rr.totalCycles, 0, rs.pc,
-                                  region_start_inst, r);
+                                  rr.totalCycles, 0, start.pc,
+                                  start.instCount, r);
             opts.events->setTimeBase(region_base + rr.totalCycles +
                                      1);
         }

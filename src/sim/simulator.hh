@@ -4,15 +4,20 @@
  * run a Workload, get a RunResult. Each run() uses fresh machine and
  * memory state so runs are independent and reproducible.
  *
+ * Every detailed run starts from one arch::Checkpoint. A full run's is
+ * the workload entry: the entry PC, zero registers, the image the
+ * workload's initMemory builds and empty warmth logs.
+ *
  * Sampled runs: when RunOptions carries sampling state (fast-forward,
  * multiple regions, or a checkpoint to restore/save), run() drives an
  * arch::FastForward engine along the pristine architectural stream and
- * executes each timing region on a clone of the engine's state. The
- * clone matters: this core executes functionally at fetch, so a timing
- * run mutates its memory image ahead of retirement and can never share
- * state with the sampling stream. Region results are aggregated by
- * summing counters (IPC is then total-retired / total-cycles) and
- * taking the worst outcome.
+ * starts each timing region from the engine's makeCheckpoint(), a
+ * clone of its state with its warmth logs. The clone matters: this
+ * core executes functionally at fetch, so a timing run mutates its
+ * memory image ahead of retirement and can never share state with the
+ * sampling stream. Region results are aggregated by summing counters
+ * (IPC is then total-retired / total-cycles) and taking the worst
+ * outcome.
  */
 
 #ifndef SPECSLICE_SIM_SIMULATOR_HH
@@ -20,6 +25,7 @@
 
 #include <string>
 
+#include "arch/checkpoint.hh"
 #include "common/failure.hh"
 #include "core/smt_core.hh"
 #include "sim/workload.hh"
@@ -74,16 +80,6 @@ struct RunOptions : core::RunOptions
     /** Instructions between region starts (0 = contiguous: warm-up +
      *  measure, i.e. the next region starts where this one ended). */
     std::uint64_t sampleStride = 0;
-    /** Replay fast-forward branch history into each region's predictor
-     *  (disable to measure cold-start bias). */
-    bool warmPredictors = true;
-    /** Replay fast-forward data accesses into each region's cache
-     *  hierarchy (disable to measure cold-cache bias). */
-    bool warmCaches = true;
-    /** Replay fast-forward instruction lines into each region's L1I
-     *  (--cold-icache disables it, the i-side analogue of the two
-     *  flags above). */
-    bool warmInstCache = true;
     /** Load the starting architectural state from this checkpoint file
      *  ("" = start at the workload entry). */
     std::string restoreCheckpoint;
@@ -126,12 +122,10 @@ class Simulator
     const MachineConfig &config() const { return cfg_; }
 
   private:
-    struct RegionStart;
-
-    /** One detailed timing run (from entry or a region snapshot).
-     *  A region's memory image is moved into the run. */
+    /** One detailed timing run from start (the workload entry or a
+     *  sampled region's checkpoint). The run takes start's image. */
     RunResult runOne(const Workload &wl, const RunOptions &opts,
-                     bool with_slices, RegionStart *region);
+                     bool with_slices, arch::Checkpoint &start);
     /** Fast-forward + sampled-region orchestration. */
     RunResult runSampled(const Workload &wl, const RunOptions &opts,
                          bool with_slices);

@@ -29,7 +29,7 @@ namespace specslice::trace
 struct EmitResult
 {
     std::uint64_t records = 0;
-    arch::TraceStop stop = arch::TraceStop::MaxInsts;
+    arch::FfStop stop = arch::FfStop::Budget;
 };
 
 /**

@@ -125,7 +125,8 @@ TEST_P(SteadyStateAllocations, PerFetchedInstruction)
     sim::ExperimentConfig cfg;
     cfg.warmupInsts = warmupInsts;
     cfg.measureInsts = longInsts;
-    const sim::Workload wl = sim::buildBenchWorkload(name, cfg);
+    const sim::Workload wl =
+        sim::buildBenchWorkload(name, cfg.seed, cfg.runOptions());
     sim::RunOptions opts =
         mode == "limit" ? sim::limitOptions(wl, cfg.runOptions())
                         : cfg.runOptions();

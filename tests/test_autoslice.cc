@@ -41,7 +41,7 @@ TEST(Tracer, ExecutesAndStopsAtHalt)
                                pcs.push_back(ev.pc);
                            });
     EXPECT_EQ(res.count, 3u);
-    EXPECT_EQ(res.reason, arch::TraceStop::Halted);
+    EXPECT_EQ(res.reason, arch::FfStop::Halted);
     EXPECT_EQ(res.finalPc, codeBase + 16);
     ASSERT_EQ(pcs.size(), 3u);
     EXPECT_EQ(pcs[2], codeBase + 16);
@@ -63,7 +63,7 @@ TEST(Tracer, FollowsControlFlowAndBudget)
     auto res = arch::trace(prog, codeBase, mem, 5000,
                            [&](const arch::TraceEvent &) { ++count; });
     EXPECT_EQ(res.count, 5000u);  // budget, not completion
-    EXPECT_EQ(res.reason, arch::TraceStop::MaxInsts);
+    EXPECT_EQ(res.reason, arch::FfStop::Budget);
     EXPECT_EQ(count, res.count);
 }
 

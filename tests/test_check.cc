@@ -6,20 +6,22 @@
  * records to prove each divergence kind is caught at exactly the
  * corrupted instruction; integration tests run real workloads under
  * sim::Simulator with checking on, and prove a real divergence (a
- * corrupted initial memory image) is fatal with a report; digest
- * tests cover the format round-trip, diff tolerance rules, and the
- * lint.
+ * checker started on a corrupted copy of the core's image) is fatal
+ * with a report; digest tests cover the format round-trip, diff
+ * tolerance rules, and the lint.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "arch/exec.hh"
 #include "check/checker.hh"
 #include "check/digest.hh"
 #include "common/failure.hh"
+#include "core/smt_core.hh"
 #include "isa/assembler.hh"
 #include "isa/program.hh"
 #include "sim/simulator.hh"
@@ -103,7 +105,8 @@ makeChecker(const isa::Program &prog,
             check::CheckerConfig cfg = {})
 {
     cfg.panicOnDivergence = false;  // latch: the tests read divergence()
-    return check::RetireChecker(prog, codeBase, nullptr, cfg);
+    return check::RetireChecker(prog, codeBase, arch::RegFile{},
+                                arch::MemoryImage{}, cfg);
 }
 
 /** Feed records until the checker latches; return how many it took. */
@@ -303,28 +306,30 @@ TEST(CheckIntegration, DivergenceIsFatalWithReport)
 {
     workloads::Params p;
     p.scale = 20000;
-    sim::Workload wl = workloads::buildWorkload("vpr", p);
-    // The second image built (the core's and the checker's are built
-    // by the same initializer) has a bit flipped in every word, so the
-    // two disagree whichever is built first.
-    auto init = wl.initMemory;
-    ASSERT_TRUE(init);
-    wl.initMemory = [init, calls = 0](arch::MemoryImage &mem) mutable {
-        init(mem);
-        if (++calls < 2)
-            return;
-        for (Addr page : mem.pageNumbers()) {
-            const Addr base = page << arch::MemoryImage::pageShift;
-            for (Addr a = base; a < base + arch::MemoryImage::pageSize;
-                 a += 8)
-                mem.writeQ(a, mem.readQ(a) ^ 0x1);
-        }
-    };
-    sim::Simulator machine(sim::MachineConfig::fourWide());
+    const sim::Workload wl = workloads::buildWorkload("vpr", p);
+    ASSERT_TRUE(wl.initMemory);
+    arch::MemoryImage mem;
+    wl.initMemory(mem);
+    // The checker starts on a copy of the core's image with a bit
+    // flipped in every word, so the two disagree at the first load.
+    arch::MemoryImage flipped = mem.clone();
+    for (Addr page : flipped.pageNumbers()) {
+        const Addr base = page << arch::MemoryImage::pageShift;
+        for (Addr a = base; a < base + arch::MemoryImage::pageSize;
+             a += 8)
+            flipped.writeQ(a, flipped.readQ(a) ^ 0x1);
+    }
+    check::RetireChecker checker(wl.program, wl.entry, arch::RegFile{},
+                                 std::move(flipped));
+    core::SmtCore machine(sim::MachineConfig::fourWide(), wl.program,
+                          mem);
+    core::RunOptions opts;
+    opts.maxMainInstructions = 5000;
+    opts.checker = &checker;
 
     ScopedThrowErrors throwing;
     try {
-        machine.runBaseline(wl, checkedOpts(5000, 0));
+        machine.run(wl.entry, opts);
         FAIL() << "a divergent run returned";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimError::Kind::Fatal);

@@ -21,6 +21,7 @@
 #include "arch/checkpoint.hh"
 #include "arch/fastfwd.hh"
 #include "common/failure.hh"
+#include "sim/result_json.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
 
@@ -162,12 +163,17 @@ TEST(CheckpointTest, RejectsWrongVersion)
     auto wl = workloads::buildWorkload("vpr", smallParams());
     arch::FastForward ff = advancedEngine(wl, 1'000);
     arch::Checkpoint c = ff.makeCheckpoint();
-    c.version = arch::checkpointVersion + 1;
-    std::stringstream ss;
-    ASSERT_TRUE(arch::saveCheckpoint(c, ss));
-    std::string error;
-    EXPECT_FALSE(arch::loadCheckpoint(ss, error).has_value());
-    EXPECT_NE(error.find("version"), std::string::npos) << error;
+    for (std::uint32_t v :
+         {arch::checkpointVersion - 1, arch::checkpointVersion + 1}) {
+        c.version = v;
+        std::stringstream ss;
+        ASSERT_TRUE(arch::saveCheckpoint(c, ss));
+        std::string error;
+        EXPECT_FALSE(arch::loadCheckpoint(ss, error).has_value()) << v;
+        EXPECT_NE(error.find("version " + std::to_string(v)),
+                  std::string::npos)
+            << error;
+    }
 }
 
 TEST(CheckpointTest, RejectsTruncation)
@@ -254,30 +260,6 @@ TEST(CheckpointTest, LoadConsumesExactlyTheCheckpoint)
     EXPECT_EQ(b->instCount, 20'000u);
     EXPECT_EQ(b->instWarmth, second.instWarmth);
     EXPECT_EQ(ss.peek(), std::char_traits<char>::eof());
-}
-
-TEST(CheckpointTest, LoadsVersion2)
-{
-    // A v2 file is the v3 layout without the trailing instruction
-    // warmth section; it loads with no I-side warmth.
-    auto wl = workloads::buildWorkload("vpr", smallParams());
-    arch::FastForward ff = advancedEngine(wl, 10'000);
-    arch::Checkpoint c = ff.makeCheckpoint();
-    c.version = 2;
-    std::stringstream ss;
-    ASSERT_TRUE(arch::saveCheckpoint(c, ss));
-    const std::string v3 = ss.str();
-    std::stringstream v2(
-        v3.substr(0, v3.size() - 8 - 8 * c.instWarmth.size()));
-
-    std::string error;
-    auto loaded = arch::loadCheckpoint(v2, error);
-    ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_EQ(loaded->version, 2u);
-    EXPECT_TRUE(loaded->instWarmth.empty());
-    EXPECT_EQ(loaded->memWarmth.size(), c.memWarmth.size());
-    EXPECT_EQ(loaded->mem.contentHash(), c.mem.contentHash());
-    EXPECT_EQ(v2.peek(), std::char_traits<char>::eof());
 }
 
 TEST(CheckpointTest, FormatIsStable)
@@ -369,6 +351,37 @@ TEST_P(CheckpointRunSuite, SaveRestoreRunMatchesUninterrupted)
 
 INSTANTIATE_TEST_SUITE_P(BaselineAndSlices, CheckpointRunSuite,
                          ::testing::Bool());
+
+TEST(CheckpointTest, EntryCheckpointRunMatchesFullRun)
+{
+    // Forced down the sampled path at the entry (no fast-forward, one
+    // region, a checkpoint saved), a run starts from the same state a
+    // full run does, so every counter matches, checker on.
+    auto wl = workloads::buildWorkload("vpr", smallParams());
+    sim::Simulator machine(sim::MachineConfig::fourWide());
+    sim::RunOptions full;
+    full.warmupInstructions = 5'000;
+    full.maxMainInstructions = 20'000;
+    full.check = true;
+
+    TempFile ckpt("entry");
+    sim::RunOptions entry = full;
+    entry.sampleRegions = 1;
+    entry.saveCheckpoint = ckpt.path();
+    ASSERT_TRUE(sim::Simulator::sampled(entry));
+
+    for (bool with_slices : {false, true}) {
+        SCOPED_TRACE(with_slices ? "sliced" : "baseline");
+        const sim::RunResult a = machine.run(wl, full, with_slices);
+        const sim::RunResult b = machine.run(wl, entry, with_slices);
+        EXPECT_EQ(b.sampledRegions, 1u);
+        EXPECT_EQ(b.fastForwarded, 0u);
+        EXPECT_GE(a.checkedRetired, full.maxMainInstructions);
+        EXPECT_EQ(b.checkedRetired, a.checkedRetired);
+        EXPECT_EQ(sim::digestSection("", b).counters,
+                  sim::digestSection("", a).counters);
+    }
+}
 
 TEST(CheckpointTest, InstWarmthRoundTrips)
 {

@@ -58,22 +58,6 @@ traceReference(const sim::Workload &wl, std::uint64_t max_insts)
     return ref;
 }
 
-arch::FfStop
-expectedStop(arch::TraceStop reason)
-{
-    switch (reason) {
-      case arch::TraceStop::MaxInsts:
-        return arch::FfStop::Budget;
-      case arch::TraceStop::Halted:
-        return arch::FfStop::Halted;
-      case arch::TraceStop::Fault:
-        return arch::FfStop::Fault;
-      case arch::TraceStop::UnmappedPc:
-        return arch::FfStop::UnmappedPc;
-    }
-    return arch::FfStop::Budget;
-}
-
 } // namespace
 
 class FastForwardSuite : public ::testing::TestWithParam<std::string>
@@ -92,7 +76,7 @@ TEST_P(FastForwardSuite, BitIdenticalToTracer)
         wl.initMemory(ff.mem());
     arch::FfStop stop = ff.advance(budget);
 
-    EXPECT_EQ(stop, expectedStop(ref.result.reason));
+    EXPECT_EQ(stop, ref.result.reason);
     EXPECT_EQ(ff.executed(), ref.result.count);
     EXPECT_EQ(ff.pc(), ref.result.finalPc);
     for (unsigned r = 0; r < isa::numRegs; ++r)

@@ -4,8 +4,11 @@
  * resolution, and Program section management.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/failure.hh"
 #include "isa/assembler.hh"
 #include "isa/instruction.hh"
 #include "isa/program.hh"
@@ -155,10 +158,11 @@ TEST(ProgramTest, FetchSectionBoundaries)
     EXPECT_EQ(prog.fetch(~Addr{0}), nullptr);
 }
 
-TEST(ProgramTest, FetchSparseLayoutFallback)
+TEST(ProgramTest, SparseLayoutIsRefused)
 {
-    // Sections further apart than flatIndexLimit instructions exceed
-    // the decode array's span and take the binary-search path.
+    // Sections further apart than flatIndexLimit instructions would
+    // exceed the decode array's span: adding the far one is fatal and
+    // names the span, and the program keeps the sections it had.
     Addr far = 0x1000 + (Program::flatIndexLimit + 16) * instBytes;
     Assembler a(0x1000), b(far);
     a.nop();
@@ -166,16 +170,32 @@ TEST(ProgramTest, FetchSparseLayoutFallback)
     b.halt();
     Program prog;
     prog.addSection(a.finish());
-    prog.addSection(b.finish());
-
+    {
+        ScopedThrowErrors throwing;
+        try {
+            prog.addSection(b.finish());
+            ADD_FAILURE() << "a sparse layout was accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimError::Kind::Fatal);
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::to_string(Program::flatIndexLimit +
+                                               17) +
+                                " instructions"),
+                      std::string::npos)
+                << what;
+        }
+    }
+    EXPECT_EQ(prog.sections().size(), 1u);
     EXPECT_EQ(prog.fetch(0x1000)->op, Opcode::Nop);
-    EXPECT_EQ(prog.fetch(0x1000 + instBytes)->op, Opcode::Nop);
-    EXPECT_EQ(prog.fetch(far)->op, Opcode::Halt);
-    EXPECT_EQ(prog.fetch(0x1000 + 2 * instBytes), nullptr);
-    EXPECT_EQ(prog.fetch(far + instBytes), nullptr);
-    EXPECT_EQ(prog.fetch(far - instBytes), nullptr);
-    EXPECT_EQ(prog.fetch(far + 1), nullptr);  // misaligned
-    EXPECT_EQ(prog.fetch(0x800), nullptr);
+    EXPECT_EQ(prog.fetch(far), nullptr);
+
+    // A layout of exactly flatIndexLimit instructions fits.
+    Assembler edge(0x1000 + (Program::flatIndexLimit - 1) * instBytes);
+    edge.halt();
+    prog.addSection(edge.finish());
+    EXPECT_EQ(prog.fetch(0x1000 + (Program::flatIndexLimit - 1) *
+                                      instBytes)->op,
+              Opcode::Halt);
 }
 
 TEST(ProgramTest, SectionsAddedOutOfOrder)

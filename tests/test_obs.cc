@@ -160,7 +160,8 @@ TEST(EventCounters, EveryMirroredKindEqualsItsCounter)
     Counts seen{};
     for (const Case &c : cases) {
         SCOPED_TRACE(c.workload + (c.warmup ? "" : " (write buffer)"));
-        const sim::Workload wl = sim::buildBenchWorkload(c.workload, cfg);
+        const sim::Workload wl = sim::buildBenchWorkload(
+            c.workload, cfg.seed, cfg.runOptions());
         sim::RunOptions opts = cfg.runOptions();
         opts.warmupInstructions = c.warmup;
         obs::EventBuffer events(1u << 20);

@@ -304,22 +304,6 @@ struct Outcome
     std::uint64_t count = 0;
 };
 
-arch::FfStop
-toFfStop(arch::TraceStop reason)
-{
-    switch (reason) {
-      case arch::TraceStop::MaxInsts:
-        return arch::FfStop::Budget;
-      case arch::TraceStop::Halted:
-        return arch::FfStop::Halted;
-      case arch::TraceStop::Fault:
-        return arch::FfStop::Fault;
-      case arch::TraceStop::UnmappedPc:
-        return arch::FfStop::UnmappedPc;
-    }
-    return arch::FfStop::Budget;
-}
-
 /** rb + imm: a memory opcode's address. */
 Addr
 effectiveAddress(const Instruction &inst, const Operands &o)
@@ -401,7 +385,7 @@ runBoth(const isa::Program &prog, arch::FastForward &ff,
             const arch::TraceResult tr =
                 arch::trace(prog, ref.pc, regs, mem, budget,
                             [](const arch::TraceEvent &) {});
-            ref = {toFfStop(tr.reason), tr.finalPc, ref.count + tr.count};
+            ref = {tr.reason, tr.finalPc, ref.count + tr.count};
         }
         ::testing::AssertionResult same = sameState(ff, ref, regs, mem, ea);
         if (!same)

@@ -90,8 +90,9 @@ expectStepEquivalent(const sim::MachineConfig &machine,
                      const std::string &workload,
                      const sim::RunOptions &opts)
 {
+    const sim::ExperimentConfig cfg = shortRuns();
     const sim::Workload wl =
-        sim::buildBenchWorkload(workload, shortRuns());
+        sim::buildBenchWorkload(workload, cfg.seed, cfg.runOptions());
     return expectStepEquivalent(machine, wl, opts, true);
 }
 
@@ -107,7 +108,8 @@ TEST_P(SkipEquivalence, MatchesSteppedRun)
 {
     const auto &[name, mode] = GetParam();
     const sim::ExperimentConfig cfg = shortRuns();
-    const sim::Workload wl = sim::buildBenchWorkload(name, cfg);
+    const sim::Workload wl =
+        sim::buildBenchWorkload(name, cfg.seed, cfg.runOptions());
     const sim::RunOptions opts =
         mode == "limit" ? sim::limitOptions(wl, cfg.runOptions())
                         : cfg.runOptions();
@@ -235,7 +237,8 @@ TEST(SkippedCycles, StallBoundRunSkipsMostCycles)
     // Guards the optimisation itself: if skipping silently stopped,
     // every equivalence case above would still pass.
     const sim::ExperimentConfig cfg = shortRuns();
-    const sim::Workload wl = sim::buildBenchWorkload("mcf", cfg);
+    const sim::Workload wl =
+        sim::buildBenchWorkload("mcf", cfg.seed, cfg.runOptions());
     sim::Simulator simr(sim::MachineConfig::fourWide());
     sim::RunOptions opts = cfg.runOptions();
     const sim::RunResult r = simr.run(wl, opts, true);

@@ -23,6 +23,7 @@
 #include "arch/checkpoint.hh"
 #include "arch/memimg.hh"
 #include "check/digest.hh"
+#include "sim/experiments.hh"
 #include "sim/result_json.hh"
 #include "sim/simulator.hh"
 #include "trace/format.hh"
@@ -465,12 +466,12 @@ struct EmittedTrace
                           std::uint64_t warmup = 1'000,
                           std::uint64_t seed = 1)
     {
-        workloads::Params p;
-        p.scale = (insts + warmup) * 2;
-        p.seed = seed;
-        wl = workloads::buildWorkload(workload, p);
+        sim::RunOptions opts;
+        opts.maxMainInstructions = insts;
+        opts.warmupInstructions = warmup;
+        wl = sim::buildBenchWorkload(workload, seed, opts);
         std::string err;
-        auto res = trace::emitWorkloadTrace(wl, p.seed, insts + warmup,
+        auto res = trace::emitWorkloadTrace(wl, seed, insts + warmup,
                                             tmp.path(), err);
         EXPECT_TRUE(res) << err;
         if (res)

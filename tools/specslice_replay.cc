@@ -42,6 +42,7 @@
 #include "bench_common.hh"
 #include "branch/predictor_client.hh"
 #include "check/digest.hh"
+#include "sim/experiments.hh"
 #include "sim/job_pool.hh"
 #include "sim/result_json.hh"
 #include "trace/frontend.hh"
@@ -230,10 +231,11 @@ runEmit(const Options &o)
     // Mirror the golden corpus's workload construction exactly, so
     // the header's scale and seed name the workload specslice_verify
     // runs.
-    workloads::Params wp;
-    wp.scale = (o.insts + o.warmup) * 2;
-    wp.seed = o.seed;
-    sim::Workload wl = workloads::buildWorkload(o.workload, wp);
+    sim::RunOptions opts;
+    opts.maxMainInstructions = o.insts;
+    opts.warmupInstructions = o.warmup;
+    const sim::Workload wl =
+        sim::buildBenchWorkload(o.workload, o.seed, opts);
 
     std::string err;
     auto res = trace::emitWorkloadTrace(wl, o.seed, o.insts + o.warmup,

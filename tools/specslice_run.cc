@@ -68,9 +68,6 @@ struct Options
     std::uint64_t fastforward = 0;   // insts skipped before region 1
     unsigned sampleRegions = 0;      // --sample region count (0: off)
     std::uint64_t sampleStride = 0;  // region spacing (0: contiguous)
-    bool noWarmPredictors = false;   // cold predictors per region
-    bool noWarmCaches = false;       // cold caches per region
-    bool coldIcache = false;         // no I-side warmth replay
     std::string saveCheckpoint;      // write state after fast-forward
     std::string loadCheckpoint;      // resume from a saved state
     Cycle watchdog = core::RunOptions().watchdogCycles;  // 0: off
@@ -102,12 +99,6 @@ usage(int code)
         "                    each and aggregate the counters\n"
         "  --sample-stride N region starts are N instructions apart\n"
         "                    (default: contiguous, warmup+insts)\n"
-        "  --cold-predictors do not replay branch history into the\n"
-        "                    predictors at each region start\n"
-        "  --cold-caches     do not replay data accesses into the\n"
-        "                    cache hierarchy at each region start\n"
-        "  --cold-icache     do not replay executed-line history into\n"
-        "                    the I-cache at each region start\n"
         "  --save-checkpoint FILE  write the architectural state at\n"
         "                    the fast-forward point, then keep running\n"
         "  --load-checkpoint FILE  restore state instead of executing\n"
@@ -186,12 +177,6 @@ parseArgs(int argc, char **argv)
             if (o.sampleStride == 0)
                 usage(2);
         }
-        else if (a == "--cold-predictors")
-            o.noWarmPredictors = true;
-        else if (a == "--cold-caches")
-            o.noWarmCaches = true;
-        else if (a == "--cold-icache")
-            o.coldIcache = true;
         else if (a == "--save-checkpoint")
             o.saveCheckpoint = next();
         else if (a == "--load-checkpoint")
@@ -334,20 +319,23 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // The workload must outlast the whole sampling span, not just one
-    // measurement window (regions defaults to 1 so a full run keeps
-    // the historical scale of (insts + warmup) * 2).
-    const std::uint64_t per_region = o.insts + o.warmup;
-    const std::uint64_t span =
-        o.fastforward +
-        (std::max(1u, o.sampleRegions) - 1) *
-            (o.sampleStride ? o.sampleStride : per_region) +
-        per_region;
+    sim::RunOptions opts;
+    opts.maxMainInstructions = o.insts;
+    opts.warmupInstructions = o.warmup;
+    opts.maxCycles = o.maxCycles;
+    opts.watchdogCycles = o.watchdog;
+    opts.profile = o.profile;
+    opts.check = o.check;
+    opts.fastForwardInstructions = o.fastforward;
+    opts.sampleRegions = o.sampleRegions;
+    opts.sampleStride = o.sampleStride;
+    opts.saveCheckpoint = o.saveCheckpoint;
+    opts.restoreCheckpoint = o.loadCheckpoint;
+    if (o.json || o.intervalsRequested)
+        opts.intervalCycles = o.intervalCycles;
 
-    workloads::Params params;
-    params.scale = span * 2;
-    params.seed = o.seed;
-    const sim::Workload wl = workloads::buildWorkload(o.workload, params);
+    const sim::Workload wl =
+        sim::buildBenchWorkload(o.workload, o.seed, opts);
 
     if (o.disasm) {
         std::printf("%s", wl.program.disassemble().c_str());
@@ -362,23 +350,6 @@ main(int argc, char **argv)
         cfg.mainThreadFetchBias = o.bias;
 
     sim::Simulator machine(cfg);
-    sim::RunOptions opts;
-    opts.maxMainInstructions = o.insts;
-    opts.warmupInstructions = o.warmup;
-    opts.maxCycles = o.maxCycles;
-    opts.watchdogCycles = o.watchdog;
-    opts.profile = o.profile;
-    opts.check = o.check;
-    opts.fastForwardInstructions = o.fastforward;
-    opts.sampleRegions = o.sampleRegions;
-    opts.sampleStride = o.sampleStride;
-    opts.warmPredictors = !o.noWarmPredictors;
-    opts.warmCaches = !o.noWarmCaches;
-    opts.warmInstCache = !o.coldIcache;
-    opts.saveCheckpoint = o.saveCheckpoint;
-    opts.restoreCheckpoint = o.loadCheckpoint;
-    if (o.json || o.intervalsRequested)
-        opts.intervalCycles = o.intervalCycles;
 
     // The event buffer is attached to the run of interest only: the
     // slices run under --compare (the baseline never forks), otherwise

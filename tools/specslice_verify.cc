@@ -40,6 +40,7 @@
 #include "check/digest.hh"
 #include "common/failure.hh"
 #include "common/logging.hh"
+#include "sim/experiments.hh"
 #include "sim/job_pool.hh"
 #include "sim/simulator.hh"
 #include "workloads/workloads.hh"
@@ -191,26 +192,6 @@ parseArgs(int argc, char **argv)
 check::Digest
 liveDigest(const std::string &name, const RunParams &p, bool check)
 {
-    // The workload must outlast the whole sampling span; with no
-    // sampling this reduces to the historical (insts + warmup) * 2.
-    const std::uint64_t per_region = p.insts + p.warmup;
-    const std::uint64_t span =
-        p.fastforward +
-        (std::max(1u, p.regions) - 1) *
-            (p.stride ? p.stride : per_region) +
-        per_region;
-
-    workloads::Params wp;
-    wp.scale = span * 2;
-    wp.seed = p.seed;
-    sim::Workload wl = workloads::buildWorkload(name, wp);
-
-    sim::MachineConfig cfg = p.width == 8
-                                 ? sim::MachineConfig::eightWide()
-                                 : sim::MachineConfig::fourWide();
-    cfg.numThreads = p.threads;
-    sim::Simulator machine(cfg);
-
     sim::RunOptions opts;
     opts.maxMainInstructions = p.insts;
     opts.warmupInstructions = p.warmup;
@@ -218,6 +199,13 @@ liveDigest(const std::string &name, const RunParams &p, bool check)
     opts.fastForwardInstructions = p.fastforward;
     opts.sampleRegions = p.regions;
     opts.sampleStride = p.stride;
+    const sim::Workload wl = sim::buildBenchWorkload(name, p.seed, opts);
+
+    sim::MachineConfig cfg = p.width == 8
+                                 ? sim::MachineConfig::eightWide()
+                                 : sim::MachineConfig::fourWide();
+    cfg.numThreads = p.threads;
+    sim::Simulator machine(cfg);
 
     check::Digest d;
     d.workload = name;
