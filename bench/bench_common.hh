@@ -40,49 +40,6 @@ namespace specslice::bench
 {
 
 /**
- * Version of the machine-readable result documents (BENCH_*.json and
- * specslice_run --json). Bump when fields change meaning or move:
- *   1 — flat per-workload records (implicit, pre-versioning)
- *   2 — schema_version field, optional per-run "intervals" array
- *   3 — per-run "outcome" field (completed/cycle_limit/watchdog/
- *       checker_divergence/fault), optional "faults_injected"/
- *       "fault_summary" fields, top-level "error" document on a
- *       failed specslice_run (additive)
- *   4 — optional per-run "fast_forwarded"/"sampled_regions" fields on
- *       sampled runs (additive; absent means a full run)
- *   5 — wall-clock fields ("wall_seconds"/"sim_insts_per_sec") become
- *       omittable (--no-wall, sweep-service documents); optional
- *       "cached" marker on served results (additive)
- *   6 — trace-driven runs: job specs accept "trace_file" (serve
- *       requests, specslice_run --trace-file) and specslice_replay
- *       emits per-trace replay documents/BENCH_replay.json stamped
- *       with this version; later, specslice_verify --json lost its
- *       "cache" block with --cache itself (no bump: the block only
- *       appeared under --cache, which is now a usage error)
- *   7 — specslice_verify --json records lose "attempts" and the
- *       "timeout" state (--deadline is gone); "wall_seconds" times
- *       the whole verify job; the outcome "fault" is gone, and a
- *       failed specslice_run --compare reports error kind "panic" or
- *       "fatal" (was "failed"); later, the "faults_injected"/
- *       "fault_summary" run fields, the top-level "inject" field and
- *       the "checker_divergence" outcome went with --inject (no
- *       bump: they only appeared under --inject, which is now a
- *       usage error; a divergence is a fatal "error" document);
- *       later, BENCH_fastforward.json records gained the report-only
- *       "warm_ns_per_access", "checkpoint_save_ms" and
- *       "checkpoint_load_ms" columns (no bump: additive, and only in
- *       that file); later, specslice_run --trace-file and the
- *       specslice_replay --sim document (with its "digest" field)
- *       went, because a trace no longer carries its workload (no
- *       bump: both are usage errors now, and no other document
- *       changed)
- *
- * The constant itself lives in sim/result_json.hh so specslice_run
- * --json stamps the same version.
- */
-constexpr std::uint64_t benchSchemaVersion = sim::resultSchemaVersion;
-
-/**
  * Strictly parse a decimal integer in [0, max] into out: digits only
  * (no sign, no leading whitespace, no trailing garbage) and no
  * overflow. strtoull alone clamps out-of-range input to 2^64-1 and
@@ -251,18 +208,12 @@ benchWorkloadNames()
 }
 
 // ---------------------------------------------------------------
-// Machine-readable output (BENCH_<name>.json, specslice_run --json)
+// Machine-readable output (BENCH_<name>.json)
 // ---------------------------------------------------------------
 //
 // The JSON builders and the per-workload record live in
-// common/jsonio.hh and sim/result_json.hh (specslice_run --json shares
-// them); re-exported here so the bench binaries compile unchanged.
-
-using json::JsonObject;
-using json::jsonArray;
-using json::jsonEscape;
-using sim::WorkloadPerf;
-using sim::perfRecord;
+// common/jsonio.hh and sim/result_json.hh, which specslice_run --json
+// shares.
 
 /**
  * Write BENCH_<bench_name>.json into the current directory: the
@@ -278,15 +229,15 @@ using sim::perfRecord;
  */
 inline std::string
 writeBenchJson(const std::string &bench_name,
-               const std::vector<WorkloadPerf> &rows,
+               const std::vector<sim::WorkloadPerf> &rows,
                double sweep_wall_seconds = 0.0)
 {
     std::vector<std::string> elems;
     std::uint64_t total_insts = 0;
     double total_wall = 0.0;
     double total_measure = 0.0;
-    for (const WorkloadPerf &p : rows) {
-        elems.push_back(perfRecord(p).str());
+    for (const sim::WorkloadPerf &p : rows) {
+        elems.push_back(sim::perfRecord(p).str());
         total_insts += p.result.mainRetired;
         total_wall += p.wallSeconds;
         total_measure += p.result.wallMeasureSeconds;
@@ -294,7 +245,7 @@ writeBenchJson(const std::string &bench_name,
 
     // Rates divide measured instructions by measured-region time,
     // like WorkloadPerf::instsPerSec.
-    JsonObject aggregate;
+    json::JsonObject aggregate;
     aggregate.field("main_retired", total_insts)
         .field("wall_seconds", total_wall)
         .field("sim_insts_per_sec",
@@ -308,12 +259,12 @@ writeBenchJson(const std::string &bench_name,
                        sweep_wall_seconds);
     }
 
-    JsonObject doc;
-    doc.field("schema_version", benchSchemaVersion)
+    json::JsonObject doc;
+    doc.field("schema_version", sim::resultSchemaVersion)
         .field("bench", bench_name)
         .field("insts", benchInsts())
         .field("warmup", benchWarmup())
-        .raw("workloads", jsonArray(elems))
+        .raw("workloads", json::jsonArray(elems))
         .raw("aggregate", aggregate.str());
 
     std::string path = "BENCH_" + bench_name + ".json";

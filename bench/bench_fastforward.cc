@@ -266,7 +266,7 @@ main(int argc, char **argv)
 
     std::vector<std::string> elems;
     for (const Row &r : done) {
-        bench::JsonObject o;
+        json::JsonObject o;
         o.field("name", r.name)
             .field("ff_insts_per_sec", r.ffInstsPerSec)
             .field("ff_executed", r.ffExecuted)
@@ -286,13 +286,13 @@ main(int argc, char **argv)
                    std::uint64_t{r.sampledRegions});
         elems.push_back(o.str());
     }
-    bench::JsonObject aggregate;
+    json::JsonObject aggregate;
     aggregate.field("min_ff_insts_per_sec", minFf)
         .field("max_ipc_rel_err", maxErr)
         .raw("all_within_epsilon", allWithin ? "true" : "false")
         .raw("throughput_ok", throughputOk ? "true" : "false");
-    bench::JsonObject doc;
-    doc.field("schema_version", bench::benchSchemaVersion)
+    json::JsonObject doc;
+    doc.field("schema_version", sim::resultSchemaVersion)
         .field("bench", std::string("fastforward"))
         .field("insts", fullInsts)
         .field("warmup", fullWarmup)
@@ -303,7 +303,7 @@ main(int argc, char **argv)
         .field("stride", stride)
         .field("epsilon", epsilon)
         .field("min_insts_per_sec", minIps)
-        .raw("workloads", bench::jsonArray(elems))
+        .raw("workloads", json::jsonArray(elems))
         .raw("aggregate", aggregate.str());
 
     const std::string path = "BENCH_fastforward.json";

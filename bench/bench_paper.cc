@@ -18,6 +18,7 @@
 
 #include "bench_common.hh"
 #include "sim/experiments.hh"
+#include "slice/validator.hh"
 
 using namespace specslice;
 using sim::PaperAblation;
@@ -138,7 +139,8 @@ printTable3(const sim::PaperPlan &plan)
             table.addRow({
                 name,
                 sd.name,
-                inLoop(sd.staticSize, sd.staticSizeInLoop),
+                inLoop(sd.staticSize,
+                       slice::loopStaticSize(sd, wl.program)),
                 sim::Table::count(sd.liveIns.size()),
                 has_loop ? inLoop(pref, pref) : sim::Table::count(pref),
                 has_loop ? inLoop(pred, pred) : sim::Table::count(pred),

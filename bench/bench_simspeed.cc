@@ -48,11 +48,11 @@ runSweep(unsigned jobs)
     // --jobs 1); the sweep wall clock around the whole batch is what
     // parallelism improves.
     auto sweep_t0 = std::chrono::steady_clock::now();
-    std::vector<bench::WorkloadPerf> rows = pool.map(
+    std::vector<sim::WorkloadPerf> rows = pool.map(
         bench::benchWorkloadNames(), [&](const std::string &name) {
             auto wl = sim::buildBenchWorkload(name, cfg.seed, opts);
             sim::Simulator machine(sim::MachineConfig::fourWide());
-            bench::WorkloadPerf p;
+            sim::WorkloadPerf p;
             p.name = name;
             auto t0 = std::chrono::steady_clock::now();
             p.result = machine.run(wl, opts, true);
@@ -67,7 +67,7 @@ runSweep(unsigned jobs)
 
     // Share of simulated cycles (warm-up included) the event-driven
     // core jumped over instead of stepping.
-    for (const bench::WorkloadPerf &p : rows) {
+    for (const sim::WorkloadPerf &p : rows) {
         const sim::RunResult &r = p.result;
         const double skipped_pct =
             r.totalCycles ? 100.0 * static_cast<double>(r.skippedCycles) /

@@ -115,7 +115,6 @@ buildListSearch()
     sd.maxLoopIters = 48;  // profile-derived bound on list walks
     sd.loopBackEdgePc = ssym.at("slice") + 4 * isa::instBytes;
     sd.staticSize = static_cast<unsigned>(slice_sec.code.size());
-    sd.staticSizeInLoop = 4;
 
     slice::PgiSpec pgi;
     pgi.sliceInstPc = ssym.at("slice_pgi");

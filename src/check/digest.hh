@@ -24,6 +24,10 @@
  *     config slices
  *     ...
  *
+ * The replay digests (golden/<wl>.rdigest) use the same container,
+ * with one "replay-<client>" section per predictor client
+ * (trace/replay.hh); lintDigest applies to execution digests only.
+ *
  * Comparison rules (diffDigests): integer counters — instruction,
  * retirement, event counts — must match exactly; ratios (doubles that
  * round-trip through decimal text) compare within a relative epsilon.

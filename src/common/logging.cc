@@ -114,12 +114,6 @@ ScopedJobTag::~ScopedJobTag()
     logging_detail::tls_capture = nullptr;
 }
 
-long
-ScopedJobTag::currentIndex()
-{
-    return logging_detail::tls_job_index;
-}
-
 void
 ScopedJobTag::writeCaptured(const std::string &buffered)
 {

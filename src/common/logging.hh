@@ -67,9 +67,6 @@ class ScopedJobTag
     ScopedJobTag(const ScopedJobTag &) = delete;
     ScopedJobTag &operator=(const ScopedJobTag &) = delete;
 
-    /** The current thread's job index, or -1 when untagged. */
-    static long currentIndex();
-
     /** Write a captured buffer to stderr under the sink mutex. */
     static void writeCaptured(const std::string &buffered);
 };

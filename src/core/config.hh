@@ -50,9 +50,6 @@ struct CoreConfig
      */
     int mainThreadFetchBias = 16;
 
-    /** Execute speculative slices as helper threads. */
-    bool slicesEnabled = true;
-
     /**
      * Stop fetching a slice once every branch-queue entry it feeds has
      * been slice-killed (the main thread left the slice's valid

@@ -279,7 +279,9 @@ SmtCore::fetchOne(ThreadCtx &t, ThreadId tid, unsigned &fetched)
     }
 
     // ---- slice hardware interactions ----
-    if (!t.isSlice && cfg_.slicesEnabled) {
+    // A run with no slice loaded (baseline, limit, profile) skips the
+    // fork-table lookup.
+    if (!t.isSlice && sliceTable_.numSlices() != 0) {
         int slice_idx = sliceTable_.forkAt(pc);
         if (slice_idx >= 0)
             forkSlice(di, slice_idx);

@@ -110,11 +110,4 @@ SetAssocCache::fill(Addr addr, bool dirty, bool by_slice)
     return ev;
 }
 
-void
-SetAssocCache::invalidate(Addr addr)
-{
-    if (CacheLine *line = access(addr, false))
-        line->valid = false;
-}
-
 } // namespace specslice::mem

@@ -76,9 +76,6 @@ class SetAssocCache
      */
     Eviction fill(Addr addr, bool dirty, bool by_slice);
 
-    /** Invalidate the line containing addr if present. */
-    void invalidate(Addr addr);
-
     unsigned lineSize() const { return lineSize_; }
     unsigned numSets() const { return numSets_; }
     unsigned assoc() const { return assoc_; }

@@ -379,12 +379,6 @@ MemoryHierarchy::tick(Cycle now)
     }
 }
 
-bool
-MemoryHierarchy::wouldHitL1(Addr addr) const
-{
-    return l1d_.peek(addr) != nullptr || pvBuf_.peek(addr) != nullptr;
-}
-
 std::size_t
 MemoryHierarchy::outstandingFills(Cycle now) const
 {

@@ -100,9 +100,6 @@ class MemoryHierarchy
      *  cycles between calls. */
     void tick(Cycle now);
 
-    /** Would a load of addr hit (no state change)? For profiling. */
-    bool wouldHitL1(Addr addr) const;
-
     /**
      * Functional cache warm-up: install the line containing addr into
      * the L1D and L2 as if an access in the (fast-forwarded) past had

@@ -28,8 +28,45 @@ using core::outcomeName;
 
 /**
  * Version of the machine-readable result documents (BENCH_*.json,
- * specslice_run --json). History lives in bench/bench_common.hh next
- * to the benchSchemaVersion alias.
+ * specslice_run --json, specslice_verify --json and specslice_replay's
+ * documents). Bump when fields change meaning or move:
+ *   1 — flat per-workload records (implicit, pre-versioning)
+ *   2 — schema_version field, optional per-run "intervals" array
+ *   3 — per-run "outcome" field (completed/cycle_limit/watchdog/
+ *       checker_divergence/fault), optional "faults_injected"/
+ *       "fault_summary" fields, top-level "error" document on a
+ *       failed specslice_run (additive)
+ *   4 — optional per-run "fast_forwarded"/"sampled_regions" fields on
+ *       sampled runs (additive; absent means a full run)
+ *   5 — wall-clock fields ("wall_seconds"/"sim_insts_per_sec") become
+ *       omittable (--no-wall, sweep-service documents); optional
+ *       "cached" marker on served results (additive)
+ *   6 — trace-driven runs: job specs accept "trace_file" (serve
+ *       requests, specslice_run --trace-file) and specslice_replay
+ *       emits per-trace replay documents/BENCH_replay.json stamped
+ *       with this version; later, specslice_verify --json lost its
+ *       "cache" block with --cache itself (no bump: the block only
+ *       appeared under --cache, which is now a usage error)
+ *   7 — specslice_verify --json records lose "attempts" and the
+ *       "timeout" state (--deadline is gone); "wall_seconds" times
+ *       the whole verify job; the outcome "fault" is gone, and a
+ *       failed specslice_run --compare reports error kind "panic" or
+ *       "fatal" (was "failed"); later, the "faults_injected"/
+ *       "fault_summary" run fields, the top-level "inject" field and
+ *       the "checker_divergence" outcome went with --inject (no
+ *       bump: they only appeared under --inject, which is now a
+ *       usage error; a divergence is a fatal "error" document);
+ *       later, BENCH_fastforward.json records gained the report-only
+ *       "warm_ns_per_access", "checkpoint_save_ms" and
+ *       "checkpoint_load_ms" columns (no bump: additive, and only in
+ *       that file); later, specslice_run --trace-file and the
+ *       specslice_replay --sim document (with its "digest" field)
+ *       went, because a trace no longer carries its workload (no
+ *       bump: both are usage errors now, and no other document
+ *       changed); later, the single-trace specslice_replay --trace
+ *       --json document went with --trace (no bump: --trace is a
+ *       usage error now, and BENCH_replay.json's per-trace rows keep
+ *       its fields)
  */
 constexpr std::uint64_t resultSchemaVersion = 7;
 

@@ -99,9 +99,6 @@ RunResult
 Simulator::runOne(const Workload &wl, const RunOptions &opts,
                   bool with_slices, arch::Checkpoint &start)
 {
-    MachineConfig cfg = cfg_;
-    cfg.slicesEnabled = with_slices;
-
     // The core gets only its half of opts. Each run gets its own
     // checker instance (parallel JobPool sweeps therefore get one per
     // job), stepping from a copy of the same start. The core executes
@@ -119,7 +116,7 @@ Simulator::runOne(const Workload &wl, const RunOptions &opts,
     // The run takes start's image, so the image is freed when the run
     // ends, before a sampled caller advances to its next region.
     arch::MemoryImage mem = std::move(start.mem);
-    core::SmtCore machine(cfg, wl.program, mem);
+    core::SmtCore machine(cfg_, wl.program, mem);
     if (with_slices) {
         for (const auto &s : wl.slices) {
             auto validation = slice::validateSlice(s, wl.program);

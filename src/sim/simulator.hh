@@ -97,7 +97,7 @@ class Simulator
      * Simulate a workload. Dispatches to the sampling orchestrator
      * when opts carries sampling state (see the file comment).
      * @param with_slices load and execute the workload's speculative
-     *        slices (overrides cfg.slicesEnabled for this run)
+     *        slices
      */
     RunResult run(const Workload &wl, const RunOptions &opts,
                   bool with_slices);

@@ -94,9 +94,6 @@ struct SliceDescriptor
     /** Static size of the slice in instructions (for Table 3). */
     unsigned staticSize = 0;
 
-    /** Static instructions inside the slice loop (Table 3 parens). */
-    unsigned staticSizeInLoop = 0;
-
     /** Distinct kill PCs used for correlation (Table 3's kills). */
     unsigned
     killCount() const

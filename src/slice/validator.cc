@@ -219,4 +219,15 @@ validateSlice(const SliceDescriptor &desc, const isa::Program &program)
     return v;
 }
 
+unsigned
+loopStaticSize(const SliceDescriptor &desc, const isa::Program &program)
+{
+    const Instruction *br = program.fetch(desc.loopBackEdgePc);
+    if (!br || !br->hasStaticTarget() || br->target > desc.loopBackEdgePc)
+        return 0;
+    return static_cast<unsigned>((desc.loopBackEdgePc - br->target) /
+                                 instBytes) +
+           1;
+}
+
 } // namespace specslice::slice

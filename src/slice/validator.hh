@@ -72,6 +72,14 @@ struct SliceValidation
 SliceValidation validateSlice(const SliceDescriptor &desc,
                               const isa::Program &program);
 
+/**
+ * Static instructions in desc's loop (Table 3's parenthesised size):
+ * from the back-edge's target through the back-edge itself. 0 when
+ * desc declares no backward back-edge in program.
+ */
+unsigned loopStaticSize(const SliceDescriptor &desc,
+                        const isa::Program &program);
+
 } // namespace specslice::slice
 
 #endif // SPECSLICE_SLICE_VALIDATOR_HH

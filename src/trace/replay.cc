@@ -121,10 +121,26 @@ replaySection(const std::string &client, const ReplayStats &s)
     return sec;
 }
 
+std::optional<ReplayRows>
+replayClients(const TraceFile &file,
+              const std::vector<std::string> &clients,
+              std::string &error)
+{
+    ReplayRows rows;
+    for (const std::string &name : clients) {
+        auto client = branch::makePredictorClient(name);
+        TraceReader rd = file.records();
+        rows.emplace_back(name, replayRecords(rd, *client));
+        if (!rd.ok()) {
+            error = rd.error();
+            return std::nullopt;
+        }
+    }
+    return rows;
+}
+
 check::Digest
-replayDigest(
-    const TraceMeta &meta,
-    const std::vector<std::pair<std::string, ReplayStats>> &sections)
+replayDigest(const TraceMeta &meta, const ReplayRows &sections)
 {
     check::Digest d;
     d.workload = meta.name;

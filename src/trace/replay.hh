@@ -3,18 +3,21 @@
  * In-order trace replay: stream an sstr record stream through a
  * PredictorClient and score it, CVP-harness style. The replay digest
  * (.rdigest) reuses the check::Digest container — same parser, same
- * formatter, same exact-counter diff — with one section per predictor,
- * so golden replay accuracy is gated exactly like golden execution
- * stats. The .rdigest extension keeps these out of golden_lint's
- * execution-digest sweep (replay digests have no baseline/slices
- * sections to lint).
+ * formatter, same exact-counter diff — with one section per predictor.
+ * specslice_verify writes and checks golden/<wl>.rdigest next to the
+ * workload's execution digest: it emits the workload's trace and
+ * replays it through every registered client. Replay digests have no
+ * baseline/slices sections, so check::lintDigest (execution-only)
+ * does not apply to them; they get parse and diff.
  */
 
 #ifndef SPECSLICE_TRACE_REPLAY_HH
 #define SPECSLICE_TRACE_REPLAY_HH
 
 #include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "branch/predictor_client.hh"
@@ -53,6 +56,9 @@ struct ReplayStats
     }
 };
 
+/** One (client name, replay stats) pair per replayed predictor. */
+using ReplayRows = std::vector<std::pair<std::string, ReplayStats>>;
+
 /**
  * Drive client with every record in r. The reader's error state is
  * the caller's to check: stats cover the records decoded before any
@@ -62,13 +68,22 @@ ReplayStats replayRecords(TraceReader &r,
                           branch::PredictorClient &client);
 
 /**
- * Replay meta's trace through every named client and package the
- * results as a digest document: one section per predictor, exact
- * counters, accuracy ratios. Diffable with check::diffDigests.
+ * Replay file through each named client (branch::makePredictorClient),
+ * one fresh cursor per client.
+ * @return nullopt (and set error) if the record stream fails to decode.
  */
-check::Digest replayDigest(
-    const TraceMeta &meta,
-    const std::vector<std::pair<std::string, ReplayStats>> &sections);
+std::optional<ReplayRows>
+replayClients(const TraceFile &file,
+              const std::vector<std::string> &clients,
+              std::string &error);
+
+/**
+ * Package meta's trace replayed through each client as a digest
+ * document: one section per predictor, exact counters, accuracy
+ * ratios. Diffable with check::diffDigests.
+ */
+check::Digest replayDigest(const TraceMeta &meta,
+                           const ReplayRows &sections);
 
 /** Per-section counters/ratios used by replayDigest (exposed so the
  *  JSON path renders exactly the digest's numbers). */

@@ -164,7 +164,6 @@ buildBzip2(const Params &p)
     sd.maxLoopIters = 12;
     sd.loopBackEdgePc = ssym.at("slice_backedge");
     sd.staticSize = static_cast<unsigned>(slice_sec.code.size());
-    sd.staticSizeInLoop = 8;
 
     slice::PgiSpec pgi1;
     pgi1.sliceInstPc = ssym.at("slice_pgi1");

@@ -151,7 +151,6 @@ buildGap(const Params &p)
     sd.maxLoopIters = 85;
     sd.loopBackEdgePc = ssym.at("slice_backedge");
     sd.staticSize = static_cast<unsigned>(slice_sec.code.size());
-    sd.staticSizeInLoop = 7;
 
     slice::PgiSpec pgi1;
     pgi1.sliceInstPc = ssym.at("slice_pgi1");

@@ -141,7 +141,6 @@ buildGzip(const Params &p)
     sd.maxLoopIters = 8;
     sd.loopBackEdgePc = ssym.at("slice_backedge");
     sd.staticSize = static_cast<unsigned>(slice_sec.code.size());
-    sd.staticSizeInLoop = 6;
 
     slice::PgiSpec pgi;
     pgi.sliceInstPc = ssym.at("slice_pgi");

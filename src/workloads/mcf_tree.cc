@@ -131,7 +131,6 @@ buildMcf(const Params &p)
     sd.maxLoopIters = 98;
     sd.loopBackEdgePc = ssym.at("slice_backedge");
     sd.staticSize = static_cast<unsigned>(slice_sec.code.size());
-    sd.staticSizeInLoop = 4;
 
     slice::PgiSpec pgi;
     pgi.sliceInstPc = ssym.at("slice_pgi");

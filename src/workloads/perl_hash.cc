@@ -148,7 +148,6 @@ buildPerl(const Params &p)
     sd.maxLoopIters = 6;
     sd.loopBackEdgePc = ssym.at("slice_backedge");
     sd.staticSize = static_cast<unsigned>(slice_sec.code.size());
-    sd.staticSizeInLoop = 4;
 
     slice::PgiSpec pgi;
     pgi.sliceInstPc = ssym.at("slice_pgi");

@@ -154,7 +154,6 @@ buildTwolf(const Params &p)
     sd.maxLoopIters = 7;
     sd.loopBackEdgePc = ssym.at("slice_backedge");
     sd.staticSize = static_cast<unsigned>(slice_sec.code.size());
-    sd.staticSizeInLoop = 6;
 
     slice::PgiSpec pgi1;
     pgi1.sliceInstPc = ssym.at("slice_pgi1");

@@ -219,7 +219,6 @@ buildVpr(const Params &p)
     sd.maxLoopIters = 18;
     sd.loopBackEdgePc = ssym.at("slice_backedge");
     sd.staticSize = static_cast<unsigned>(slice_sec.code.size());
-    sd.staticSizeInLoop = 7;
 
     slice::PgiSpec pgi;
     pgi.sliceInstPc = ssym.at("slice_pgi");

@@ -94,7 +94,6 @@ makeChase(unsigned iterations, unsigned max_iters = 64)
     m.sd.maxLoopIters = max_iters;
     m.sd.loopBackEdgePc = ssym.at("slice_backedge");
     m.sd.staticSize = 4;
-    m.sd.staticSizeInLoop = 4;
     slice::PgiSpec pgi;
     pgi.sliceInstPc = ssym.at("slice_pgi");
     pgi.problemBranchPc = sym.at("problem_branch");
@@ -147,20 +146,6 @@ TEST(CoreSlices, ForksAndGeneratesPredictions)
     // The slice mirrors the main computation exactly: overrides are
     // essentially always right.
     EXPECT_LE(res.correlatorWrong * 100, res.correlatorUsed * 2 + 100);
-}
-
-TEST(CoreSlices, DisabledSlicesNeverFork)
-{
-    Mini m = makeChase(500);
-    arch::MemoryImage mem;
-    initChase(mem, 1024);
-    core::CoreConfig cfg = core::CoreConfig::fourWide();
-    cfg.slicesEnabled = false;
-    core::SmtCore machine(cfg, m.prog, mem);
-    machine.loadSlice(m.sd);
-    auto res = machine.run(m.entry, quickOpts());
-    EXPECT_EQ(res.forks, 0u);
-    EXPECT_EQ(res.sliceFetched, 0u);
 }
 
 TEST(CoreSlices, SingleContextIgnoresForks)

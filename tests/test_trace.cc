@@ -495,6 +495,69 @@ replayDigestText(const trace::TraceFile &file)
 
 } // namespace
 
+TEST(TraceFormatTest, RefusalsNameTheirCause)
+{
+    // Each case is a corrupted copy of a small emitted trace, and
+    // TraceFile::open must refuse it with the message naming why.
+    EmittedTrace t("vpr", 2'000, 500);
+    const std::vector<std::uint8_t> good = readAll(t.tmp.path());
+    std::size_t recs = 0, ends = 0;  // section payload offsets
+    for (const Section &sec : sectionsOf(good)) {
+        if (sec.tag == "RECS")
+            recs = sec.body;
+        else if (sec.tag == "ENDS")
+            ends = sec.body;
+    }
+    ASSERT_NE(recs, 0u);
+    ASSERT_NE(ends, 0u);
+    auto setLe = [](std::vector<std::uint8_t> &bytes, std::size_t off,
+                    std::uint64_t v, int n) {
+        for (int i = 0; i < n; ++i)
+            bytes.at(off + i) = static_cast<std::uint8_t>(v >> (8 * i));
+    };
+    auto cut = [&](std::size_t keep) {
+        return std::vector<std::uint8_t>(
+            good.begin(), good.begin() + static_cast<long>(keep));
+    };
+
+    std::vector<std::uint8_t> flags = good;
+    flags[8] = 1;  // u64 flags at 8
+    std::vector<std::uint8_t> count = good;
+    setLe(count, 16, t.records + 1, 8);  // header recordCount
+    // A footer of 8 bytes holds the count but not the hash.
+    std::vector<std::uint8_t> short_footer = cut(good.size() - 8);
+    setLe(short_footer, ends - 8, 8, 8);
+    // The chunk claims a byte more than its section holds.
+    std::vector<std::uint8_t> chunk = good;
+    setLe(chunk, recs, leAt(good, recs, 4) + 1, 4);
+    std::vector<std::uint8_t> hash = good;
+    hash[recs + 8] ^= 0x01;  // first payload byte
+
+    const struct
+    {
+        std::vector<std::uint8_t> bytes;
+        std::string message;
+    } cases[] = {
+        {cut(headerBytes(good) - 1), "has a truncated header"},
+        {flags, "sets reserved header flags"},
+        {cut(ends - 12), "has no footer"},
+        {short_footer, "has a truncated footer"},
+        {count, "header/footer record counts disagree (" +
+                    std::to_string(t.records + 1) + " vs " +
+                    std::to_string(t.records) + ")"},
+        {chunk, "has a truncated chunk"},
+        {hash, "record stream fails its integrity check"},
+    };
+    TempFile tmp("refusal");
+    for (const auto &c : cases) {
+        writeAll(tmp.path(), c.bytes);
+        std::string err;
+        EXPECT_FALSE(trace::TraceFile::open(tmp.path(), err)) << c.message;
+        EXPECT_NE(err.find(c.message), std::string::npos)
+            << "expected '" << c.message << "', got: " << err;
+    }
+}
+
 class TraceFrontendFidelity : public ::testing::TestWithParam<std::string>
 {
 };

@@ -112,6 +112,17 @@ TEST(Validator, RejectsStoreInSlice)
     EXPECT_NE(v.summary().find("store"), std::string::npos);
 }
 
+TEST(Validator, LoopStaticSizeSpansBackEdgeTargetToBackEdge)
+{
+    Fixture s = makeValid();
+    // ldq, cmpeqi, br slice: the back-edge targets the first of them.
+    EXPECT_EQ(loopStaticSize(s.sd, s.prog), 3u);
+    s.sd.loopBackEdgePc = s.sd.slicePc + instBytes;  // not a branch
+    EXPECT_EQ(loopStaticSize(s.sd, s.prog), 0u);
+    s.sd.loopBackEdgePc = invalidAddr;
+    EXPECT_EQ(loopStaticSize(s.sd, s.prog), 0u);
+}
+
 TEST(Validator, RejectsRunawayLoop)
 {
     Fixture s = makeValid();

@@ -12,6 +12,7 @@
 
 #include "arch/fastfwd.hh"
 #include "sim/simulator.hh"
+#include "slice/validator.hh"
 #include "workloads/workloads.hh"
 
 using namespace specslice;
@@ -218,7 +219,9 @@ TEST(WorkloadShapes, SlicesGenerateEventEveryFewInstructions)
             unsigned events = static_cast<unsigned>(
                 sd.pgis.size() + sd.prefetchLoadPcs.size());
             ASSERT_GT(events, 0u) << name;
-            EXPECT_LE(sd.staticSizeInLoop, events * 4 + 2) << name;
+            EXPECT_LE(slice::loopStaticSize(sd, wl.program),
+                      events * 4 + 2)
+                << name;
         }
     }
 }

@@ -1,38 +1,31 @@
 /**
  * @file
  * Trace-driven replay driver: the consumer side of the sstr trace
- * frontend. Three modes share one binary so the CI replay gate is a
- * single tool:
+ * frontend. Two modes:
  *
  *   Emit a reference trace from a registered workload:
  *     specslice_replay --emit --workload vpr --out vpr.sstr
  *         [--insts N --warmup N --seed S]
  *
- *   Stream a trace through the CVP-style predictor clients:
- *     specslice_replay --trace vpr.sstr [--predictor paper,yags] [--json]
- *         [--golden golden/vpr.rdigest | --generate golden/vpr.rdigest]
- *
- *   Sweep many traces in parallel and record throughput:
- *     specslice_replay --bench --traces a.sstr,b.sstr [--jobs N]
+ *   Replay traces in parallel through the CVP-style predictor
+ *   clients, print each trace's table and record throughput:
+ *     specslice_replay --bench --traces a.sstr,b.sstr
+ *         [--predictor paper,yags] [--jobs N] [--json]
  *
  * --emit builds the workload the way the golden corpus does, so the
  * trace header names (workload, scale, seed) the run specslice_verify
  * checks. The timing core's numbers come from that run; a trace holds
- * only the retired-instruction records.
+ * only the retired-instruction records. The golden replay digests
+ * (golden/<wl>.rdigest) are specslice_verify's: it emits and replays
+ * the same trace in each workload's job.
  *
- * Replay digests (.rdigest) reuse the digest container/diff rules:
- * integer counters exact, accuracy ratios within epsilon.
- *
- * Exit codes: 0 pass, 1 mismatch or unreadable/corrupt trace,
- * 2 usage errors.
+ * Exit codes: 0 pass, 1 unreadable/corrupt trace, 2 usage errors.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -60,7 +53,6 @@ struct Options
     // Modes (exactly one).
     bool emit = false;
     bool bench = false;
-    std::string traceFile;  ///< replay mode when set (unless --emit)
 
     // --emit
     std::string workload;
@@ -69,15 +61,12 @@ struct Options
     std::uint64_t warmup = 5'000;
     std::uint64_t seed = 1;
 
-    // replay
-    std::vector<std::string> predictors;  ///< empty = all registered
-    std::string golden;    ///< diff against this .rdigest
-    std::string generate;  ///< (re)write this .rdigest
-    bool json = false;
-
     // --bench
     std::vector<std::string> traces;
+    std::vector<std::string> predictors;  ///< empty = all registered
     unsigned jobs = 0;
+
+    bool json = false;
 };
 
 [[noreturn]] void
@@ -86,7 +75,6 @@ usage(int code)
     std::printf(
         "usage: specslice_replay --emit --workload NAME --out FILE "
         "[options]\n"
-        "       specslice_replay --trace FILE [options]\n"
         "       specslice_replay --bench --traces F1,F2,... [options]\n"
         "  --emit            run NAME functionally and write an sstr\n"
         "                    reference trace (a header naming the\n"
@@ -101,15 +89,10 @@ usage(int code)
         "                    corpus scale, so the header names the\n"
         "                    workload specslice_verify runs\n"
         "  --seed N          workload data seed (emit; 1)\n"
-        "  --trace FILE      replay FILE's record stream through the\n"
-        "                    predictor clients\n"
-        "  --predictor A,B   restrict to these clients (default all)\n"
-        "  --golden FILE     diff the replay digest against FILE\n"
-        "                    (.rdigest; exit 1 on any mismatch)\n"
-        "  --generate FILE   (re)write the replay digest to FILE\n"
         "  --bench           replay every trace in --traces through\n"
         "                    every client and write BENCH_replay.json\n"
         "  --traces F1,F2    trace files for --bench\n"
+        "  --predictor A,B   restrict to these clients (default all)\n"
         "  --jobs N          parallel replay jobs (bench; default\n"
         "                    SS_JOBS or the core count)\n"
         "  --json            machine-readable result on stdout\n",
@@ -153,14 +136,8 @@ parseArgs(int argc, char **argv)
             o.warmup = bench::countOption(a, next());
         } else if (a == "--seed") {
             o.seed = bench::countOption(a, next());
-        } else if (a == "--trace") {
-            o.traceFile = next();
         } else if (a == "--predictor") {
             o.predictors = splitCsv(next());
-        } else if (a == "--golden") {
-            o.golden = next();
-        } else if (a == "--generate") {
-            o.generate = next();
         } else if (a == "--bench") {
             o.bench = true;
         } else if (a == "--traces") {
@@ -179,15 +156,11 @@ parseArgs(int argc, char **argv)
             usage(2);
         }
     }
-    const int modes = (o.emit ? 1 : 0) + (o.bench ? 1 : 0) +
-                      (!o.traceFile.empty() ? 1 : 0);
-    if (modes != 1)
+    if (o.emit == o.bench)
         usage(2);
     if (o.emit && (o.workload.empty() || o.out.empty()))
         usage(2);
     if (o.bench && o.traces.empty())
-        usage(2);
-    if (!o.golden.empty() && !o.generate.empty())
         usage(2);
     return o;
 }
@@ -260,31 +233,9 @@ runEmit(const Options &o)
     return 0;
 }
 
-/** Replay one trace file through the named clients. @return false on
- *  a reader error (partial stats are discarded by the caller). */
-bool
-replayAll(const trace::TraceFile &file,
-          const std::vector<std::string> &clients,
-          std::vector<std::pair<std::string, trace::ReplayStats>> &out,
-          std::string &error)
-{
-    for (const std::string &name : clients) {
-        auto client = branch::makePredictorClient(name);
-        trace::TraceReader rd = file.records();
-        trace::ReplayStats stats = trace::replayRecords(rd, *client);
-        if (!rd.ok()) {
-            error = rd.error();
-            return false;
-        }
-        out.emplace_back(name, stats);
-    }
-    return true;
-}
-
 void
 printReplayTable(const trace::TraceMeta &meta,
-                 const std::vector<std::pair<std::string,
-                                             trace::ReplayStats>> &rows)
+                 const trace::ReplayRows &rows)
 {
     std::printf("trace %s: %llu records\n", meta.name.c_str(),
                 static_cast<unsigned long long>(meta.recordCount));
@@ -304,11 +255,10 @@ printReplayTable(const trace::TraceMeta &meta,
     }
 }
 
-/** The per-trace replay document (--json, and --bench rows). */
+/** The per-trace replay document (a BENCH_replay.json row). */
 json::JsonObject
 replayDocument(const std::string &path, const trace::TraceMeta &meta,
-               const std::vector<std::pair<std::string,
-                                           trace::ReplayStats>> &rows)
+               const trace::ReplayRows &rows)
 {
     std::vector<std::string> sections;
     for (const auto &[name, s] : rows) {
@@ -332,81 +282,6 @@ replayDocument(const std::string &path, const trace::TraceMeta &meta,
 }
 
 int
-runReplay(const Options &o)
-{
-    std::string err;
-    auto file = trace::TraceFile::open(o.traceFile, err);
-    if (!file) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 1;
-    }
-
-    std::vector<std::pair<std::string, trace::ReplayStats>> rows;
-    if (!replayAll(*file, clientNames(o), rows, err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 1;
-    }
-    check::Digest live = trace::replayDigest(file->meta(), rows);
-
-    if (!o.generate.empty()) {
-        // formatDigest stamps the execution-corpus regeneration hint;
-        // replace it so the file documents its own provenance.
-        std::string text = check::formatDigest(live);
-        while (!text.empty() && text[0] == '#')
-            text.erase(0, text.find('\n') + 1);
-        std::ofstream os(o.generate);
-        if (os)
-            os << "# specslice replay-accuracy digest (do not edit "
-                  "by hand; regenerate:\n"
-                  "# specslice_replay --emit --workload NAME --out "
-                  "NAME.sstr &&\n"
-                  "# specslice_replay --trace NAME.sstr --generate "
-                  "golden/NAME.rdigest)\n"
-               << text;
-        if (!os) {
-            std::fprintf(stderr, "error: cannot write %s\n",
-                         o.generate.c_str());
-            return 1;
-        }
-        std::printf("wrote %s\n", o.generate.c_str());
-        return 0;
-    }
-
-    if (o.json)
-        std::printf("%s\n",
-                    replayDocument(o.traceFile, file->meta(), rows)
-                        .str()
-                        .c_str());
-    else
-        printReplayTable(file->meta(), rows);
-
-    if (!o.golden.empty()) {
-        std::ifstream is(o.golden);
-        if (!is) {
-            std::fprintf(stderr, "error: missing golden digest %s\n",
-                         o.golden.c_str());
-            return 1;
-        }
-        auto golden = check::parseDigest(is, err);
-        if (!golden) {
-            std::fprintf(stderr, "error: malformed %s: %s\n",
-                         o.golden.c_str(), err.c_str());
-            return 1;
-        }
-        std::vector<std::string> diffs =
-            check::diffDigests(*golden, live);
-        for (const std::string &d : diffs)
-            std::fprintf(stderr, "MISMATCH %s: %s\n",
-                         file->meta().name.c_str(), d.c_str());
-        if (!diffs.empty())
-            return 1;
-        std::fprintf(stderr, "replay digest matches %s\n",
-                     o.golden.c_str());
-    }
-    return 0;
-}
-
-int
 runBench(const Options &o)
 {
     const std::vector<std::string> clients = clientNames(o);
@@ -414,7 +289,7 @@ runBench(const Options &o)
     {
         std::string path;
         trace::TraceMeta meta;
-        std::vector<std::pair<std::string, trace::ReplayStats>> rows;
+        trace::ReplayRows rows;
         double wallSeconds = 0.0;
         std::string error;
     };
@@ -433,7 +308,9 @@ runBench(const Options &o)
                 return row;
             }
             row.meta = file->meta();
-            if (!replayAll(*file, clients, row.rows, err))
+            if (auto rows = trace::replayClients(*file, clients, err))
+                row.rows = std::move(*rows);
+            else
                 row.error = err;
             row.wallSeconds =
                 std::chrono::duration<double>(
@@ -508,9 +385,5 @@ int
 main(int argc, char **argv)
 {
     Options o = parseArgs(argc, argv);
-    if (o.emit)
-        return runEmit(o);
-    if (o.bench)
-        return runBench(o);
-    return runReplay(o);
+    return o.emit ? runEmit(o) : runBench(o);
 }

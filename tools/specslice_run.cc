@@ -232,12 +232,12 @@ parseArgs(int argc, char **argv)
 }
 
 /** Run one configuration, timing the simulation wall clock. */
-bench::WorkloadPerf
+sim::WorkloadPerf
 timedRun(const std::string &name, sim::Simulator &machine,
          const sim::Workload &wl, const sim::RunOptions &opts,
          bool slices)
 {
-    bench::WorkloadPerf p;
+    sim::WorkloadPerf p;
     p.name = name;
     auto t0 = std::chrono::steady_clock::now();
     p.result = slices ? machine.run(wl, opts, true)
@@ -373,7 +373,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(o.insts),
                     static_cast<unsigned long long>(o.warmup));
 
-    std::vector<bench::WorkloadPerf> runs;
+    std::vector<sim::WorkloadPerf> runs;
     try {
         ScopedThrowErrors throwing;
         if (o.limit) {

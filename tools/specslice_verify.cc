@@ -1,21 +1,28 @@
 /**
  * @file
- * The golden-stats regression gate: runs every workload in its
- * baseline and slice-enabled configurations — with the retirement
- * checker co-simulating — and diffs the resulting stat digests
- * against the committed corpus under golden/.
+ * The golden regression gate, and the one tool that owns golden/.
+ * Each workload job runs the workload in its baseline and
+ * slice-enabled configurations — with the retirement checker
+ * co-simulating — and digests the timing core's counters
+ * (<wl>.digest). It then emits the same workload's trace
+ * (warmup+insts retired instructions, to a per-process temporary
+ * file) and replays it through every registered predictor client
+ * (<wl>.rdigest). Both are diffed against the committed corpus, or
+ * written under --generate.
  *
  *   specslice_verify --golden golden/            # regression check
  *   specslice_verify --generate golden/          # refresh the corpus
  *   specslice_verify --golden golden/ --jobs 8 --workloads vpr,mcf --json
  *
  * Verification reads the run parameters (insts/warmup/seed/width/
- * threads) out of each digest, so the committed corpus — not the
+ * threads) out of each .digest, so the committed corpus — not the
  * invoker — defines the regression workload. Comparison rules:
  * integer counters must match exactly; cycle-derived ratios compare
  * within a relative epsilon (decimal round-trip). Any retirement-
  * checker divergence is fatal to the workload's run and fails the
- * workload (state "error") with a first-divergence report.
+ * workload (state "error") with a first-divergence report. A full
+ * verify (no --workloads) also fails on a digest of either kind that
+ * names no workload.
  *
  * One failing workload does not stop the sweep: each job runs under
  * ScopedThrowErrors, so a workload whose run panics, is fatal or
@@ -24,25 +31,31 @@
  * errors.
  */
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
+#include "branch/predictor_client.hh"
 #include "check/digest.hh"
 #include "common/failure.hh"
-#include "common/logging.hh"
 #include "sim/experiments.hh"
 #include "sim/job_pool.hh"
 #include "sim/simulator.hh"
+#include "trace/frontend.hh"
+#include "trace/reader.hh"
+#include "trace/replay.hh"
 #include "workloads/workloads.hh"
 
 using namespace specslice;
@@ -82,9 +95,11 @@ usage(int code)
     std::printf(
         "usage: specslice_verify [--golden DIR | --generate DIR] "
         "[options]\n"
-        "  --golden DIR      diff live runs against the digest corpus\n"
-        "                    in DIR (default mode, DIR 'golden')\n"
-        "  --generate DIR    (re)write the digest corpus into DIR\n"
+        "  --golden DIR      diff live runs and trace replays against\n"
+        "                    the corpus in DIR: <wl>.digest and\n"
+        "                    <wl>.rdigest (default mode, DIR 'golden')\n"
+        "  --generate DIR    (re)write both digests of every workload\n"
+        "                    into DIR\n"
         "  --workloads A,B   restrict to these workloads (default all;\n"
         "                    a restricted verify skips the coverage\n"
         "                    check)\n"
@@ -173,8 +188,6 @@ parseArgs(int argc, char **argv)
                 usage(2);
         } else if (a == "--no-check") {
             o.check = false;
-        } else if (a == "--check") {
-            o.check = true;
         } else if (a == "--verbose" || a == "-v") {
             o.verbose = true;
         } else if (a == "--help" || a == "-h") {
@@ -188,9 +201,44 @@ parseArgs(int argc, char **argv)
     return o;
 }
 
-/** Run one workload in both configurations and digest the results. */
+/** What one workload job measured, as the two golden documents. */
+struct LiveDigests
+{
+    check::Digest exec;    ///< <wl>.digest: baseline and slices runs
+    check::Digest replay;  ///< <wl>.rdigest: every predictor client
+};
+
+/** Emit wl's first `records` retired instructions as a trace and
+ *  replay it through every registered predictor client. */
 check::Digest
-liveDigest(const std::string &name, const RunParams &p, bool check)
+liveReplayDigest(const sim::Workload &wl, std::uint64_t seed,
+                 std::uint64_t records)
+{
+    // Jobs run in parallel, and so may other verifies: one file per
+    // process and workload.
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("specslice_verify_" + std::to_string(::getpid()) + "_" +
+         wl.name + ".sstr");
+    std::string err;
+    std::optional<trace::TraceFile> file;
+    if (trace::emitWorkloadTrace(wl, seed, records, path.string(), err))
+        file = trace::TraceFile::open(path.string(), err);
+    // The open file stays mapped.
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    std::optional<trace::ReplayRows> rows;
+    if (file)
+        rows = trace::replayClients(
+            *file, branch::predictorClientNames(), err);
+    if (!rows)
+        throw std::runtime_error("replay trace: " + err);
+    return trace::replayDigest(file->meta(), *rows);
+}
+
+/** Run one workload in both configurations and replay its trace. */
+LiveDigests
+liveDigests(const std::string &name, const RunParams &p, bool check)
 {
     sim::RunOptions opts;
     opts.maxMainInstructions = p.insts;
@@ -221,13 +269,46 @@ liveDigest(const std::string &name, const RunParams &p, bool check)
         sim::digestSection("baseline", machine.runBaseline(wl, opts)));
     d.sections.push_back(
         sim::digestSection("slices", machine.run(wl, opts, true)));
+    return {std::move(d), liveReplayDigest(wl, p.seed, p.insts + p.warmup)};
+}
+
+/** The golden document kinds: timing core, and trace replay. */
+constexpr const char *execExt = ".digest";
+constexpr const char *replayExt = ".rdigest";
+
+std::filesystem::path
+digestPath(const std::string &dir, const std::string &workload,
+           const char *ext)
+{
+    return std::filesystem::path(dir) / (workload + ext);
+}
+
+/** Parse the committed digest at path. @return nullopt, and a message
+ *  naming the file, when it is missing or malformed. */
+std::optional<check::Digest>
+readDigest(const std::filesystem::path &path,
+           std::vector<std::string> &messages)
+{
+    std::ifstream is(path);
+    if (!is) {
+        messages.push_back("missing digest file " + path.string());
+        return std::nullopt;
+    }
+    std::string perr;
+    auto d = check::parseDigest(is, perr);
+    if (!d)
+        messages.push_back("malformed digest " + path.string() + ": " +
+                           perr);
     return d;
 }
 
-std::filesystem::path
-digestPath(const std::string &dir, const std::string &workload)
+/** Append golden-vs-live mismatches, each prefixed by the file name. */
+void
+diffInto(const std::filesystem::path &path, const check::Digest &golden,
+         const check::Digest &live, std::vector<std::string> &messages)
 {
-    return std::filesystem::path(dir) / (workload + ".digest");
+    for (const std::string &m : check::diffDigests(golden, live))
+        messages.push_back(path.filename().string() + ": " + m);
 }
 
 struct Outcome
@@ -247,18 +328,10 @@ verifyWorkload(const std::string &name, const Options &o)
     Outcome out;
     out.name = name;
 
-    std::ifstream is(digestPath(o.dir, name));
-    if (!is) {
-        out.messages.push_back("missing digest file " +
-                               digestPath(o.dir, name).string());
+    const auto exec_path = digestPath(o.dir, name, execExt);
+    auto golden = readDigest(exec_path, out.messages);
+    if (!golden)
         return out;
-    }
-    std::string perr;
-    auto golden = check::parseDigest(is, perr);
-    if (!golden) {
-        out.messages.push_back("malformed digest: " + perr);
-        return out;
-    }
     for (std::string &msg : check::lintDigest(*golden))
         out.messages.push_back("lint: " + std::move(msg));
     if (!out.messages.empty())
@@ -275,7 +348,11 @@ verifyWorkload(const std::string &name, const Options &o)
     p.regions = static_cast<unsigned>(golden->regions);
     p.stride = golden->stride;
 
-    out.messages = check::diffDigests(*golden, liveDigest(name, p, o.check));
+    const LiveDigests live = liveDigests(name, p, o.check);
+    diffInto(exec_path, *golden, live.exec, out.messages);
+    const auto replay_path = digestPath(o.dir, name, replayExt);
+    if (auto replay = readDigest(replay_path, out.messages))
+        diffInto(replay_path, *replay, live.replay, out.messages);
     out.ok = out.messages.empty();
     if (out.ok)
         out.state = "ok";
@@ -287,8 +364,8 @@ generateWorkload(const std::string &name, const Options &o)
 {
     Outcome out;
     out.name = name;
-    check::Digest d = liveDigest(name, o.params, o.check);
-    for (std::string &msg : check::lintDigest(d)) {
+    const LiveDigests live = liveDigests(name, o.params, o.check);
+    for (std::string &msg : check::lintDigest(live.exec)) {
         // A digest that fails its own lint must never reach golden/.
         out.messages.push_back("generated digest fails lint: " +
                                std::move(msg));
@@ -296,18 +373,18 @@ generateWorkload(const std::string &name, const Options &o)
     if (!out.messages.empty())
         return out;
 
-    auto path = digestPath(o.dir, name);
-    std::ofstream os(path);
-    if (!os) {
-        out.messages.push_back("cannot write " + path.string());
-        return out;
-    }
-    os << check::formatDigest(d);
-    out.ok = static_cast<bool>(os);
+    auto write = [&](const char *ext, const check::Digest &d) {
+        const auto path = digestPath(o.dir, name, ext);
+        std::ofstream os(path);
+        os << check::formatDigest(d);
+        if (!os)
+            out.messages.push_back("cannot write " + path.string());
+    };
+    write(execExt, live.exec);
+    write(replayExt, live.replay);
+    out.ok = out.messages.empty();
     if (out.ok)
         out.state = "ok";
-    else
-        out.messages.push_back("write failed: " + path.string());
     return out;
 }
 
@@ -377,7 +454,7 @@ main(int argc, char **argv)
             if (!out.ok || !(o.verbose || o.generate))
                 continue;
             std::printf("%-8s %s\n", out.name.c_str(),
-                        o.generate ? "digest written" : "ok");
+                        o.generate ? "digests written" : "ok");
             if (o.verbose)
                 for (const std::string &m : out.messages)
                     std::printf("    %s\n", m.c_str());
@@ -385,14 +462,16 @@ main(int argc, char **argv)
     }
 
     // Coverage: a full verify also rejects stray digests so the
-    // corpus cannot silently drift from the workload suite.
+    // corpus cannot silently drift from the workload suite. A missing
+    // one already failed its workload's job.
     std::vector<std::string> coverage_errors;
     if (!o.generate && o.workloads.empty()) {
         std::set<std::string> known_set(all.begin(), all.end());
         std::error_code ec;
         for (const auto &e :
              std::filesystem::directory_iterator(o.dir, ec)) {
-            if (e.path().extension() != ".digest")
+            const auto ext = e.path().extension();
+            if (ext != execExt && ext != replayExt)
                 continue;
             std::string stem = e.path().stem().string();
             if (!known_set.count(stem)) {
@@ -419,27 +498,27 @@ main(int argc, char **argv)
     if (o.json) {
         std::vector<std::string> elems;
         for (const Outcome &out : outcomes) {
-            bench::JsonObject rec;
+            json::JsonObject rec;
             rec.field("name", out.name)
                 .raw("ok", out.ok ? "true" : "false")
                 .field("state", out.state)
                 .field("wall_seconds", out.wallSeconds);
             std::vector<std::string> msgs;
             for (const std::string &m : out.messages)
-                msgs.push_back("\"" + bench::jsonEscape(m) + "\"");
-            rec.raw("messages", bench::jsonArray(msgs));
+                msgs.push_back("\"" + json::jsonEscape(m) + "\"");
+            rec.raw("messages", json::jsonArray(msgs));
             elems.push_back(rec.str());
         }
         std::vector<std::string> cov;
         for (const std::string &m : coverage_errors)
-            cov.push_back("\"" + bench::jsonEscape(m) + "\"");
-        bench::JsonObject doc;
-        doc.field("schema_version", bench::benchSchemaVersion)
+            cov.push_back("\"" + json::jsonEscape(m) + "\"");
+        json::JsonObject doc;
+        doc.field("schema_version", sim::resultSchemaVersion)
             .field("mode",
                    std::string(o.generate ? "generate" : "verify"))
             .field("check", std::uint64_t{o.check ? 1u : 0u})
-            .raw("workloads", bench::jsonArray(elems))
-            .raw("coverage_errors", bench::jsonArray(cov))
+            .raw("workloads", json::jsonArray(elems))
+            .raw("coverage_errors", json::jsonArray(cov))
             .field("ok_count", std::uint64_t{ok_count})
             .field("total", std::uint64_t{outcomes.size()});
         doc.raw("failed", failed ? "true" : "false");
